@@ -31,14 +31,11 @@ from .model import (
 )
 from .reductions import (
     CanonicalTemporalNetwork,
-    NodeRole,
-    ReductionTrace,
     StructuralError,
     attach_super_terminals,
     canonical_reduction,
     classify_roles,
     hoppe_tardos_star,
-    project_flow_from_canonical,
 )
 from .breakpoints import (
     EnumerationCapError,
@@ -69,6 +66,7 @@ from .maxflow import (
 from .feasibility import (
     FeasOutcome,
     capacity_oT,
+    capacity_oT_ten,
     feas,
     restrict_for_set,
     verify_violated,

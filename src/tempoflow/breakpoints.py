@@ -25,7 +25,8 @@ from __future__ import annotations
 from .model import ModelError
 from .reductions import CanonicalTemporalNetwork, StructuralError
 
-DEFAULT_PATH_CAP = 200_000
+# Simple paths enumerated per node before giving up.
+PATH_CAP = 200_000
 
 
 class EnumerationCapError(ModelError):
@@ -52,12 +53,7 @@ def _trivial_gamma(canon: CanonicalTemporalNetwork, i: str) -> bool:
     return not has_in or not has_out
 
 
-def _pin_sums(
-    canon: CanonicalTemporalNetwork,
-    start: str,
-    depth_limit: int | None,
-    path_cap: int,
-) -> set[int]:
+def _pin_sums(canon: CanonicalTemporalNetwork, start: str) -> set[int]:
     """Signed sums over undirected simple paths from start to any anchor.
 
     Edges are traversed in either orientation; each contributes plus or
@@ -84,7 +80,7 @@ def _pin_sums(
         return w
 
     sums: set[int] = set()
-    budget = path_cap
+    budget = PATH_CAP
     path: list[tuple[str, str]] = []
     on_path = {start}
 
@@ -93,8 +89,7 @@ def _pin_sums(
         budget -= 1
         if budget < 0:
             raise EnumerationCapError(
-                "simple-path enumeration cap exceeded; "
-                "raise path_cap or use a smaller depth limit"
+                f"more than {PATH_CAP} simple paths from {start}"
             )
         totals = {0}
         for edge in path:
@@ -102,8 +97,6 @@ def _pin_sums(
         sums.update(totals)
 
     def dfs(node: str):
-        if depth_limit is not None and len(path) >= depth_limit:
-            return
         for nxt, edge in adjacent[node]:
             if nxt in on_path:
                 continue
@@ -120,29 +113,19 @@ def _pin_sums(
     return sums
 
 
-def gamma_enumerate(
-    canon: CanonicalTemporalNetwork,
-    i: str,
-    depth_limit: int | None = None,
-    path_cap: int = DEFAULT_PATH_CAP,
-) -> BreakpointSet:
+def gamma_enumerate(canon: CanonicalTemporalNetwork, i: str) -> BreakpointSet:
     """Gamma(i): clamped signed pin-path sums from both boundary values."""
     T = canon.horizon
     if _trivial_gamma(canon, i):
         return (0, T + 1)
-    sums = _pin_sums(canon, i, depth_limit, path_cap)
+    sums = _pin_sums(canon, i)
     raw = {0, T + 1}
     raw.update(s for s in sums)
     raw.update(T + 1 + s for s in sums)
     return tuple(sorted(t for t in raw if 0 <= t <= T + 1))
 
 
-def gamma_star(
-    canon: CanonicalTemporalNetwork,
-    i: str,
-    depth_limit: int | None = None,
-    path_cap: int = DEFAULT_PATH_CAP,
-) -> BreakpointSet:
+def gamma_star(canon: CanonicalTemporalNetwork, i: str) -> BreakpointSet:
     """Gamma*(i): for a pseudo-pseudosink, its in-neighbors' sets combined.
 
     The settling stage moves a pseudo-pseudosink onto one of its two
@@ -150,30 +133,26 @@ def gamma_star(
     covers every value it can end on.
     """
     if i not in canon.pps_minus:
-        return gamma_enumerate(canon, i, depth_limit, path_cap)
+        return gamma_enumerate(canon, i)
     preds = sorted(e[0] for e in canon.net.edges if e[1] == i)
     if len(preds) != 2:
         raise StructuralError(f"pseudo-pseudosink {i} has {len(preds)} in-neighbors")
-    ga = gamma_enumerate(canon, preds[0], depth_limit, path_cap)
-    gb = gamma_enumerate(canon, preds[1], depth_limit, path_cap)
+    ga = gamma_enumerate(canon, preds[0])
+    gb = gamma_enumerate(canon, preds[1])
     return tuple(sorted(set(ga) | set(gb)))
 
 
-def pps_settle_neighbor(canon: CanonicalTemporalNetwork, i: str, depth_limit: int | None = None) -> str:
+def pps_settle_neighbor(canon: CanonicalTemporalNetwork, i: str) -> str:
     """The in-neighbor a pseudo-pseudosink settles toward (smaller set wins)."""
     preds = sorted(e[0] for e in canon.net.edges if e[1] == i)
     if len(preds) != 2:
         raise StructuralError(f"pseudo-pseudosink {i} has {len(preds)} in-neighbors")
-    ga = gamma_enumerate(canon, preds[0], depth_limit)
-    gb = gamma_enumerate(canon, preds[1], depth_limit)
+    ga = gamma_enumerate(canon, preds[0])
+    gb = gamma_enumerate(canon, preds[1])
     return preds[0] if len(ga) <= len(gb) else preds[1]
 
 
-def cten_breakpoints(
-    canon: CanonicalTemporalNetwork,
-    depth_limit: int | None = None,
-    path_cap: int = DEFAULT_PATH_CAP,
-) -> dict[str, BreakpointSet]:
+def cten_breakpoints(canon: CanonicalTemporalNetwork) -> dict[str, BreakpointSet]:
     """Per-node sets A_i = (Gamma*(i) within [0, T]) with 0 and T forced in.
 
     T + 1 is dropped: a cut time of T + 1 puts the node entirely on the
@@ -182,6 +161,6 @@ def cten_breakpoints(
     T = canon.horizon
     out: dict[str, BreakpointSet] = {}
     for i in canon.net.nodes:
-        g = gamma_star(canon, i, depth_limit, path_cap)
+        g = gamma_star(canon, i)
         out[i] = tuple(sorted({0, T} | {t for t in g if 0 <= t <= T}))
     return out

@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .model import INF, ModelError, compute_mu, to_one_shot
-from .reductions import attach_super_terminals, canonical_reduction, hoppe_tardos_star
-from .breakpoints import cten_breakpoints
-from .expansion import DEFAULT_TEN_BUDGET, OracleBudgetError, build_cten, build_ten
+from .model import INF, ModelError, compute_mu, merged_pieces
+from .reductions import attach_super_terminals
+from .expansion import OracleBudgetError, build_ten
 from .maxflow import max_flow
 from .netio import InstanceSpec, ParsedInstance, generate_instance, parse_network, serialize_flow, serialize_network
 from .solvers import BoundedSearchError, dttn_feasible, extract_flow, max_flow_over_time, quickest_transshipment
@@ -82,10 +81,7 @@ def _cmd_expand(args) -> int:
     if args.mode == "ten":
         graph = build_ten(attach_super_terminals(net, v))
     else:
-        one_shot, _ = to_one_shot(net)
-        reduced, _, v2, trace = hoppe_tardos_star(one_shot, net.horizon, v)
-        canon = canonical_reduction(reduced, net.horizon, v2, trace)
-        graph = build_cten(canon.net, cten_breakpoints(canon))
+        graph = dttn_feasible(net, net.horizon, v).graph
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(graph.to_dot() + "\n")
     print(f"wrote {args.mode} with {len(graph.vertices)} vertices, {len(graph.arcs)} arcs")
@@ -134,15 +130,11 @@ def _cmd_stats(args) -> int:
     parsed = _load(args.input)
     net, v = parsed.network, parsed.demands
     T = net.horizon
-    one_shot, _ = to_one_shot(net)
-    reduced, _, v2, trace = hoppe_tardos_star(one_shot, T, v)
-    canon = canonical_reduction(reduced, T, v2, trace)
-    cten = build_cten(canon.net, cten_breakpoints(canon))
+    outcome = dttn_feasible(net, T, v)
+    canon, cten = outcome.canonical, outcome.graph
     n_canon = len(canon.net.nodes)
     ten_nodes = n_canon * (T + 1)
     ten_arcs = n_canon * T
-    from .model import merged_pieces
-
     for fn in canon.net.edges.values():
         for (a, b, u, tau) in merged_pieces(fn.capacity, fn.travel_time):
             if u != 0:

@@ -172,7 +172,6 @@ def canonicalize_min_cut(
     canon: CanonicalTemporalNetwork,
     phi: CutFunction,
     ten: ExpandedGraph,
-    depth_limit: int | None = None,
 ) -> CutFunction:
     """Rewrite a minimum cut function so every cut time is a critical time.
 
@@ -229,7 +228,7 @@ def canonicalize_min_cut(
     # otherwise onto the designated in-neighbor's value.
     for i in sorted(canon.pps_minus):
         (out_edge,) = canon.net.out_edges(i)
-        target = 0 if phi[out_edge[1]] == 0 else phi[pps_settle_neighbor(canon, i, depth_limit)]
+        target = 0 if phi[out_edge[1]] == 0 else phi[pps_settle_neighbor(canon, i)]
         while phi[i] != target:
             delta = +1 if target > phi[i] else -1
             phi = step(_shifted(phi, {i}, delta), f"settling shift of {i}")
@@ -240,7 +239,7 @@ def canonicalize_min_cut(
     # though an equal-cost critical value exists.  Repair one node at a
     # time: reassign it to the first critical value that keeps the cost,
     # repeating until stable (a repaired neighbor can unlock a node).
-    allowed = {i: gamma_star(canon, i, depth_limit) for i in canon.net.nodes}
+    allowed = {i: gamma_star(canon, i) for i in canon.net.nodes}
 
     def interior_pinned_component(start: str) -> frozenset[str]:
         adjacency = pinned_graph(canon, phi).adjacency

@@ -44,10 +44,6 @@ class IntervalPartition:
     def interval_of(self, t: int) -> Interval:
         return self.intervals[self.index_of(t)]
 
-    def succ(self, interval: Interval) -> Interval | None:
-        idx = self.intervals.index(interval)
-        return self.intervals[idx + 1] if idx + 1 < len(self.intervals) else None
-
 
 def intervals_of(points, horizon: int) -> IntervalPartition:
     """Partition [0, T] for a breakpoint set containing 0 and T."""
@@ -105,15 +101,13 @@ def _single_terminals(net: TemporalNetwork) -> tuple[str, str]:
     return next(iter(net.sources)), next(iter(net.sinks))
 
 
-def build_ten(net: TemporalNetwork, horizon: int | None = None, budget: int = DEFAULT_TEN_BUDGET) -> ExpandedGraph:
+def build_ten(net: TemporalNetwork, budget: int = DEFAULT_TEN_BUDGET) -> ExpandedGraph:
     """Full expansion: vertices V x [0, T], unit-time holdover arcs.
 
     The max-flow value of this graph equals the maximum flow over time of
     the network, which is why it serves as the ground-truth oracle.
     """
-    T = net.horizon if horizon is None else horizon
-    if T != net.horizon:
-        raise ModelError("expansion horizon must match the network horizon")
+    T = net.horizon
     size = len(net.nodes) * (T + 1)
     if size > budget:
         raise OracleBudgetError(
@@ -158,19 +152,13 @@ def cten_edge_capacity(fn: EdgeFn, interval: Interval, target: Interval) -> int 
     return total
 
 
-def build_cten(
-    net: TemporalNetwork,
-    breakpoints: dict[str, tuple[int, ...]],
-    horizon: int | None = None,
-) -> ExpandedGraph:
+def build_cten(net: TemporalNetwork, breakpoints: dict[str, tuple[int, ...]]) -> ExpandedGraph:
     """Condensed expansion over per-node interval partitions.
 
     With every breakpoint set equal to {0, ..., T} this is arc-for-arc the
     full expansion.  Arcs whose summed capacity is zero are omitted.
     """
-    T = net.horizon if horizon is None else horizon
-    if T != net.horizon:
-        raise ModelError("expansion horizon must match the network horizon")
+    T = net.horizon
     s, d = _single_terminals(net)
     parts = {i: intervals_of(breakpoints[i], T) for i in net.nodes}
     vertices = tuple((i, iv) for i in net.nodes for iv in parts[i].intervals)

@@ -10,17 +10,19 @@ sinks outside it within the horizon falls short of the set's net demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .model import INF, DemandVector, EdgeFn, ModelError, PiecewiseConstFn, TemporalNetwork
+from .model import INF, DemandVector, ModelError, TemporalNetwork
 from .reductions import (
+    D_STAR,
+    S_STAR,
     CanonicalTemporalNetwork,
-    ReductionTrace,
     attach_super_terminals,
     canonical_reduction,
+    one_shot_edge,
 )
 from .breakpoints import cten_breakpoints
-from .expansion import DEFAULT_TEN_BUDGET, build_cten, build_ten, intervals_of, ExpandedGraph
+from .expansion import build_cten, build_ten, intervals_of, ExpandedGraph
 from .maxflow import SteadyFlow, max_flow, residual_reachable
 
 
@@ -46,24 +48,19 @@ class FeasOutcome:
         return f"INFEASIBLE violated={ids} oT={self.o_T} negv={self.neg_v}"
 
 
-def feas(
-    net: TemporalNetwork,
-    horizon: int,
-    v: DemandVector,
-    trace: ReductionTrace,
-    depth_limit: int | None = None,
-) -> FeasOutcome:
+def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
     """Decide feasibility of a gadget-reduced static transshipment instance.
 
-    The trace is required: the breakpoint enumeration depth and the
-    violated-set terminology are only meaningful on reduction outputs.
+    ``net`` and ``v`` are the output of ``hoppe_tardos_star``: the
+    breakpoint sets are exact only on its canonical form.  The canonical
+    network and its breakpoints are computed once and serve both the
+    verdict and, on an infeasible instance, the certificate's capacity.
     """
-    if trace is None:
-        raise ModelError("feas requires the reduction trace of its input")
     if v.total() != 0:
         raise ModelError(f"total demand must be 0, got {v.total()}")
-    canon = canonical_reduction(net, horizon, v, trace)
-    bps = cten_breakpoints(canon, depth_limit)
+    T = net.horizon
+    canon = canonical_reduction(net, v)
+    bps = cten_breakpoints(canon)
     graph = build_cten(canon.net, bps)
     value, flow = max_flow(graph)
     required = sum(d for d in v.values.values() if d > 0)
@@ -72,129 +69,80 @@ def feas(
     side = residual_reachable(graph, flow)
     violated = set()
     for s in sorted(net.sources):
-        first = intervals_of(bps[s], horizon).interval_of(0)
+        first = intervals_of(bps[s], T).interval_of(0)
         if graph.vertex(s, first) in side:
             violated.add(s)
     for d in sorted(net.sinks):
-        last = intervals_of(bps[d], horizon).interval_of(horizon)
+        last = intervals_of(bps[d], T).interval_of(T)
         if graph.vertex(d, last) in side:
             violated.add(d)
     a = frozenset(violated)
-    o_t = capacity_oT(net, horizon, v, a, mode="cten", trace=trace, depth_limit=depth_limit)
+    o_t = capacity_oT(canon, bps, a)
     neg_v = -v.total(a)
     return FeasOutcome(False, canon, bps, graph, flow, value, required, a, o_t, neg_v)
+
+
+def _restrict_super_edges(net: TemporalNetwork, a: frozenset[str]) -> TemporalNetwork:
+    """Open the super edges of the terminals in A and close the rest.
+
+    ``net`` carries super terminals s*/d*.  Super-source edges to sources in
+    A become infinite and to sources outside A zero; super-sink edges from
+    sinks in A become zero and from sinks outside A infinite.  The maximum
+    flow over time of the result is the capacity of A: what A's sources
+    can push to the other sinks.
+    """
+    terminals = {j for (i, j) in net.edges if i == S_STAR} | {
+        i for (i, j) in net.edges if j == D_STAR
+    }
+    extra = a - terminals
+    if extra:
+        raise ModelError(f"not terminals: {sorted(extra)}")
+    T = net.horizon
+    edges = dict(net.edges)
+    for (i, j) in net.edges:
+        if i == S_STAR:
+            edges[(i, j)] = one_shot_edge(0, INF if j in a else 0, T)
+        elif j == D_STAR:
+            edges[(i, j)] = one_shot_edge(T, 0 if i in a else INF, T)
+    return TemporalNetwork(net.nodes, edges, net.sources, net.sinks, T)
 
 
 def restrict_for_set(
     canon: CanonicalTemporalNetwork, a: frozenset[str]
 ) -> CanonicalTemporalNetwork:
-    """Open the super edges for A and close the rest.
-
-    Super-source edges to sources in A become infinite and to sources
-    outside A zero; super-sink edges from sinks in A become zero and from
-    sinks outside A infinite.  The maximum flow over time of the result is
-    the capacity of A: what A's sources can push to the other sinks.
-    """
-    net = canon.net
-    terminals = {
-        j for (i, j) in net.edges if i == canon.s_star
-    } | {i for (i, j) in net.edges if j == canon.d_star}
-    extra = a - terminals
-    if extra:
-        raise ModelError(f"not terminals of the reduced network: {sorted(extra)}")
-    T = net.horizon
-    edges = {}
-    for (i, j), fn in net.edges.items():
-        if i == canon.s_star:
-            cap = INF if j in a else 0
-            edges[(i, j)] = _one_shot_edge(0, cap, T)
-        elif j == canon.d_star:
-            cap = 0 if i in a else INF
-            edges[(i, j)] = _one_shot_edge(T, cap, T)
-        else:
-            edges[(i, j)] = fn
-    restricted = TemporalNetwork(net.nodes, edges, net.sources, net.sinks, T)
-    return CanonicalTemporalNetwork(
-        restricted,
-        canon.s_star,
-        canon.d_star,
-        canon.roles,
-        canon.ps_plus,
-        canon.ps_minus,
-        canon.pps_minus,
-        canon.trace,
-    )
-
-
-def _one_shot_edge(active_t: int, cap, T: int) -> EdgeFn:
-    pieces = []
-    if active_t > 0:
-        pieces.append((0, active_t - 1, 0))
-    pieces.append((active_t, active_t, cap))
-    if active_t < T:
-        pieces.append((active_t + 1, T, 0))
-    return EdgeFn(PiecewiseConstFn(tuple(pieces)), PiecewiseConstFn.constant(0, T))
+    """The canonical network with the super edges restricted to A."""
+    return replace(canon, net=_restrict_super_edges(canon.net, a))
 
 
 def capacity_oT(
-    net: TemporalNetwork,
-    horizon: int,
-    v: DemandVector,
-    a: frozenset[str],
-    mode: str = "cten",
-    trace: ReductionTrace | None = None,
-    depth_limit: int | None = None,
-    budget: int = DEFAULT_TEN_BUDGET,
+    canon: CanonicalTemporalNetwork, bps: dict[str, tuple[int, ...]], a: frozenset[str]
 ) -> int:
     """Maximum flow A's sources can deliver to sinks outside A by the horizon.
 
-    ``cten`` mode restricts the canonical form of a static (reduced)
-    network and solves its condensed expansion, reusing the unrestricted
-    network's breakpoints (restriction only removes paths, so they stay
-    valid).  ``ten-oracle`` mode attaches restricted super terminals
-    directly to the (possibly temporal) network and solves the full
-    expansion within the size budget.
+    Restricts the canonical form and solves its condensed expansion over
+    the unrestricted network's breakpoints ``bps`` (restriction only
+    removes paths, so they stay valid).
     """
-    bad = a - set(net.terminals)
-    if bad:
-        raise ModelError(f"not terminals: {sorted(bad)}")
-    if mode == "ten-oracle":
-        caps = {
-            s: (INF if s in a else 0) for s in net.sources
-        } | {d: (0 if d in a else INF) for d in net.sinks}
-        restricted = _attach_fixed_caps(net, caps)
-        value, _ = max_flow(build_ten(restricted, budget=budget))
-        return value
-    if mode != "cten":
-        raise ModelError(f"unknown mode {mode!r}")
-    canon = canonical_reduction(net, horizon, v, trace)
-    bps = cten_breakpoints(canon, depth_limit)
     value, _ = max_flow(build_cten(restrict_for_set(canon, a).net, bps))
     return value
 
 
-def _attach_fixed_caps(net: TemporalNetwork, caps: dict[str, int | float]) -> TemporalNetwork:
-    """Super terminals whose edge capacities are given directly."""
-    from .reductions import S_STAR, D_STAR
+def capacity_oT_ten(net: TemporalNetwork, v: DemandVector, a: frozenset[str]) -> int:
+    """Reference for ``capacity_oT``: the full expansion of any network.
 
-    T = net.horizon
-    edges = dict(net.edges)
-    for s in sorted(net.sources):
-        edges[(S_STAR, s)] = _one_shot_edge(0, caps[s], T)
-    for d in sorted(net.sinks):
-        edges[(d, D_STAR)] = _one_shot_edge(T, caps[d], T)
-    return TemporalNetwork(
-        net.nodes + (S_STAR, D_STAR), edges, frozenset({S_STAR}), frozenset({D_STAR}), T
-    )
+    Attaches super terminals to the (possibly temporal) network, restricts
+    them to A and solves the full expansion within the size budget.
+    """
+    restricted = _restrict_super_edges(attach_super_terminals(net, v), a)
+    value, _ = max_flow(build_ten(restricted))
+    return value
 
 
-def verify_violated(
-    net: TemporalNetwork,
-    horizon: int,
-    v: DemandVector,
-    a: frozenset[str],
-    mode: str = "cten",
-    trace: ReductionTrace | None = None,
-) -> bool:
-    """True iff A certifies infeasibility: its capacity is below -v(A)."""
-    return capacity_oT(net, horizon, v, a, mode=mode, trace=trace) < -v.total(a)
+def verify_violated(net: TemporalNetwork, v: DemandVector, a: frozenset[str]) -> bool:
+    """True iff A certifies infeasibility: its capacity is below -v(A).
+
+    Recomputes the canonical form and breakpoints of the gadget-reduced
+    instance from scratch, independently of the verdict that reported A.
+    """
+    canon = canonical_reduction(net, v)
+    return capacity_oT(canon, cten_breakpoints(canon), a) < -v.total(a)

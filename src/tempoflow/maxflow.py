@@ -32,21 +32,6 @@ class SteadyFlow:
     value: int
 
 
-class ResidualView:
-    """Residual capacities of (graph, flow): forward slack and undo arcs."""
-
-    def __init__(self, graph: ExpandedGraph, flow: SteadyFlow):
-        self.graph = graph
-        self.flow = flow
-
-    def forward(self, arc_idx: int) -> int | float:
-        arc = self.graph.arcs[arc_idx]
-        return arc.capacity - self.flow.arc_flows[arc_idx]
-
-    def backward(self, arc_idx: int) -> int:
-        return self.flow.arc_flows[arc_idx]
-
-
 def _adjacency(graph: ExpandedGraph) -> list[list[tuple[int, int]]]:
     """Per-vertex list of (arc index, direction); direction +1 = forward."""
     adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]

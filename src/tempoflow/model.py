@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 INF = float("inf")
 MAX_INT = 2**63 - 1
@@ -36,6 +37,9 @@ def check_width(value, context: str):
     if value != INF and abs(value) > MAX_INT:
         raise OverflowRejection(f"{context}: {value} exceeds machine integer range")
     return value
+
+
+_piece_start = itemgetter(0)
 
 
 def _is_cap(v) -> bool:
@@ -84,20 +88,13 @@ class PiecewiseConstFn:
     def __call__(self, t: int):
         if not (0 <= t <= self.horizon):
             raise DomainError(f"t={t} outside domain [0, {self.horizon}]")
-        starts = [p[0] for p in self.pieces]
-        idx = bisect_right(starts, t) - 1
-        return self.pieces[idx][2]
+        return self.pieces[bisect_right(self.pieces, t, key=_piece_start) - 1][2]
 
     def is_constant(self) -> bool:
         return len({p[2] for p in self.pieces}) == 1
 
     def breakpoints(self) -> list[int]:
         return [p[0] for p in self.pieces]
-
-
-def eval_piecewise(f: PiecewiseConstFn, t: int):
-    """Value of the unique piece containing ``t``."""
-    return f(t)
 
 
 def merged_pieces(
@@ -224,8 +221,8 @@ class DemandVector:
             return sum(self.values.values())
         return sum(self.values.get(i, 0) for i in subset)
 
-    def check_against(self, net: TemporalNetwork):
-        extra = set(self.values) - set(net.terminals)
+    def check_against(self, net: TemporalNetwork | OneShotNetwork):
+        extra = set(self.values) - (net.sources | net.sinks)
         if extra:
             raise ModelError(f"demand given for non-terminals: {sorted(extra)}")
         for s in net.sources:
@@ -377,21 +374,6 @@ class OneShotNetwork:
             if not (isinstance(e.travel_time, int) and e.travel_time >= 0):
                 raise ModelError(f"edge ({i}, {j}) travel time must be a non-negative integer")
 
-    def as_temporal(self) -> TemporalNetwork:
-        edges = {}
-        for key, e in self.edges.items():
-            pieces = []
-            if e.alpha > 0:
-                pieces.append((0, e.alpha - 1, 0))
-            pieces.append((e.alpha, e.beta, e.capacity))
-            if e.beta < self.horizon:
-                pieces.append((e.beta + 1, self.horizon, 0))
-            edges[key] = EdgeFn(
-                PiecewiseConstFn(tuple(pieces)),
-                PiecewiseConstFn.constant(e.travel_time, self.horizon),
-            )
-        return TemporalNetwork(self.nodes, edges, self.sources, self.sinks, self.horizon)
-
 
 @dataclass(frozen=True)
 class OneShotTrace:
@@ -415,7 +397,7 @@ def compute_mu(net: TemporalNetwork) -> int:
     )
 
 
-def to_one_shot(net: TemporalNetwork, horizon: int | None = None) -> tuple[OneShotNetwork, OneShotTrace]:
+def to_one_shot(net: TemporalNetwork) -> tuple[OneShotNetwork, OneShotTrace]:
     """Split every edge into one edge per live constant piece.
 
     The first live piece keeps the original endpoints; each further piece
@@ -424,9 +406,7 @@ def to_one_shot(net: TemporalNetwork, horizon: int | None = None) -> tuple[OneSh
     capacity are dropped, and windows are clipped so departures arrive by
     the horizon; both are feasibility-preserving.
     """
-    T = net.horizon if horizon is None else horizon
-    if T != net.horizon:
-        raise ModelError("one-shot horizon must match the network horizon")
+    T = net.horizon
     nodes = list(net.nodes)
     existing = set(nodes)
     edges: dict[tuple[str, str], OneShotEdge] = {}

@@ -30,7 +30,6 @@ from .model import (
     EdgeFn,
     ModelError,
     OneShotNetwork,
-    FlowOverTime,
     PiecewiseConstFn,
     TemporalNetwork,
     check_width,
@@ -42,48 +41,6 @@ D_STAR = "d*"
 
 class StructuralError(ModelError):
     """A network violates the structural conditions of its declared shape."""
-
-
-@dataclass(frozen=True)
-class NodeRole:
-    """What a node of a reduced network stands for.
-
-    ``edge`` names the originating one-shot edge for gadget-internal nodes.
-    """
-
-    tag: str
-    edge: tuple[str, str] | None = None
-
-
-ROLE_ORIGINAL = "original"
-ROLE_GADGET_SOURCE = "gadget-source"
-ROLE_GADGET_SINK = "gadget-sink"
-ROLE_GADGET_SOURCE2 = "gadget-source2"
-ROLE_GADGET_SINK2 = "gadget-sink2"
-ROLE_T_PLUS = "t-plus"
-ROLE_T_MINUS = "t-minus"
-ROLE_T_PLUS2 = "t-plus2"
-ROLE_T_MINUS2 = "t-minus2"
-ROLE_SUPER_SOURCE = "super-source"
-ROLE_SUPER_SINK = "super-sink"
-
-SOURCE_ROLE_TAGS = {ROLE_GADGET_SOURCE, ROLE_GADGET_SOURCE2}
-SINK_ROLE_TAGS = {ROLE_GADGET_SINK, ROLE_GADGET_SINK2}
-
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    """Origin of every element of a reduced network.
-
-    ``node_origin`` maps each node to ``("original", id)`` or
-    ``("gadget", (x, y))``; ``gadget_params`` stores the per-edge window
-    constants ``(alpha, beta, u, tau)`` so later stages never re-derive
-    them.
-    """
-
-    node_origin: dict[str, tuple[str, object]]
-    gadget_params: dict[tuple[str, str], tuple[int, int, int, int]]
-    roles: dict[str, NodeRole]
 
 
 def _gadget_names(x: str, y: str) -> dict[str, str]:
@@ -100,29 +57,26 @@ def _gadget_names(x: str, y: str) -> dict[str, str]:
 
 
 def hoppe_tardos_star(
-    net: OneShotNetwork, horizon: int, v: DemandVector
-) -> tuple[TemporalNetwork, int, DemandVector, ReductionTrace]:
+    net: OneShotNetwork, v: DemandVector
+) -> tuple[TemporalNetwork, DemandVector]:
     """Replace each one-shot edge with its static gadget.
 
-    The surrogate terminals of the gadget for edge xy receive demands
-    -u(beta - alpha + 1) / +u(beta - alpha + 1) (first stage) and
-    -u(T + 1) / +u(T + 1) (second stage); original terminals keep their
-    demands, so the total stays zero.
+    Returns the static network and its demands.  The surrogate terminals of
+    the gadget for edge xy receive demands -u(beta - alpha + 1) /
+    +u(beta - alpha + 1) (first stage) and -u(T + 1) / +u(T + 1) (second
+    stage); original terminals keep their demands, so the total stays zero.
+    Gadget nodes are named ``<role>:x:y`` with role s+, t+, t-, s-, s2+,
+    t2+, t2- or s2-.
     """
-    T = horizon
-    if T != net.horizon:
-        raise ModelError("horizon must match the one-shot network")
+    T = net.horizon
     if v.total() != 0:
         raise ModelError(f"total demand must be 0, got {v.total()}")
-    v.check_against(net.as_temporal())
+    v.check_against(net)
 
     nodes = list(net.nodes)
     existing = set(nodes)
     edges: dict[tuple[str, str], EdgeFn] = {}
     demands = {t: v.get(t) for t in sorted(net.sources | net.sinks)}
-    node_origin: dict[str, tuple[str, object]] = {n: ("original", n) for n in net.nodes}
-    roles: dict[str, NodeRole] = {n: NodeRole(ROLE_ORIGINAL) for n in net.nodes}
-    gadget_params: dict[tuple[str, str], tuple[int, int, int, int]] = {}
     sources = set(net.sources)
     sinks = set(net.sinks)
 
@@ -145,20 +99,6 @@ def hoppe_tardos_star(
             raise ModelError(f"node ids {sorted(clash)} are reserved for the reduction")
         existing.update(names.values())
         nodes.extend(names.values())
-        for short, role_tag in (
-            ("s+", ROLE_GADGET_SOURCE),
-            ("t+", ROLE_T_PLUS),
-            ("t-", ROLE_T_MINUS),
-            ("s-", ROLE_GADGET_SINK),
-            ("s2+", ROLE_GADGET_SOURCE2),
-            ("t2+", ROLE_T_PLUS2),
-            ("t2-", ROLE_T_MINUS2),
-            ("s2-", ROLE_GADGET_SINK2),
-        ):
-            node = names[short]
-            node_origin[node] = ("gadget", (x, y))
-            roles[node] = NodeRole(role_tag, (x, y))
-        gadget_params[(x, y)] = (alpha, beta, u, tau)
 
         edges[(names["s+"], names["t+"])] = static(u, alpha)
         edges[(names["t+"], y)] = static(u, tau)
@@ -180,7 +120,7 @@ def hoppe_tardos_star(
     reduced = TemporalNetwork(
         tuple(nodes), edges, frozenset(sources), frozenset(sinks), T
     )
-    return reduced, T, DemandVector(demands), ReductionTrace(node_origin, gadget_params, roles)
+    return reduced, DemandVector(demands)
 
 
 @dataclass(frozen=True)
@@ -194,15 +134,24 @@ class CanonicalTemporalNetwork:
     net: TemporalNetwork
     s_star: str
     d_star: str
-    roles: dict[str, NodeRole]
     ps_plus: frozenset[str]
     ps_minus: frozenset[str]
     pps_minus: frozenset[str]
-    trace: ReductionTrace | None
 
     @property
     def horizon(self) -> int:
         return self.net.horizon
+
+
+def one_shot_edge(active_t: int, cap, horizon: int) -> EdgeFn:
+    """A zero-travel-time edge with capacity ``cap`` at ``active_t`` only."""
+    pieces = []
+    if active_t > 0:
+        pieces.append((0, active_t - 1, 0))
+    pieces.append((active_t, active_t, cap))
+    if active_t < horizon:
+        pieces.append((active_t + 1, horizon, 0))
+    return EdgeFn(PiecewiseConstFn(tuple(pieces)), PiecewiseConstFn.constant(0, horizon))
 
 
 def attach_super_terminals(
@@ -228,23 +177,13 @@ def attach_super_terminals(
         if v.get(d) < 0:
             raise ModelError(f"sink {d} has negative demand")
 
-    def one_shot_cap(active_t: int, value) -> PiecewiseConstFn:
-        pieces = []
-        if active_t > 0:
-            pieces.append((0, active_t - 1, 0))
-        pieces.append((active_t, active_t, value))
-        if active_t < T:
-            pieces.append((active_t + 1, T, 0))
-        return PiecewiseConstFn(tuple(pieces))
-
-    zero_tt = PiecewiseConstFn.constant(0, T)
     edges = dict(net.edges)
     for s in sorted(net.sources):
         cap = INF if s in infinite_terminals else -v.get(s)
-        edges[(S_STAR, s)] = EdgeFn(one_shot_cap(0, cap), zero_tt)
+        edges[(S_STAR, s)] = one_shot_edge(0, cap, T)
     for d in sorted(net.sinks):
         cap = INF if d in infinite_terminals else v.get(d)
-        edges[(d, D_STAR)] = EdgeFn(one_shot_cap(T, cap), zero_tt)
+        edges[(d, D_STAR)] = one_shot_edge(T, cap, T)
     return TemporalNetwork(
         net.nodes + (S_STAR, D_STAR),
         edges,
@@ -316,50 +255,14 @@ def classify_roles(
 
 def canonical_reduction(
     net: TemporalNetwork,
-    horizon: int,
     v: DemandVector,
-    trace: ReductionTrace | None = None,
     infinite_terminals: frozenset[str] = frozenset(),
 ) -> CanonicalTemporalNetwork:
     """Attach super terminals to a static network and classify node roles."""
-    if horizon != net.horizon:
-        raise ModelError("horizon must match the network")
     if not net.is_static():
         raise ModelError("canonical reduction requires a static inner network")
     if not infinite_terminals and v.total() != 0:
         raise ModelError(f"total demand must be 0, got {v.total()}")
     full = attach_super_terminals(net, v, infinite_terminals)
     ps_plus, ps_minus, pps_minus = classify_roles(full)
-    roles = dict(trace.roles) if trace is not None else {
-        n: NodeRole(ROLE_ORIGINAL) for n in net.nodes
-    }
-    roles[S_STAR] = NodeRole(ROLE_SUPER_SOURCE)
-    roles[D_STAR] = NodeRole(ROLE_SUPER_SINK)
-    return CanonicalTemporalNetwork(
-        full, S_STAR, D_STAR, roles, ps_plus, ps_minus, pps_minus, trace
-    )
-
-
-def project_flow_from_canonical(
-    canon: CanonicalTemporalNetwork, g: FlowOverTime
-) -> FlowOverTime:
-    """Drop the super terminals from a saturating canonical flow.
-
-    Requires every s*-edge to carry its full capacity at time 0 (a partial
-    flow has no well-defined projection).
-    """
-    T = canon.horizon
-    for (i, j), fn in canon.net.edges.items():
-        if i == canon.s_star:
-            cap = fn.capacity(0)
-            if cap != INF and g.amount((i, j), 0) != cap:
-                raise ModelError(
-                    f"flow does not saturate the edge to {j} "
-                    f"({g.amount((i, j), 0)} of {cap})"
-                )
-    flows = {
-        (edge, t): a
-        for (edge, t), a in g.flows.items()
-        if canon.s_star not in edge and canon.d_star not in edge and a > 0
-    }
-    return FlowOverTime(flows)
+    return CanonicalTemporalNetwork(full, S_STAR, D_STAR, ps_plus, ps_minus, pps_minus)

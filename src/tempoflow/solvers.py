@@ -33,14 +33,20 @@ class BoundedSearchError(ModelError):
     """The quickest search hit its horizon cap while still infeasible."""
 
 
+def _check_horizon(net: TemporalNetwork, horizon: int):
+    if horizon != net.horizon:
+        raise ModelError(f"horizon {horizon} does not match the network horizon {net.horizon}")
+
+
 def dttn_feasible(net: TemporalNetwork, horizon: int, v: DemandVector) -> FeasOutcome:
     """Feasibility of a dynamic transshipment on a temporal network."""
     if v.total() != 0:
         raise ModelError(f"total demand must be 0, got {v.total()}")
     v.check_against(net)
-    one_shot, _ = to_one_shot(net, horizon)
-    reduced, _, v2, trace = hoppe_tardos_star(one_shot, horizon, v)
-    return feas(reduced, horizon, v2, trace)
+    _check_horizon(net, horizon)
+    one_shot, _ = to_one_shot(net)
+    reduced, v2 = hoppe_tardos_star(one_shot, v)
+    return feas(reduced, v2)
 
 
 def _at_horizon(net: TemporalNetwork, horizon: int) -> TemporalNetwork:
@@ -71,9 +77,10 @@ def quickest_transshipment(
 
     Exponential search doubles the probe until feasible, then binary
     search closes the range; feasibility is monotone in the horizon since
-    a flow for T is a flow for T + 1.  Each probe rebuilds the reduction
-    (it depends on the horizon).  The witness is extracted at oracle scale
-    and is None when the full expansion exceeds its budget.
+    a flow for T is a flow for T + 1.  Horizon 0 is probed only once
+    horizon 1 is known feasible, or when the cap is 0.  Each probe rebuilds
+    the reduction (it depends on the horizon).  The witness is extracted at
+    oracle scale and is None when the full expansion exceeds its budget.
     """
     if v.total() != 0:
         raise ModelError(f"total demand must be 0, got {v.total()}")
@@ -85,7 +92,7 @@ def quickest_transshipment(
     def probe(T: int) -> bool:
         return dttn_feasible(_at_horizon(net, T), T, v).feasible
 
-    lo, hi = 0, None
+    lo, hi = -1, None  # lo: largest horizon known infeasible
     t = 1
     while t <= horizon_cap:
         if probe(t):
@@ -94,8 +101,8 @@ def quickest_transshipment(
         lo = t
         t *= 2
     if hi is None:
-        if t // 2 < horizon_cap and probe(horizon_cap):
-            lo, hi = t // 2, horizon_cap
+        if lo < horizon_cap and probe(horizon_cap):
+            hi = horizon_cap
         else:
             raise BoundedSearchError(f"infeasible at every horizon up to {horizon_cap}")
     while hi - lo > 1:
@@ -124,17 +131,16 @@ def max_flow_over_time(
     """
     if len(net.sources) != 1 or len(net.sinks) != 1:
         raise ModelError("max flow over time requires a single source and sink")
+    _check_horizon(net, horizon)
     s = next(iter(net.sources))
     d = next(iter(net.sinks))
-    one_shot, _ = to_one_shot(net, horizon)
+    one_shot, _ = to_one_shot(net)
     zero = DemandVector({s: 0, d: 0})
-    reduced, _, v2, trace = hoppe_tardos_star(one_shot, horizon, zero)
+    reduced, v2 = hoppe_tardos_star(one_shot, zero)
     surrogate_total = sum(
         val for node, val in v2.values.items() if node not in (s, d) and val > 0
     )
-    canon = canonical_reduction(
-        reduced, horizon, v2, trace, infinite_terminals=frozenset({s, d})
-    )
+    canon = canonical_reduction(reduced, v2, infinite_terminals=frozenset({s, d}))
     bps = cten_breakpoints(canon)
     value, _ = max_flow(build_cten(canon.net, bps))
     if value == INF:

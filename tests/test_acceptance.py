@@ -59,9 +59,9 @@ def fast_verdicts(corpus):
 def reduce_instance(parsed):
     net, v = parsed.network, parsed.demands
     one_shot, _ = to_one_shot(net)
-    reduced, T, v2, trace = hoppe_tardos_star(one_shot, net.horizon, v)
-    canon = canonical_reduction(reduced, T, v2, trace)
-    return reduced, T, v2, trace, canon
+    reduced, v2 = hoppe_tardos_star(one_shot, v)
+    canon = canonical_reduction(reduced, v2)
+    return reduced, v2, canon
 
 
 def test_criterion_01_depicted_network_reproduction():
@@ -94,8 +94,8 @@ def test_criterion_03_violated_set_soundness(corpus, fast_verdicts):
             continue
         infeasible += 1
         assert outcome.o_T < outcome.neg_v  # strict, exact integers
-        reduced, T, v2, trace, _ = reduce_instance(parsed)
-        assert verify_violated(reduced, T, v2, outcome.violated, trace=trace)
+        reduced, v2, _ = reduce_instance(parsed)
+        assert verify_violated(reduced, v2, outcome.violated)
     assert infeasible > 0
 
 
@@ -103,7 +103,8 @@ def test_criterion_04_condensation_exactness(corpus):
     rng = random.Random(404)
     perturbed_checked = 0
     for parsed in corpus:
-        _, T, _, _, canon = reduce_instance(parsed)
+        _, _, canon = reduce_instance(parsed)
+        T = canon.horizon
         ten_value, _ = max_flow(build_ten(canon.net))
         bps = cten_breakpoints(canon)
         cten_value, _ = max_flow(build_cten(canon.net, bps))
@@ -163,7 +164,8 @@ def test_criterion_05_cut_canonicalization(corpus):
     for parsed in corpus:
         if harvested >= 220 and identity_pairs >= 1000:
             break
-        _, T, _, _, canon = reduce_instance(parsed)
+        _, _, canon = reduce_instance(parsed)
+        T = canon.horizon
         ten = build_ten(canon.net)
         value, flow = max_flow(ten)
         phi = min_cut_times(ten, flow, T)
@@ -247,8 +249,8 @@ def test_criterion_07_condensed_size_bounds(capsys):
         net, v = scale_family(mu)
         assert compute_mu(net) == mu
         one_shot, _ = to_one_shot(net)
-        reduced, T, v2, trace = hoppe_tardos_star(one_shot, net.horizon, v)
-        canon = canonical_reduction(reduced, T, v2, trace)
+        reduced, v2 = hoppe_tardos_star(one_shot, v)
+        canon = canonical_reduction(reduced, v2)
         cten = build_cten(canon.net, cten_breakpoints(canon))
         n = len(net.nodes)
         ratios_nodes.append(len(cten.vertices) / mu)

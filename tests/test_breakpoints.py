@@ -32,9 +32,7 @@ def chain_canonical():
 
     full = attach_super_terminals(net, v)
     ps_plus, ps_minus, pps = classify_roles(full)
-    return CanonicalTemporalNetwork(
-        full, S_STAR, D_STAR, {}, ps_plus, ps_minus, pps, None
-    )
+    return CanonicalTemporalNetwork(full, S_STAR, D_STAR, ps_plus, ps_minus, pps)
 
 
 def test_chain_gamma_interior_node():
@@ -66,8 +64,8 @@ def test_gamma_star_defaults_to_gamma():
 def test_gamma_star_pps_unions_in_neighbors():
     net = build_e1()
     one_shot, _ = to_one_shot(net)
-    reduced, T, v2, trace = hoppe_tardos_star(one_shot, 3, DemandVector({"s": -2, "d": 2}))
-    canon = canonical_reduction(reduced, T, v2, trace)
+    reduced, v2 = hoppe_tardos_star(one_shot, DemandVector({"s": -2, "d": 2}))
+    canon = canonical_reduction(reduced, v2)
     (pps,) = sorted(canon.pps_minus)
     preds = sorted(e[0] for e in canon.net.edges if e[1] == pps)
     union = set(gamma_enumerate(canon, preds[0])) | set(gamma_enumerate(canon, preds[1]))
@@ -77,8 +75,9 @@ def test_gamma_star_pps_unions_in_neighbors():
 def test_all_sets_within_range():
     net = build_e1()
     one_shot, _ = to_one_shot(net)
-    reduced, T, v2, trace = hoppe_tardos_star(one_shot, 3, DemandVector({"s": -2, "d": 2}))
-    canon = canonical_reduction(reduced, T, v2, trace)
+    reduced, v2 = hoppe_tardos_star(one_shot, DemandVector({"s": -2, "d": 2}))
+    canon = canonical_reduction(reduced, v2)
+    T = canon.horizon
     for i in canon.net.nodes:
         g = gamma_star(canon, i)
         assert all(0 <= t <= T + 1 for t in g)
@@ -89,7 +88,10 @@ def test_all_sets_within_range():
         assert T + 1 not in pts
 
 
-def test_enumeration_cap_enforced():
+def test_enumeration_cap_enforced(monkeypatch):
+    import tempoflow.breakpoints as breakpoints_mod
+
     canon = chain_canonical()
+    monkeypatch.setattr(breakpoints_mod, "PATH_CAP", 0)
     with pytest.raises(EnumerationCapError):
-        gamma_enumerate(canon, "q", path_cap=0)
+        gamma_enumerate(canon, "q")

@@ -23,8 +23,8 @@ from conftest import build_e1, build_fig4
 
 def e1_canonical(v):
     one_shot, _ = to_one_shot(build_e1())
-    reduced, T, v2, trace = hoppe_tardos_star(one_shot, 3, v)
-    return canonical_reduction(reduced, T, v2, trace)
+    reduced, v2 = hoppe_tardos_star(one_shot, v)
+    return canonical_reduction(reduced, v2)
 
 
 def test_cut_cost_e1():

@@ -31,8 +31,6 @@ def test_interval_partition_convention():
     part = intervals_of((0, 1, 4), 4)
     assert part.intervals == ((0, 0), (1, 3), (4, 4))
     assert part.interval_of(2) == (1, 3)
-    assert part.succ((1, 3)) == (4, 4)
-    assert part.succ((4, 4)) is None
 
 
 def test_interval_partition_requires_bounds():

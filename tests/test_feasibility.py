@@ -1,9 +1,11 @@
-import pytest
+from collections import Counter
 
 from tempoflow import (
     DemandVector,
-    ModelError,
+    canonical_reduction,
     capacity_oT,
+    capacity_oT_ten,
+    cten_breakpoints,
     dttn_feasible,
     feas,
     hoppe_tardos_star,
@@ -18,43 +20,57 @@ from conftest import build_e1
 
 def reduced_e1(v):
     one_shot, _ = to_one_shot(build_e1())
-    return hoppe_tardos_star(one_shot, 3, v)
+    return hoppe_tardos_star(one_shot, v)
+
+
+def fast_capacity(reduced, v2, a):
+    canon = canonical_reduction(reduced, v2)
+    return capacity_oT(canon, cten_breakpoints(canon), a)
 
 
 def test_zero_demand_feasible():
-    reduced, T, v2, trace = reduced_e1(DemandVector({"s": 0, "d": 0}))
-    assert feas(reduced, T, v2, trace).feasible
+    reduced, v2 = reduced_e1(DemandVector({"s": 0, "d": 0}))
+    assert feas(reduced, v2).feasible
 
 
 def test_e1_two_units_feasible():
-    reduced, T, v2, trace = reduced_e1(DemandVector({"s": -2, "d": 2}))
-    outcome = feas(reduced, T, v2, trace)
+    reduced, v2 = reduced_e1(DemandVector({"s": -2, "d": 2}))
+    outcome = feas(reduced, v2)
     assert outcome.feasible
     assert outcome.serialize() == "FEASIBLE"
 
 
 def test_e1_three_units_infeasible_with_certificate():
-    reduced, T, v2, trace = reduced_e1(DemandVector({"s": -3, "d": 3}))
-    outcome = feas(reduced, T, v2, trace)
+    reduced, v2 = reduced_e1(DemandVector({"s": -3, "d": 3}))
+    outcome = feas(reduced, v2)
     assert not outcome.feasible
     assert outcome.violated and "s" in outcome.violated
     assert outcome.o_T < outcome.neg_v
-    assert verify_violated(reduced, T, v2, outcome.violated, trace=trace)
+    assert verify_violated(reduced, v2, outcome.violated)
     assert outcome.serialize().startswith("INFEASIBLE violated=")
     assert "<" not in outcome.serialize()
 
 
-def test_feas_requires_trace():
-    reduced, T, v2, _ = reduced_e1(DemandVector({"s": -2, "d": 2}))
-    with pytest.raises(ModelError):
-        feas(reduced, T, v2, None)
+def test_infeasible_verdict_reduces_once(monkeypatch):
+    import tempoflow.feasibility as feasibility_mod
+
+    calls = Counter()
+    for name in ("canonical_reduction", "cten_breakpoints"):
+        original = getattr(feasibility_mod, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(feasibility_mod, name, counting)
+    outcome = dttn_feasible(build_e1(), 3, DemandVector({"s": -3, "d": 3}))
+    assert not outcome.feasible
+    assert calls == {"canonical_reduction": 1, "cten_breakpoints": 1}
 
 
 def test_restrict_for_set_capacities():
-    from tempoflow import canonical_reduction
-
-    reduced, T, v2, trace = reduced_e1(DemandVector({"s": -3, "d": 3}))
-    canon = canonical_reduction(reduced, T, v2, trace)
+    reduced, v2 = reduced_e1(DemandVector({"s": -3, "d": 3}))
+    canon = canonical_reduction(reduced, v2)
     sources = {j for (i, j) in canon.net.edges if i == canon.s_star}
     a = frozenset({"s"})
     restricted = restrict_for_set(canon, a)
@@ -67,38 +83,38 @@ def test_capacity_oT_e1_source_side():
     # {s} alone can deliver at most the two departures in the window
     net = build_e1()
     v = DemandVector({"s": -3, "d": 3})
-    assert capacity_oT(net, 3, v, frozenset({"s"}), mode="ten-oracle") == 2
+    assert capacity_oT_ten(net, v, frozenset({"s"})) == 2
 
 
 def test_capacity_oT_matches_reported_certificate():
-    reduced, T, v2, trace = reduced_e1(DemandVector({"s": -3, "d": 3}))
-    outcome = feas(reduced, T, v2, trace)
+    reduced, v2 = reduced_e1(DemandVector({"s": -3, "d": 3}))
+    outcome = feas(reduced, v2)
     assert not outcome.feasible
-    fast = capacity_oT(reduced, T, v2, outcome.violated, mode="cten", trace=trace)
+    fast = fast_capacity(reduced, v2, outcome.violated)
     assert fast == outcome.o_T == 4
 
 
 def test_capacity_oT_empty_and_full():
-    reduced, T, v2, trace = reduced_e1(DemandVector({"s": -2, "d": 2}))
+    reduced, v2 = reduced_e1(DemandVector({"s": -2, "d": 2}))
     terminals = frozenset(reduced.terminals)
-    assert capacity_oT(reduced, T, v2, frozenset(), mode="cten", trace=trace) == 0
-    assert capacity_oT(reduced, T, v2, terminals, mode="cten", trace=trace) == 0
+    assert fast_capacity(reduced, v2, frozenset()) == 0
+    assert fast_capacity(reduced, v2, terminals) == 0
 
 
 def test_capacity_modes_agree(corpus):
     for parsed in corpus[:30]:
         net, v = parsed.network, parsed.demands
         one_shot, _ = to_one_shot(net)
-        reduced, T, v2, trace = hoppe_tardos_star(one_shot, net.horizon, v)
+        reduced, v2 = hoppe_tardos_star(one_shot, v)
         a = frozenset(s for s in reduced.sources if v2.get(s) < 0)
-        fast = capacity_oT(reduced, T, v2, a, mode="cten", trace=trace)
-        slow = capacity_oT(reduced, T, v2, a, mode="ten-oracle")
+        fast = fast_capacity(reduced, v2, a)
+        slow = capacity_oT_ten(reduced, v2, a)
         assert fast == slow
 
 
 def test_claim_identity_on_infeasible(corpus):
     """|f| - v(A cap S-) + v((S \\ A) cap S+) equals the restricted max flow."""
-    from tempoflow import build_cten, canonical_reduction, cten_breakpoints, max_flow
+    from tempoflow import build_cten, max_flow
 
     checked = 0
     for parsed in corpus:

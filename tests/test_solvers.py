@@ -50,6 +50,18 @@ def test_quickest_zero_demand():
     assert not flow.flows
 
 
+def test_quickest_zero_horizon():
+    # zero travel time: one unit arrives at the departure step, so T* = 0
+    from tempoflow.solvers import _at_horizon
+
+    net = make_network(("s", "d"), {("s", "d"): ([(0, 3, 1)], 0)}, {"s"}, {"d"}, 3)
+    v = DemandVector({"s": -1, "d": 1})
+    assert dttn_feasible(_at_horizon(net, 0), 0, v).feasible
+    t_star, flow = quickest_transshipment(net, v, 64)
+    assert t_star == 0
+    assert validate_flow(_at_horizon(net, 0), 0, flow, v).ok
+
+
 def test_quickest_cap_exhausted():
     # capacity is 0 forever, so no horizon works
     net = make_network(("s", "d"), {("s", "d"): ([(0, 3, 0)], 1)}, {"s"}, {"d"}, 3)
