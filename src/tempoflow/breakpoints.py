@@ -18,6 +18,9 @@ linear in the number of constant pieces and independent of the horizon.
 For a pseudo-pseudosink the settling moves land its cut time on one of
 its two in-neighbors' values (or the boundary), so its set (Gamma*)
 borrows the union of the in-neighbors' sets instead of its own.
+
+One pin graph per network holds the anchors, in/out presence and weighted
+adjacency; each node's set is enumerated once, carrying partial sums.
 """
 
 from __future__ import annotations
@@ -36,93 +39,88 @@ class EnumerationCapError(ModelError):
 BreakpointSet = tuple[int, ...]
 
 
-def _const_tt(canon: CanonicalTemporalNetwork, edge: tuple[str, str]) -> int:
-    return canon.net.edges[edge].travel_time.pieces[0][2]
+class _PinGraph:
+    """What pin-path enumeration reads off a canonical network, built once."""
 
+    def __init__(self, canon: CanonicalTemporalNetwork):
+        self.horizon = canon.horizon
+        self.pps = canon.pps_minus
+        self.gammas: dict[str, BreakpointSet] = {}
+        # Nodes that settle on a boundary value in some minimum cut.
+        self.anchors = frozenset({canon.s_star, canon.d_star}) | canon.ps_plus | canon.ps_minus
+        tau = {e: fn.travel_time.pieces[0][2] for e, fn in canon.net.edges.items()}
+        self.into: dict[str, list[str]] = {n: [] for n in canon.net.nodes}
+        # Undirected: (neighbor, signed travel times of the edge and of its
+        # reverse edge, when that exists) once per directed edge.
+        self.adjacent: dict[str, list[tuple[str, set[int]]]] = {n: [] for n in canon.net.nodes}
+        for (a, b), t in tau.items():
+            self.into[b].append(a)
+            w = {t, -t, tau.get((b, a), t), -tau.get((b, a), t)}
+            self.adjacent[a].append((b, w))
+            self.adjacent[b].append((a, w))
+        self.tails = {a for (a, _) in tau}
 
-def _anchors(canon: CanonicalTemporalNetwork) -> frozenset[str]:
-    """Nodes that settle on a boundary value in some minimum cut."""
-    return frozenset({canon.s_star, canon.d_star}) | canon.ps_plus | canon.ps_minus
+    def pin_sums(self, start: str) -> set[int]:
+        """Signed sums over undirected simple paths from start to any anchor.
 
+        Edges are traversed in either orientation; each contributes plus or
+        minus its travel time, and when the reverse edge also exists its
+        travel time contributes with both signs too.  Anchors terminate a
+        path and never appear in its interior.  Each step of the search
+        extends the partial sums of the path so far by one edge's weights.
+        """
+        sums: set[int] = set()
+        budget = PATH_CAP
+        on_path = {start}
 
-def _trivial_gamma(canon: CanonicalTemporalNetwork, i: str) -> bool:
-    if i in _anchors(canon):
-        return True
-    has_in = any(e[1] == i for e in canon.net.edges)
-    has_out = any(e[0] == i for e in canon.net.edges)
-    return not has_in or not has_out
+        def dfs(node: str, partial: set[int]):
+            nonlocal budget
+            for nxt, weights in self.adjacent[node]:
+                if nxt in on_path:
+                    continue
+                reached = {t + w for t in partial for w in weights}
+                if nxt in self.anchors:
+                    budget -= 1
+                    if budget < 0:
+                        raise EnumerationCapError(
+                            f"more than {PATH_CAP} simple paths from {start}"
+                        )
+                    sums.update(reached)
+                else:
+                    on_path.add(nxt)
+                    dfs(nxt, reached)
+                    on_path.remove(nxt)
 
+        dfs(start, {0})
+        return sums
 
-def _pin_sums(canon: CanonicalTemporalNetwork, start: str) -> set[int]:
-    """Signed sums over undirected simple paths from start to any anchor.
+    def gamma(self, i: str) -> BreakpointSet:
+        """Gamma(i), enumerated at most once per node."""
+        if i not in self.gammas:
+            T = self.horizon
+            # Anchors and nodes lacking an in- or an out-edge have {0, T + 1}.
+            trivial = i in self.anchors or not self.into[i] or i not in self.tails
+            sums = set() if trivial else self.pin_sums(i)
+            raw = {0, T + 1} | sums | {T + 1 + s for s in sums}
+            self.gammas[i] = tuple(sorted(t for t in raw if 0 <= t <= T + 1))
+        return self.gammas[i]
 
-    Edges are traversed in either orientation; each contributes plus or
-    minus its travel time, and when the reverse edge also exists its
-    travel time contributes with both signs too.  Anchors terminate a
-    path and never appear in its interior.
-    """
-    edges = canon.net.edges
-    anchors = _anchors(canon)
-    adjacent: dict[str, list[tuple[str, tuple[str, str]]]] = {
-        n: [] for n in canon.net.nodes
-    }
-    for (a, b) in edges:
-        adjacent[a].append((b, (a, b)))
-        adjacent[b].append((a, (a, b)))
+    def gamma_star(self, i: str) -> BreakpointSet:
+        if i not in self.pps:
+            return self.gamma(i)
+        a, b = self.pps_in_neighbors(i)
+        return tuple(sorted(set(self.gamma(a)) | set(self.gamma(b))))
 
-    def weights(edge: tuple[str, str]) -> set[int]:
-        tau = _const_tt(canon, edge)
-        w = {tau, -tau}
-        rev = (edge[1], edge[0])
-        if rev in edges:
-            tau_r = _const_tt(canon, rev)
-            w |= {tau_r, -tau_r}
-        return w
-
-    sums: set[int] = set()
-    budget = PATH_CAP
-    path: list[tuple[str, str]] = []
-    on_path = {start}
-
-    def emit():
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise EnumerationCapError(
-                f"more than {PATH_CAP} simple paths from {start}"
-            )
-        totals = {0}
-        for edge in path:
-            totals = {t + w for t in totals for w in weights(edge)}
-        sums.update(totals)
-
-    def dfs(node: str):
-        for nxt, edge in adjacent[node]:
-            if nxt in on_path:
-                continue
-            path.append(edge)
-            if nxt in anchors:
-                emit()
-            else:
-                on_path.add(nxt)
-                dfs(nxt)
-                on_path.remove(nxt)
-            path.pop()
-
-    dfs(start)
-    return sums
+    def pps_in_neighbors(self, i: str) -> tuple[str, str]:
+        preds = sorted(self.into[i])
+        if len(preds) != 2:
+            raise StructuralError(f"pseudo-pseudosink {i} has {len(preds)} in-neighbors")
+        return preds[0], preds[1]
 
 
 def gamma_enumerate(canon: CanonicalTemporalNetwork, i: str) -> BreakpointSet:
     """Gamma(i): clamped signed pin-path sums from both boundary values."""
-    T = canon.horizon
-    if _trivial_gamma(canon, i):
-        return (0, T + 1)
-    sums = _pin_sums(canon, i)
-    raw = {0, T + 1}
-    raw.update(s for s in sums)
-    raw.update(T + 1 + s for s in sums)
-    return tuple(sorted(t for t in raw if 0 <= t <= T + 1))
+    return _PinGraph(canon).gamma(i)
 
 
 def gamma_star(canon: CanonicalTemporalNetwork, i: str) -> BreakpointSet:
@@ -132,24 +130,14 @@ def gamma_star(canon: CanonicalTemporalNetwork, i: str) -> BreakpointSet:
     in-neighbors' cut times or the boundary, so the union of their sets
     covers every value it can end on.
     """
-    if i not in canon.pps_minus:
-        return gamma_enumerate(canon, i)
-    preds = sorted(e[0] for e in canon.net.edges if e[1] == i)
-    if len(preds) != 2:
-        raise StructuralError(f"pseudo-pseudosink {i} has {len(preds)} in-neighbors")
-    ga = gamma_enumerate(canon, preds[0])
-    gb = gamma_enumerate(canon, preds[1])
-    return tuple(sorted(set(ga) | set(gb)))
+    return _PinGraph(canon).gamma_star(i)
 
 
 def pps_settle_neighbor(canon: CanonicalTemporalNetwork, i: str) -> str:
     """The in-neighbor a pseudo-pseudosink settles toward (smaller set wins)."""
-    preds = sorted(e[0] for e in canon.net.edges if e[1] == i)
-    if len(preds) != 2:
-        raise StructuralError(f"pseudo-pseudosink {i} has {len(preds)} in-neighbors")
-    ga = gamma_enumerate(canon, preds[0])
-    gb = gamma_enumerate(canon, preds[1])
-    return preds[0] if len(ga) <= len(gb) else preds[1]
+    pins = _PinGraph(canon)
+    a, b = pins.pps_in_neighbors(i)
+    return a if len(pins.gamma(a)) <= len(pins.gamma(b)) else b
 
 
 def cten_breakpoints(canon: CanonicalTemporalNetwork) -> dict[str, BreakpointSet]:
@@ -159,8 +147,8 @@ def cten_breakpoints(canon: CanonicalTemporalNetwork) -> dict[str, BreakpointSet
     sink side, which the partition can already express.
     """
     T = canon.horizon
-    out: dict[str, BreakpointSet] = {}
-    for i in canon.net.nodes:
-        g = gamma_star(canon, i)
-        out[i] = tuple(sorted({0, T} | {t for t in g if 0 <= t <= T}))
-    return out
+    pins = _PinGraph(canon)
+    return {
+        i: tuple(sorted({0, T} | {t for t in pins.gamma_star(i) if t <= T}))
+        for i in canon.net.nodes
+    }

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .model import INF, EdgeFn, ModelError, TemporalNetwork, merged_pieces
+from .model import INF, ModelError, TemporalNetwork, merged_pieces
 
 DEFAULT_TEN_BUDGET = 2_000_000
 
@@ -131,18 +131,19 @@ def build_ten(net: TemporalNetwork, budget: int = DEFAULT_TEN_BUDGET) -> Expande
     )
 
 
-def cten_edge_capacity(fn: EdgeFn, interval: Interval, target: Interval) -> int | float:
+def cten_edge_capacity(pieces: list, interval: Interval, target: Interval) -> int | float:
     """Total capacity of departures in ``interval`` arriving in ``target``.
 
-    Exact sum of u(t) over t in the interval with t + travel_time(t) in the
-    target, computed per constant piece in closed form: the arrivals from a
-    piece [lo, hi] with travel time tau form [lo + tau, hi + tau], and the
-    count of hits in [a', b'] is max(0, min(b', hi + tau) - max(a', lo + tau) + 1).
+    ``pieces`` are an edge's ``merged_pieces``.  Exact sum of u(t) over t in
+    the interval with t + travel_time(t) in the target, computed per constant
+    piece in closed form: the arrivals from a piece [lo, hi] with travel time
+    tau form [lo + tau, hi + tau], and the count of hits in [a', b'] is
+    max(0, min(b', hi + tau) - max(a', lo + tau) + 1).
     """
     a, b = interval
     a2, b2 = target
     total: int | float = 0
-    for (p, q, u, tau) in merged_pieces(fn.capacity, fn.travel_time):
+    for (p, q, u, tau) in pieces:
         lo, hi = max(p, a), min(q, b)
         if lo > hi or u == 0:
             continue
@@ -169,12 +170,13 @@ def build_cten(net: TemporalNetwork, breakpoints: dict[str, tuple[int, ...]]) ->
         for k in range(len(ivs) - 1):
             arcs.append(Arc(index[(i, ivs[k])], index[(i, ivs[k + 1])], INF))
     for (i, j), fn in net.edges.items():
+        pieces = merged_pieces(fn.capacity, fn.travel_time)
         tgt = parts[j]
         for interval in parts[i].intervals:
             # Candidate target intervals: those overlapping the arrival span
             # of any piece live inside this departure interval.
             seen: set[Interval] = set()
-            for (p, q, u, tau) in merged_pieces(fn.capacity, fn.travel_time):
+            for (p, q, u, tau) in pieces:
                 lo, hi = max(p, interval[0]), min(q, interval[1])
                 if lo > hi or u == 0:
                     continue
@@ -186,7 +188,7 @@ def build_cten(net: TemporalNetwork, breakpoints: dict[str, tuple[int, ...]]) ->
                     seen.add(tgt.intervals[k])
                     k += 1
             for target in sorted(seen):
-                cap = cten_edge_capacity(fn, interval, target)
+                cap = cten_edge_capacity(pieces, interval, target)
                 if cap != 0:
                     arcs.append(Arc(index[(i, interval)], index[(j, target)], cap))
     return ExpandedGraph(

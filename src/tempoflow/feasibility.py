@@ -6,6 +6,8 @@ saturates every super-source edge.  When it does not, the terminals whose
 first (sources) or last (sinks) interval is reachable in the residual
 graph form a violated set: the flow the sources in the set can deliver to
 sinks outside it within the horizon falls short of the set's net demand.
+That flow, o_T, is read off the verdict's own cut, so a verdict costs one
+max flow; ``capacity_oT`` recomputes it by a second one, for checking.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .reductions import (
 )
 from .breakpoints import cten_breakpoints
 from .expansion import build_cten, build_ten, intervals_of, ExpandedGraph
-from .maxflow import SteadyFlow, max_flow, residual_reachable
+from .maxflow import max_flow, residual_reachable
 
 
 @dataclass(frozen=True)
@@ -34,9 +36,7 @@ class FeasOutcome:
     canonical: CanonicalTemporalNetwork
     breakpoints: dict[str, tuple[int, ...]]
     graph: ExpandedGraph
-    flow: SteadyFlow
     flow_value: int
-    required: int
     violated: frozenset[str] | None = None
     o_T: int | None = None
     neg_v: int | None = None
@@ -54,10 +54,8 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
     ``net`` and ``v`` are the output of ``hoppe_tardos_star``: the
     breakpoint sets are exact only on its canonical form.  The canonical
     network and its breakpoints are computed once and serve both the
-    verdict and, on an infeasible instance, the certificate's capacity.
+    verdict and, on an infeasible instance, the certificate.
     """
-    if v.total() != 0:
-        raise ModelError(f"total demand must be 0, got {v.total()}")
     T = net.horizon
     canon = canonical_reduction(net, v)
     bps = cten_breakpoints(canon)
@@ -65,7 +63,7 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
     value, flow = max_flow(graph)
     required = sum(d for d in v.values.values() if d > 0)
     if value >= required:
-        return FeasOutcome(True, canon, bps, graph, flow, value, required)
+        return FeasOutcome(True, canon, bps, graph, value)
     side = residual_reachable(graph, flow)
     violated = set()
     for s in sorted(net.sources):
@@ -77,9 +75,19 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
         if graph.vertex(d, last) in side:
             violated.add(d)
     a = frozenset(violated)
-    o_t = capacity_oT(canon, bps, a)
-    neg_v = -v.total(a)
-    return FeasOutcome(False, canon, bps, graph, flow, value, required, a, o_t, neg_v)
+    # o_T(A) = |f| - v(A cap sinks) - (-v)(sources \ A), read off the cut `side`:
+    # 1. `side` crosses exactly the saturated super edges of the sources outside
+    #    A and of the sinks in A; every other super edge has both ends on one
+    #    side.  Its remaining arcs weigh C = |f| - v(A cap sinks) - (-v)(sources \ A).
+    # 2. Restricting the network to A zeroes those super edges and makes the
+    #    others infinite, so `side` cuts the restricted network with weight C.
+    #    A finite cut S there holds the first vertex of every source in A and no
+    #    last vertex of a sink outside A, so in the unrestricted network, where
+    #    S weighs at least |f|, its super edges weigh at most (-v)(sources \ A)
+    #    + v(A cap sinks) and its other arcs at least C.  The other arcs are all
+    #    S weighs after restriction, so C is the minimum cut there: o_T(A).
+    o_t = value - v.total(a & net.sinks) + v.total(net.sources - a)
+    return FeasOutcome(False, canon, bps, graph, value, a, o_t, -v.total(a))
 
 
 def _restrict_super_edges(net: TemporalNetwork, a: frozenset[str]) -> TemporalNetwork:
@@ -121,7 +129,7 @@ def capacity_oT(
 
     Restricts the canonical form and solves its condensed expansion over
     the unrestricted network's breakpoints ``bps`` (restriction only
-    removes paths, so they stay valid).
+    removes paths, so they stay valid).  ``feas`` reads it off its cut.
     """
     value, _ = max_flow(build_cten(restrict_for_set(canon, a).net, bps))
     return value

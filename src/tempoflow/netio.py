@@ -30,7 +30,7 @@ from .model import (
     TemporalNetwork,
 )
 from .reductions import attach_super_terminals
-from .expansion import DEFAULT_TEN_BUDGET, build_ten
+from .expansion import build_ten
 from .maxflow import max_flow
 
 FORMAT_TAG = "tn 1"
@@ -267,6 +267,10 @@ class InstanceSpec:
     demand_mode: str = "feasible"
 
     def __post_init__(self):
+        least = {"n_sources": 1, "n_sinks": 1, "horizon": 0, "max_pieces": 1, "max_capacity": 0}
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise ModelError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.n_sources + self.n_sinks > self.n_nodes:
             raise ModelError("more terminals than nodes")
         if self.demand_mode not in ("feasible", "random", "zero"):
@@ -320,12 +324,12 @@ def _feasible_demands(net: TemporalNetwork, rng: random.Random) -> DemandVector:
     """
     caps = DemandVector(
         {
-            **{s: -rng.randint(0, 3 * net.horizon + 3) for s in net.sources},
-            **{d: rng.randint(0, 3 * net.horizon + 3) for d in net.sinks},
+            **{s: -rng.randint(0, 3 * net.horizon + 3) for s in sorted(net.sources)},
+            **{d: rng.randint(0, 3 * net.horizon + 3) for d in sorted(net.sinks)},
         }
     )
     full = attach_super_terminals(net, caps)
-    graph = build_ten(full, budget=DEFAULT_TEN_BUDGET)
+    graph = build_ten(full)
     _, flow = max_flow(graph)
     values = {t: 0 for t in sorted(net.terminals)}
     for k, arc in enumerate(graph.arcs):

@@ -24,7 +24,7 @@ from .reductions import (
     hoppe_tardos_star,
 )
 from .breakpoints import cten_breakpoints
-from .expansion import DEFAULT_TEN_BUDGET, OracleBudgetError, build_cten, build_ten
+from .expansion import OracleBudgetError, build_cten, build_ten
 from .maxflow import max_flow
 from .feasibility import FeasOutcome, feas
 
@@ -52,6 +52,9 @@ def dttn_feasible(net: TemporalNetwork, horizon: int, v: DemandVector) -> FeasOu
 def _at_horizon(net: TemporalNetwork, horizon: int) -> TemporalNetwork:
     """The same network truncated or extended to a different horizon."""
     from .model import EdgeFn, PiecewiseConstFn
+
+    if horizon < 0:
+        raise ModelError(f"horizon must be non-negative, got {horizon}")
 
     def clip(fn: PiecewiseConstFn) -> PiecewiseConstFn:
         pieces = []
@@ -118,9 +121,7 @@ def quickest_transshipment(
     return hi, witness
 
 
-def max_flow_over_time(
-    net: TemporalNetwork, horizon: int, budget: int = DEFAULT_TEN_BUDGET
-) -> tuple[int, FlowOverTime | None]:
+def max_flow_over_time(net: TemporalNetwork, horizon: int) -> tuple[int, FlowOverTime | None]:
     """Largest deliverable amount from the single source to the single sink.
 
     The gadget reduction is built with the terminal demand left open; on
@@ -149,18 +150,13 @@ def max_flow_over_time(
     witness = None
     try:
         demands = DemandVector({s: -best, d: best})
-        witness = extract_flow(net, horizon, demands, budget=budget)
+        witness = extract_flow(net, horizon, demands)
     except OracleBudgetError:
         pass
     return best, witness
 
 
-def extract_flow(
-    net: TemporalNetwork,
-    horizon: int,
-    v: DemandVector,
-    budget: int = DEFAULT_TEN_BUDGET,
-) -> FlowOverTime:
+def extract_flow(net: TemporalNetwork, horizon: int, v: DemandVector) -> FlowOverTime:
     """An integral flow meeting the demands, from the full expansion.
 
     Attaches super terminals to the original network, solves the full
@@ -171,7 +167,7 @@ def extract_flow(
         raise ModelError(f"total demand must be 0, got {v.total()}")
     v.check_against(net)
     full = attach_super_terminals(_at_horizon(net, horizon), v)
-    graph = build_ten(full, budget=budget)
+    graph = build_ten(full)
     required = sum(d for d in v.values.values() if d > 0)
     value, flow = max_flow(graph)
     if value < required:

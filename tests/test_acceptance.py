@@ -33,6 +33,7 @@ from tempoflow import (
     hoppe_tardos_star,
     max_flow,
     max_flow_over_time,
+    merged_pieces,
     min_cut_times,
     quickest_transshipment,
     shift_cut,
@@ -228,7 +229,8 @@ def test_criterion_06_closed_form_capacity():
             for t in range(a, b + 1)
             if a2 <= t + fn.travel_time(t) <= b2
         )
-        assert cten_edge_capacity(fn, (a, b), (a2, b2)) == brute
+        pieces = merged_pieces(fn.capacity, fn.travel_time)
+        assert cten_edge_capacity(pieces, (a, b), (a2, b2)) == brute
 
 
 def scale_family(mu: int):

@@ -95,3 +95,15 @@ def test_enumeration_cap_enforced(monkeypatch):
     monkeypatch.setattr(breakpoints_mod, "PATH_CAP", 0)
     with pytest.raises(EnumerationCapError):
         gamma_enumerate(canon, "q")
+
+
+def test_cten_breakpoints_match_gamma_star(corpus):
+    """The batched pass equals the per-node definition, clipped to [0, T]."""
+    for parsed in corpus[:100]:
+        one_shot, _ = to_one_shot(parsed.network)
+        canon = canonical_reduction(*hoppe_tardos_star(one_shot, parsed.demands))
+        T = canon.horizon
+        bps = cten_breakpoints(canon)
+        for i in canon.net.nodes:
+            clipped = {t for t in gamma_star(canon, i) if 0 <= t <= T}
+            assert bps[i] == tuple(sorted(clipped | {0, T}))

@@ -79,3 +79,22 @@ def test_stats(e1_path, capsys):
 def test_missing_file_is_error(capsys):
     assert main(["feas", "-i", "/no/such/file"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maxflow", "-T", "-1"],
+        ["gen", "--seed", "1", "--pieces", "0"],
+        ["gen", "--seed", "1", "--max-cap", "-1"],
+        ["gen", "--seed", "1", "--horizon", "-1"],
+        ["gen", "--seed", "1", "--sources", "0"],
+        ["gen", "--seed", "1", "--sinks", "0"],
+    ],
+)
+def test_bad_arguments_are_errors(argv, e1_path, capsys):
+    if argv[0] == "maxflow":
+        argv = argv + ["-i", e1_path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err

@@ -10,6 +10,7 @@ from tempoflow import (
     cten_edge_capacity,
     intervals_of,
     max_flow,
+    merged_pieces,
 )
 
 from conftest import build_e1, build_fig4
@@ -88,6 +89,7 @@ def test_cten_edge_capacity_matches_brute_force(fn, data) -> None:
     b = data.draw(st.integers(a, T))
     a2 = data.draw(st.integers(0, T))
     b2 = data.draw(st.integers(a2, T))
-    assert cten_edge_capacity(fn, (a, b), (a2, b2)) == brute_capacity(
+    pieces = merged_pieces(fn.capacity, fn.travel_time)
+    assert cten_edge_capacity(pieces, (a, b), (a2, b2)) == brute_capacity(
         fn, (a, b), (a2, b2)
     )

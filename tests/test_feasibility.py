@@ -52,20 +52,39 @@ def test_e1_three_units_infeasible_with_certificate():
 
 
 def test_infeasible_verdict_reduces_once(monkeypatch):
+    import tempoflow.breakpoints as breakpoints_mod
+    import tempoflow.expansion as expansion_mod
     import tempoflow.feasibility as feasibility_mod
 
-    calls = Counter()
-    for name in ("canonical_reduction", "cten_breakpoints"):
-        original = getattr(feasibility_mod, name)
+    calls, pin_starts = Counter(), Counter()
+    for module, name in (
+        (feasibility_mod, "canonical_reduction"),
+        (feasibility_mod, "cten_breakpoints"),
+        (feasibility_mod, "build_cten"),
+        (feasibility_mod, "max_flow"),
+        (expansion_mod, "merged_pieces"),
+        (breakpoints_mod._PinGraph, "pin_sums"),
+    ):
+        original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
+            if _name == "pin_sums":
+                pin_starts[args[1]] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(feasibility_mod, name, counting)
+        monkeypatch.setattr(module, name, counting)
     outcome = dttn_feasible(build_e1(), 3, DemandVector({"s": -3, "d": 3}))
     assert not outcome.feasible
-    assert calls == {"canonical_reduction": 1, "cten_breakpoints": 1}
+    assert pin_starts and set(pin_starts.values()) == {1}
+    assert calls == {
+        "canonical_reduction": 1,
+        "cten_breakpoints": 1,
+        "build_cten": 1,
+        "max_flow": 1,
+        "merged_pieces": len(outcome.canonical.net.edges),
+        "pin_sums": len(pin_starts),
+    }
 
 
 def test_restrict_for_set_capacities():
@@ -137,6 +156,7 @@ def test_claim_identity_on_infeasible(corpus):
             + sum(v2[s] for s in (reduced_sources - a))
         )
         assert value == expected
+        assert outcome.o_T == value
         checked += 1
         if checked >= 25:
             break

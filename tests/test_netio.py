@@ -96,6 +96,30 @@ def test_generator_deterministic():
     assert a.network == b.network and a.demands == b.demands
 
 
+def test_generator_independent_of_hash_seed():
+    """Set iteration order must not reach the random stream."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from tempoflow import InstanceSpec, generate_instance, serialize_network\n"
+        "spec = InstanceSpec(n_nodes=5, n_sources=2, n_sinks=2, demand_mode='feasible')\n"
+        "p = generate_instance(spec, 1)\n"
+        "print(serialize_network(p.network, p.demands))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    texts = set()
+    for hash_seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        texts.add(out.stdout)
+    assert len(texts) == 1
+
+
 def test_generator_balanced_and_feasible_bias():
     from tempoflow import dttn_feasible
 
