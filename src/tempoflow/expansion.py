@@ -81,6 +81,17 @@ class ExpandedGraph:
     def label(self, vid: int) -> tuple[str, Interval]:
         return self.vertices[vid]
 
+    def departures(self, arc_flows) -> dict[tuple[tuple[str, str], int], int]:
+        """Positive flow of a full expansion per ``((i, j), departure)``; holdovers skipped."""
+        out: dict[tuple[tuple[str, str], int], int] = {}
+        for arc, amount in zip(self.arcs, arc_flows, strict=True):
+            if amount <= 0:
+                continue
+            (i, (t, _)), (j, _) = self.vertices[arc.tail], self.vertices[arc.head]
+            if i != j:
+                out[(i, j), t] = out.get(((i, j), t), 0) + amount
+        return out
+
     def to_dot(self) -> str:
         lines = [f"digraph {self.flavor.lower()} {{"]
 

@@ -1,10 +1,14 @@
 """Deterministic integral max flow on expanded graphs.
 
-Blocking-flow (Dinitz) augmentation: BFS level graph, then DFS with
-per-vertex arc cursors.  Infinite capacities stay ``float("inf")``
+Blocking-flow (Dinitz) augmentation over one residual graph: arc k of
+``graph.arcs`` is residual arc 2k (forward, capacity minus flow) and 2k + 1
+(backward, the flow), so ``e ^ 1`` is the partner of residual arc e.  Each
+phase builds a BFS level graph, then advances and retreats along it with
+per-vertex arc cursors; the min-cut reader runs the same BFS on the
+residual graph of a given flow.  Infinite capacities stay ``float("inf")``
 throughout — never a large integer sentinel — so integer arithmetic can't
-overflow; an all-infinite augmenting path is reported as unbounded.
-Arc order follows construction order, so results are reproducible.
+overflow; an all-infinite augmenting path is reported as unbounded.  Each
+vertex lists its residual arcs in arc order, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -32,86 +36,74 @@ class SteadyFlow:
     value: int
 
 
-def _adjacency(graph: ExpandedGraph) -> list[list[tuple[int, int]]]:
-    """Per-vertex list of (arc index, direction); direction +1 = forward."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
-    for k, arc in enumerate(graph.arcs):
-        adj[arc.tail].append((k, +1))
-        adj[arc.head].append((k, -1))
-    return adj
+def _residual(graph: ExpandedGraph, arc_flows) -> tuple[list[list[int]], list[int], list]:
+    """Residual graph of a flow: per-vertex residual arcs, their heads and capacities."""
+    adj: list[list[int]] = [[] for _ in graph.vertices]
+    head: list[int] = []
+    cap: list = []
+    for arc, f in zip(graph.arcs, arc_flows, strict=True):
+        adj[arc.tail].append(len(head))
+        adj[arc.head].append(len(head) + 1)
+        head += (arc.head, arc.tail)
+        cap += (arc.capacity - f, f)
+    return adj, head, cap
+
+
+def _levels(adj: list[list[int]], head: list[int], cap: list, source: int) -> list[int]:
+    """BFS distance from the source over positive residual arcs; -1 if unreachable."""
+    level = [-1] * len(adj)
+    level[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for e in adj[u]:
+            v = head[e]
+            if level[v] < 0 and cap[e] > 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
 
 
 def max_flow(graph: ExpandedGraph) -> tuple[int, SteadyFlow]:
     """Exact maximum integral flow from the designated source to sink."""
-    n = len(graph.vertices)
     source, sink = graph.source, graph.sink
     if source == sink:
         raise ModelError("source and sink coincide")
-    adj = _adjacency(graph)
-    flows = [0] * len(graph.arcs)
-
-    def residual(arc_idx: int, direction: int) -> int | float:
-        if direction > 0:
-            return graph.arcs[arc_idx].capacity - flows[arc_idx]
-        return flows[arc_idx]
-
+    adj, head, cap = _residual(graph, [0] * len(graph.arcs))
     total = 0
     while True:
-        level = [-1] * n
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for arc_idx, direction in adj[u]:
-                arc = graph.arcs[arc_idx]
-                v = arc.head if direction > 0 else arc.tail
-                if level[v] < 0 and residual(arc_idx, direction) > 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
+        level = _levels(adj, head, cap, source)
         if level[sink] < 0:
             break
-        cursor = [0] * n
-
-        def augment() -> int | float:
-            """Advance/retreat along the level graph; returns one path's flow."""
-            stack: list[tuple[int, int]] = []  # (arc index, direction) per hop
-            u = source
-            while True:
-                if u == sink:
-                    bottleneck = min(residual(a, d) for a, d in stack)
-                    if bottleneck == INF:
-                        raise UnboundedFlowError("augmenting path of infinite capacity")
-                    for a, d in stack:
-                        flows[a] += bottleneck * d
-                    return bottleneck
-                advanced = False
-                while cursor[u] < len(adj[u]):
-                    arc_idx, direction = adj[u][cursor[u]]
-                    arc = graph.arcs[arc_idx]
-                    v = arc.head if direction > 0 else arc.tail
-                    if residual(arc_idx, direction) > 0 and level[v] == level[u] + 1:
-                        stack.append((arc_idx, direction))
-                        u = v
-                        advanced = True
-                        break
-                    cursor[u] += 1
-                if advanced:
-                    continue
-                level[u] = -1
-                if not stack:
-                    return 0
-                arc_idx, direction = stack.pop()
-                arc = graph.arcs[arc_idx]
-                u = arc.tail if direction > 0 else arc.head
-                cursor[u] += 1
-
+        cursor = [0] * len(adj)
+        path: list[int] = []  # residual arcs from the source to u
+        u = source
         while True:
-            pushed = augment()
-            if pushed == 0:
+            if u == sink:
+                pushed = min(cap[e] for e in path)
+                if pushed == INF:
+                    raise UnboundedFlowError("augmenting path of infinite capacity")
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                total += pushed
+                path.clear()
+                u = source
+                continue
+            arcs, k, nxt = adj[u], cursor[u], level[u] + 1
+            while k < len(arcs) and not (cap[arcs[k]] > 0 and level[head[arcs[k]]] == nxt):
+                k += 1
+            cursor[u] = k
+            if k < len(arcs):
+                path.append(arcs[k])
+                u = head[arcs[k]]
+                continue
+            level[u] = -1  # dead end: retreat
+            if not path:
                 break
-            total += pushed
-    steady = SteadyFlow(tuple(flows), total)
-    return total, steady
+            u = head[path.pop() ^ 1]
+            cursor[u] += 1
+    return total, SteadyFlow(tuple(cap[1::2]), total)
 
 
 def residual_reachable(graph: ExpandedGraph, flow: SteadyFlow) -> frozenset[int]:
@@ -121,27 +113,10 @@ def residual_reachable(graph: ExpandedGraph, flow: SteadyFlow) -> frozenset[int]
     raises.  Every arc leaving the returned set is saturated, so the set
     certifies a minimum cut.
     """
-    adj = _adjacency(graph)
-    seen = {graph.source}
-    queue = deque([graph.source])
-    while queue:
-        u = queue.popleft()
-        for arc_idx, direction in adj[u]:
-            arc = graph.arcs[arc_idx]
-            v = arc.head if direction > 0 else arc.tail
-            if v in seen:
-                continue
-            slack = (
-                arc.capacity - flow.arc_flows[arc_idx]
-                if direction > 0
-                else flow.arc_flows[arc_idx]
-            )
-            if slack > 0:
-                seen.add(v)
-                queue.append(v)
-    if graph.sink in seen:
+    level = _levels(*_residual(graph, flow.arc_flows), graph.source)
+    if level[graph.sink] >= 0:
         raise InternalConsistencyError("sink reachable in residual graph: flow not maximum")
-    return frozenset(seen)
+    return frozenset(u for u, lv in enumerate(level) if lv >= 0)
 
 
 def cut_capacity(graph: ExpandedGraph, side: frozenset[int]) -> int | float:
@@ -152,7 +127,24 @@ def cut_capacity(graph: ExpandedGraph, side: frozenset[int]) -> int | float:
 
 
 def check_max_flow(graph: ExpandedGraph, value: int, flow: SteadyFlow):
-    """Assert max-flow/min-cut consistency (used by test builds)."""
+    """Assert that ``flow`` is a flow of ``value`` with an equal cut (used by test builds).
+
+    Checks capacity bounds on every arc, conservation at every vertex but
+    the source and the sink, the source's net outflow, and max-flow/min-cut.
+    """
+    excess = [0] * len(graph.vertices)  # outflow minus inflow
+    for k, (arc, f) in enumerate(zip(graph.arcs, flow.arc_flows, strict=True)):
+        if not 0 <= f <= arc.capacity:
+            raise InternalConsistencyError(f"arc {k} carries {f} of capacity {arc.capacity}")
+        excess[arc.tail] += f
+        excess[arc.head] -= f
+    for u, x in enumerate(excess):
+        if x != 0 and u not in (graph.source, graph.sink):
+            raise InternalConsistencyError(f"flow not conserved at vertex {u}: excess {x}")
+    if excess[graph.source] != value:
+        raise InternalConsistencyError(
+            f"source sends {excess[graph.source]}, not the flow value {value}"
+        )
     side = residual_reachable(graph, flow)
     cut = cut_capacity(graph, side)
     if cut != value:

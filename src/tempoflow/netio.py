@@ -29,7 +29,7 @@ from .model import (
     PiecewiseConstFn,
     TemporalNetwork,
 )
-from .reductions import attach_super_terminals
+from .reductions import D_STAR, S_STAR, attach_super_terminals
 from .expansion import build_ten
 from .maxflow import max_flow
 
@@ -267,7 +267,8 @@ class InstanceSpec:
     demand_mode: str = "feasible"
 
     def __post_init__(self):
-        least = {"n_sources": 1, "n_sinks": 1, "horizon": 0, "max_pieces": 1, "max_capacity": 0}
+        least = {"n_sources": 1, "n_sinks": 1, "n_edges": 0, "horizon": 0, "max_capacity": 0,
+                 "max_travel_time": 1, "max_pieces": 1}
         for name, low in least.items():
             if getattr(self, name) < low:
                 raise ModelError(f"{name} must be at least {low}, got {getattr(self, name)}")
@@ -285,7 +286,7 @@ def _random_piecewise(rng: random.Random, spec: InstanceSpec) -> EdgeFn:
     caps, tts = [], []
     for a, b in zip(bounds, bounds[1:]):
         caps.append((a, b - 1, rng.randint(0, spec.max_capacity)))
-        tts.append((a, b - 1, rng.randint(1, max(1, spec.max_travel_time))))
+        tts.append((a, b - 1, rng.randint(1, spec.max_travel_time)))
     return EdgeFn(PiecewiseConstFn(tuple(caps)), PiecewiseConstFn(tuple(tts)))
 
 
@@ -303,7 +304,7 @@ def generate_instance(spec: InstanceSpec, seed: int) -> ParsedInstance:
         if names[a] not in sinks and names[b] not in sources
     ]
     rng.shuffle(candidates)
-    chosen = candidates[: min(spec.n_edges, len(candidates))]
+    chosen = candidates[: spec.n_edges]
     edges = {key: _random_piecewise(rng, spec) for key in sorted(chosen)}
     net = TemporalNetwork(tuple(names), edges, sources, sinks, spec.horizon)
 
@@ -328,18 +329,13 @@ def _feasible_demands(net: TemporalNetwork, rng: random.Random) -> DemandVector:
             **{d: rng.randint(0, 3 * net.horizon + 3) for d in sorted(net.sinks)},
         }
     )
-    full = attach_super_terminals(net, caps)
-    graph = build_ten(full)
+    graph = build_ten(attach_super_terminals(net, caps))
     _, flow = max_flow(graph)
     values = {t: 0 for t in sorted(net.terminals)}
-    for k, arc in enumerate(graph.arcs):
-        amount = flow.arc_flows[k]
-        if amount <= 0:
-            continue
-        (i, _), (j, _) = graph.label(arc.tail), graph.label(arc.head)
-        if i == full.nodes[-2] and j in net.sources:
+    for ((i, j), _), amount in graph.departures(flow.arc_flows).items():
+        if i == S_STAR:
             values[j] -= amount
-        elif j == full.nodes[-1] and i in net.sinks:
+        elif j == D_STAR:
             values[i] += amount
     return DemandVector(values)
 

@@ -261,7 +261,7 @@ def canonical_reduction(
     """Attach super terminals to a static network and classify node roles."""
     if not net.is_static():
         raise ModelError("canonical reduction requires a static inner network")
-    if not infinite_terminals and v.total() != 0:
+    if v.total() != 0:
         raise ModelError(f"total demand must be 0, got {v.total()}")
     full = attach_super_terminals(net, v, infinite_terminals)
     ps_plus, ps_minus, pps_minus = classify_roles(full)

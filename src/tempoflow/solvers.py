@@ -40,9 +40,6 @@ def _check_horizon(net: TemporalNetwork, horizon: int):
 
 def dttn_feasible(net: TemporalNetwork, horizon: int, v: DemandVector) -> FeasOutcome:
     """Feasibility of a dynamic transshipment on a temporal network."""
-    if v.total() != 0:
-        raise ModelError(f"total demand must be 0, got {v.total()}")
-    v.check_against(net)
     _check_horizon(net, horizon)
     one_shot, _ = to_one_shot(net)
     reduced, v2 = hoppe_tardos_star(one_shot, v)
@@ -174,16 +171,10 @@ def extract_flow(net: TemporalNetwork, horizon: int, v: DemandVector) -> FlowOve
         raise ModelError(
             f"instance is infeasible (flow {value} < demand {required}); no witness exists"
         )
-    flows: dict[tuple[tuple[str, str], int], int] = {}
-    for k, arc in enumerate(graph.arcs):
-        amount = flow.arc_flows[k]
-        if amount <= 0:
-            continue
-        (i, (t, _)), (j, _) = graph.label(arc.tail), graph.label(arc.head)
-        if i == j:
-            continue
-        if S_STAR in (i, j) or D_STAR in (i, j):
-            continue
-        key = ((i, j), t)
-        flows[key] = flows.get(key, 0) + amount
-    return FlowOverTime(flows)
+    return FlowOverTime(
+        {
+            (e, t): amount
+            for (e, t), amount in graph.departures(flow.arc_flows).items()
+            if S_STAR not in e and D_STAR not in e
+        }
+    )

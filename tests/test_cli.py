@@ -90,6 +90,8 @@ def test_missing_file_is_error(capsys):
         ["gen", "--seed", "1", "--horizon", "-1"],
         ["gen", "--seed", "1", "--sources", "0"],
         ["gen", "--seed", "1", "--sinks", "0"],
+        ["gen", "--seed", "1", "--edges", "-3"],
+        ["gen", "--seed", "1", "--max-tt", "0"],
     ],
 )
 def test_bad_arguments_are_errors(argv, e1_path, capsys):

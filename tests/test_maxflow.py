@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempoflow import (
+    InternalConsistencyError,
+    SteadyFlow,
     UnboundedFlowError,
     build_ten,
     check_max_flow,
@@ -42,6 +44,28 @@ def test_infinite_arc_off_path_is_fine():
     g = graph_from_arcs(3, [(0, 1, INF), (1, 2, 3)], 0, 2)
     value, _ = max_flow(g)
     assert value == 3
+
+
+def test_zero_flow_is_not_maximum():
+    g = build_ten(build_e1())
+    assert max_flow(g)[0] > 0
+    with pytest.raises(InternalConsistencyError):
+        residual_reachable(g, SteadyFlow((0,) * len(g.arcs), 0))
+
+
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("delta", [1, -1])
+def test_check_rejects_changed_arc(k, delta):
+    # 0 -> 1 -> 2 carries the flow; 0 -> 3 leads to a dead end.  Every change
+    # leaves the residual cut equal to the value, so only the capacity and
+    # conservation checks see it.
+    g = graph_from_arcs(4, [(0, 1, 1), (1, 2, 1), (0, 3, 5)], 0, 2)
+    value, flow = max_flow(g)
+    check_max_flow(g, value, flow)
+    changed = list(flow.arc_flows)
+    changed[k] += delta
+    with pytest.raises(InternalConsistencyError):
+        check_max_flow(g, value, SteadyFlow(tuple(changed), value))
 
 
 def test_min_cut_certificate_e1():

@@ -120,6 +120,37 @@ def test_generator_independent_of_hash_seed():
     assert len(texts) == 1
 
 
+@pytest.mark.parametrize(
+    "spec, seed, digest",
+    [
+        (
+            InstanceSpec(n_nodes=5, n_sources=2, n_sinks=2, n_edges=10, horizon=12, max_pieces=2),
+            1,
+            "6eec000e59f634d0d388d2350161e36a3fbd4edc47874dd91073659acc068c73",
+        ),
+        (
+            InstanceSpec(n_nodes=6, n_sources=2, n_sinks=2, n_edges=15, horizon=45, max_pieces=1),
+            2,
+            "6642e6dc2a0054fc02fc0e88f6f11d80401ccfe16351122de919d1c9cde465ef",
+        ),
+        (
+            InstanceSpec(),
+            3,
+            "03759a927b2afc4ecb509bc4870bd7811e7c7a95d928b88d616a68edc7659c2a",
+        ),
+    ],
+)
+def test_generated_texts_pinned(spec, seed, digest):
+    """Feasible-mode demands are read off a max flow, so a max-flow change
+    that moves the flow decomposition changes the generated (and benchmark)
+    instance texts; these digests catch it."""
+    import hashlib
+
+    parsed = generate_instance(spec, seed)
+    text = serialize_network(parsed.network, parsed.demands)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_generator_balanced_and_feasible_bias():
     from tempoflow import dttn_feasible
 

@@ -25,9 +25,14 @@ def test_e1_infeasible_at_two():
     assert not dttn_feasible(net, 2, DemandVector({"s": -2, "d": 2})).feasible
 
 
-def test_unbalanced_demand_rejected():
+@pytest.mark.parametrize(
+    "values",
+    [{"s": -1, "d": 2}, {"s": -1, "d": 1, "x": 0}, {"s": 1, "d": -1}],
+    ids=["unbalanced", "non-terminal", "positive-source"],
+)
+def test_unbalanced_demand_rejected(values):
     with pytest.raises(ModelError):
-        dttn_feasible(build_e1(), 3, DemandVector({"s": -1, "d": 2}))
+        dttn_feasible(build_e1(), 3, DemandVector(values))
 
 
 def test_quickest_e1_one_unit():
