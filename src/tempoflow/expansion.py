@@ -5,12 +5,17 @@ oracle and is gated by an explicit size budget.  The condensed expansion
 groups each node's time steps into the intervals of a per-node breakpoint
 set; arc capacities are the exact sums of the per-step capacities, computed
 in closed form per constant piece so no loop over the horizon ever runs.
+Each edge is built in one sweep of its merged pieces against its tail's
+intervals, adding every piece's arrival count straight into the arc of its
+(departure, target) interval pair.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import NamedTuple
 
 from .model import INF, ModelError, TemporalNetwork, merged_pieces
 
@@ -29,17 +34,17 @@ class IntervalPartition:
     """Closed integer intervals covering [0, T] induced by a breakpoint set.
 
     Breakpoints a_1 < ... < a_p (with a_1 = 0, a_p = T) induce the
-    intervals [a_j, a_{j+1} - 1] plus the final singleton [T, T].
+    intervals [a_j, a_{j+1} - 1] plus the final singleton [T, T], so the
+    points are exactly the intervals' first steps.
     """
 
     points: tuple[int, ...]
     intervals: tuple[Interval, ...]
 
     def index_of(self, t: int) -> int:
-        if not (0 <= t <= self.intervals[-1][1]):
-            raise ModelError(f"t={t} outside [0, {self.intervals[-1][1]}]")
-        idx = bisect_right(self.intervals, t, key=lambda iv: iv[0]) - 1
-        return idx
+        if not (0 <= t <= self.points[-1]):
+            raise ModelError(f"t={t} outside [0, {self.points[-1]}]")
+        return bisect_right(self.points, t) - 1
 
     def interval_of(self, t: int) -> Interval:
         return self.intervals[self.index_of(t)]
@@ -57,8 +62,7 @@ def intervals_of(points, horizon: int) -> IntervalPartition:
     return IntervalPartition(pts, tuple(ivs))
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     tail: int
     head: int
     capacity: int | float
@@ -142,71 +146,79 @@ def build_ten(net: TemporalNetwork, budget: int = DEFAULT_TEN_BUDGET) -> Expande
     )
 
 
+def _edge_arcs(pieces: list, departures, starts, targets):
+    """Summed capacities of one edge between departure and target intervals.
+
+    ``pieces`` are the edge's ``merged_pieces``; ``departures`` and
+    ``targets`` are sorted disjoint intervals and ``starts`` the targets'
+    first steps.  Yields ``(k, m, capacity)`` for each departure k and
+    target m with positive capacity, by k and then m.  The capacity is the
+    exact sum of u(t) over t in departure k with t + travel_time(t) in
+    target m: the departures of a piece within [a, b] arrive over
+    [first, last] = [max(p, a) + tau, min(q, b) + tau], and target
+    [a', b'] counts min(b', last) - max(a', first) + 1 of them, so each
+    (piece, departure) overlap costs one bisect and one step per target hit.
+    """
+    n = 0  # first piece not ending before the current departure interval
+    for k, (a, b) in enumerate(departures):
+        while pieces[n][1] < a:
+            n += 1
+        sums: dict[int, int | float] = {}
+        for p, q, u, tau in islice(pieces, n, None):
+            if p > b:
+                break
+            if u == 0:
+                continue
+            first, last = max(p, a) + tau, min(q, b) + tau
+            m = bisect_right(starts, first) - 1
+            if m < 0 or targets[m][1] < first:
+                m += 1
+            while m < len(targets) and starts[m] <= last:
+                lo, hi = targets[m]
+                sums[m] = sums.get(m, 0) + u * (min(hi, last) - max(lo, first) + 1)
+                m += 1
+        for m in sorted(sums):
+            yield k, m, sums[m]
+
+
 def cten_edge_capacity(pieces: list, interval: Interval, target: Interval) -> int | float:
     """Total capacity of departures in ``interval`` arriving in ``target``.
 
-    ``pieces`` are an edge's ``merged_pieces``.  Exact sum of u(t) over t in
-    the interval with t + travel_time(t) in the target, computed per constant
-    piece in closed form: the arrivals from a piece [lo, hi] with travel time
-    tau form [lo + tau, hi + tau], and the count of hits in [a', b'] is
-    max(0, min(b', hi + tau) - max(a', lo + tau) + 1).
+    ``pieces`` are an edge's ``merged_pieces``; this is the sweep of
+    ``build_cten`` restricted to one (departure, target) pair.
     """
-    a, b = interval
-    a2, b2 = target
-    total: int | float = 0
-    for (p, q, u, tau) in pieces:
-        lo, hi = max(p, a), min(q, b)
-        if lo > hi or u == 0:
-            continue
-        count = min(b2, hi + tau) - max(a2, lo + tau) + 1
-        if count > 0:
-            total = INF if u == INF else total + u * count
-    return total
+    return sum(cap for _, _, cap in _edge_arcs(pieces, (interval,), (target[0],), (target,)))
 
 
 def build_cten(net: TemporalNetwork, breakpoints: dict[str, tuple[int, ...]]) -> ExpandedGraph:
     """Condensed expansion over per-node interval partitions.
 
+    Vertex (i, k) of node i's k-th interval has id offset[i] + k.  Each
+    edge's merged pieces are swept once against its tail's intervals.
     With every breakpoint set equal to {0, ..., T} this is arc-for-arc the
     full expansion.  Arcs whose summed capacity is zero are omitted.
     """
     T = net.horizon
     s, d = _single_terminals(net)
     parts = {i: intervals_of(breakpoints[i], T) for i in net.nodes}
-    vertices = tuple((i, iv) for i in net.nodes for iv in parts[i].intervals)
-    index = {lab: k for k, lab in enumerate(vertices)}
+    offset: dict[str, int] = {}
+    vertices: list[tuple[str, Interval]] = []
     arcs: list[Arc] = []
     for i in net.nodes:
+        offset[i] = base = len(vertices)
         ivs = parts[i].intervals
-        for k in range(len(ivs) - 1):
-            arcs.append(Arc(index[(i, ivs[k])], index[(i, ivs[k + 1])], INF))
+        vertices += ((i, iv) for iv in ivs)
+        arcs += (Arc(base + k, base + k + 1, INF) for k in range(len(ivs) - 1))
     for (i, j), fn in net.edges.items():
+        base_i, base_j, tgt = offset[i], offset[j], parts[j]
         pieces = merged_pieces(fn.capacity, fn.travel_time)
-        tgt = parts[j]
-        for interval in parts[i].intervals:
-            # Candidate target intervals: those overlapping the arrival span
-            # of any piece live inside this departure interval.
-            seen: set[Interval] = set()
-            for (p, q, u, tau) in pieces:
-                lo, hi = max(p, interval[0]), min(q, interval[1])
-                if lo > hi or u == 0:
-                    continue
-                first, last = lo + tau, min(hi + tau, T)
-                if first > T:
-                    continue
-                k = tgt.index_of(first)
-                while k < len(tgt.intervals) and tgt.intervals[k][0] <= last:
-                    seen.add(tgt.intervals[k])
-                    k += 1
-            for target in sorted(seen):
-                cap = cten_edge_capacity(pieces, interval, target)
-                if cap != 0:
-                    arcs.append(Arc(index[(i, interval)], index[(j, target)], cap))
+        for k, m, cap in _edge_arcs(pieces, parts[i].intervals, tgt.points, tgt.intervals):
+            arcs.append(Arc(base_i + k, base_j + m, cap))
     return ExpandedGraph(
         "cTEN",
-        vertices,
+        tuple(vertices),
         tuple(arcs),
-        index[(s, parts[s].interval_of(0))],
-        index[(d, parts[d].interval_of(T))],
-        index,
+        offset[s],
+        offset[d] + len(parts[d].intervals) - 1,
+        {lab: k for k, lab in enumerate(vertices)},
     )

@@ -3,9 +3,10 @@
 Blocking-flow (Dinitz) augmentation over one residual graph: arc k of
 ``graph.arcs`` is residual arc 2k (forward, capacity minus flow) and 2k + 1
 (backward, the flow), so ``e ^ 1`` is the partner of residual arc e.  Each
-phase builds a BFS level graph, then advances and retreats along it with
-per-vertex arc cursors; the min-cut reader runs the same BFS on the
-residual graph of a given flow.  Infinite capacities stay ``float("inf")``
+phase builds a BFS level graph, stopping once the sink is labeled, then
+advances and retreats along it with per-vertex arc cursors, reading each
+residual arc once per cursor step; the min-cut reader runs the full BFS on
+the residual graph of a given flow.  Infinite capacities stay ``float("inf")``
 throughout — never a large integer sentinel — so integer arithmetic can't
 overflow; an all-infinite augmenting path is reported as unbounded.  Each
 vertex lists its residual arcs in arc order, so results are reproducible.
@@ -41,25 +42,37 @@ def _residual(graph: ExpandedGraph, arc_flows) -> tuple[list[list[int]], list[in
     adj: list[list[int]] = [[] for _ in graph.vertices]
     head: list[int] = []
     cap: list = []
-    for arc, f in zip(graph.arcs, arc_flows, strict=True):
-        adj[arc.tail].append(len(head))
-        adj[arc.head].append(len(head) + 1)
-        head += (arc.head, arc.tail)
-        cap += (arc.capacity - f, f)
+    e = 0
+    for (tail, hd, capacity), f in zip(graph.arcs, arc_flows, strict=True):
+        adj[tail].append(e)
+        adj[hd].append(e + 1)
+        e += 2
+        head += (hd, tail)
+        cap += (capacity - f, f)
     return adj, head, cap
 
 
-def _levels(adj: list[list[int]], head: list[int], cap: list, source: int) -> list[int]:
-    """BFS distance from the source over positive residual arcs; -1 if unreachable."""
+def _levels(
+    adj: list[list[int]], head: list[int], cap: list, source: int, sink: int = -1
+) -> list[int]:
+    """BFS distance from the source over positive residual arcs; -1 if unreachable.
+
+    The search stops once it labels ``sink``: every vertex nearer the
+    source is labeled by then, and no vertex at the sink's distance or
+    beyond lies on a shortest augmenting path.
+    """
     level = [-1] * len(adj)
     level[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
+        nxt = level[u] + 1
         for e in adj[u]:
             v = head[e]
             if level[v] < 0 and cap[e] > 0:
-                level[v] = level[u] + 1
+                level[v] = nxt
+                if v == sink:
+                    return level
                 queue.append(v)
     return level
 
@@ -72,7 +85,7 @@ def max_flow(graph: ExpandedGraph) -> tuple[int, SteadyFlow]:
     adj, head, cap = _residual(graph, [0] * len(graph.arcs))
     total = 0
     while True:
-        level = _levels(adj, head, cap, source)
+        level = _levels(adj, head, cap, source, sink)
         if level[sink] < 0:
             break
         cursor = [0] * len(adj)
@@ -91,12 +104,16 @@ def max_flow(graph: ExpandedGraph) -> tuple[int, SteadyFlow]:
                 u = source
                 continue
             arcs, k, nxt = adj[u], cursor[u], level[u] + 1
-            while k < len(arcs) and not (cap[arcs[k]] > 0 and level[head[arcs[k]]] == nxt):
+            n = len(arcs)
+            while k < n:
+                e = arcs[k]
+                if cap[e] > 0 and level[head[e]] == nxt:
+                    break
                 k += 1
             cursor[u] = k
-            if k < len(arcs):
-                path.append(arcs[k])
-                u = head[arcs[k]]
+            if k < n:
+                path.append(e)
+                u = head[e]
                 continue
             level[u] = -1  # dead end: retreat
             if not path:

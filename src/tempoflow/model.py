@@ -103,18 +103,26 @@ def merged_pieces(
     """Minimal tiling of the domain on which both functions are constant.
 
     Returns ``(start, end, capacity, travel_time)`` per merged piece;
-    adjacent pieces with identical values are coalesced.
+    adjacent pieces with identical values are coalesced.  Both piece lists
+    tile the same domain, so one pass with a pointer into each merges them.
     """
-    points = sorted(set(cap.breakpoints()) | set(tt.breakpoints()))
-    horizon = cap.horizon
+    caps, tts = cap.pieces, tt.pieces
+    ci = ti = 0
+    start = 0
     out: list[tuple[int, int, int | float, int]] = []
-    for i, start in enumerate(points):
-        end = points[i + 1] - 1 if i + 1 < len(points) else horizon
-        u, tau = cap(start), tt(start)
+    while ci < len(caps):
+        _, cap_end, u = caps[ci]
+        _, tt_end, tau = tts[ti]
+        end = min(cap_end, tt_end)
         if out and out[-1][2] == u and out[-1][3] == tau:
             out[-1] = (out[-1][0], end, u, tau)
         else:
             out.append((start, end, u, tau))
+        if cap_end == end:
+            ci += 1
+        if tt_end == end:
+            ti += 1
+        start = end + 1
     return out
 
 

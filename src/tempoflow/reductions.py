@@ -165,17 +165,12 @@ def attach_super_terminals(
     d*-edge from a sink d has capacity v(d) at time T only.  Terminals in
     ``infinite_terminals`` get infinite capacity instead (used for the
     maximum-flow-over-time construction, where the terminal demand is the
-    unknown).
+    unknown).  Demands must be given for terminals only, with their signs.
     """
     T = net.horizon
     if S_STAR in net.nodes or D_STAR in net.nodes:
         raise ModelError(f"node ids {S_STAR!r}/{D_STAR!r} are reserved")
-    for s in net.sources:
-        if v.get(s) > 0:
-            raise ModelError(f"source {s} has positive demand")
-    for d in net.sinks:
-        if v.get(d) < 0:
-            raise ModelError(f"sink {d} has negative demand")
+    v.check_against(net)
 
     edges = dict(net.edges)
     for s in sorted(net.sources):

@@ -9,7 +9,6 @@ at oracle scale (the expansion is gated by a size budget).
 from __future__ import annotations
 
 from .model import (
-    INF,
     DemandVector,
     FlowOverTime,
     ModelError,
@@ -141,8 +140,6 @@ def max_flow_over_time(net: TemporalNetwork, horizon: int) -> tuple[int, FlowOve
     canon = canonical_reduction(reduced, v2, infinite_terminals=frozenset({s, d}))
     bps = cten_breakpoints(canon)
     value, _ = max_flow(build_cten(canon.net, bps))
-    if value == INF:
-        raise ModelError("unbounded flow in the open-demand construction")
     best = value - surrogate_total
     witness = None
     try:
@@ -158,11 +155,11 @@ def extract_flow(net: TemporalNetwork, horizon: int, v: DemandVector) -> FlowOve
 
     Attaches super terminals to the original network, solves the full
     expansion, and reads departures off the inter-node arcs (holdover arcs
-    are storage and stay implicit).
+    are storage and stay implicit).  ``attach_super_terminals`` checks the
+    demands against the terminals.
     """
     if v.total() != 0:
         raise ModelError(f"total demand must be 0, got {v.total()}")
-    v.check_against(net)
     full = attach_super_terminals(_at_horizon(net, horizon), v)
     graph = build_ten(full)
     required = sum(d for d in v.values.values() if d > 0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from tempoflow import DemandVector, EdgeFn, PiecewiseConstFn, TemporalNetwork
+from tempoflow import INF, DemandVector, EdgeFn, PiecewiseConstFn, TemporalNetwork
 
 MAX_HORIZON = 10
 MAX_CAP = 5
@@ -12,8 +12,10 @@ MAX_TT = 3
 
 
 @st.composite
-def piecewise_fns(draw, horizon: int | None = None, low: int = 0, high: int = MAX_CAP):
-    """A piecewise-constant function tiling [0, T] with integer values."""
+def piecewise_fns(
+    draw, horizon: int | None = None, low: int = 0, high: int = MAX_CAP, inf: bool = False
+):
+    """A piecewise-constant function tiling [0, T] with integer values (or INF)."""
     T = horizon if horizon is not None else draw(st.integers(0, MAX_HORIZON))
     cuts = draw(
         st.lists(st.integers(1, T), unique=True, max_size=3).map(sorted)
@@ -21,23 +23,25 @@ def piecewise_fns(draw, horizon: int | None = None, low: int = 0, high: int = MA
         else st.just([])
     )
     bounds = [0, *cuts, T + 1]
-    pieces = tuple(
-        (a, b - 1, draw(st.integers(low, high))) for a, b in zip(bounds, bounds[1:])
-    )
+    values = st.integers(low, high) | st.just(INF) if inf else st.integers(low, high)
+    pieces = tuple((a, b - 1, draw(values)) for a, b in zip(bounds, bounds[1:]))
     return PiecewiseConstFn(pieces)
 
 
 @st.composite
-def edge_fns(draw, horizon: int | None = None):
+def edge_fns(draw, horizon: int | None = None, inf: bool = False):
     T = horizon if horizon is not None else draw(st.integers(0, MAX_HORIZON))
-    cap = draw(piecewise_fns(horizon=T))
+    cap = draw(piecewise_fns(horizon=T, inf=inf))
     tt = draw(piecewise_fns(horizon=T, low=0, high=MAX_TT))
     return EdgeFn(cap, tt)
 
 
 @st.composite
-def temporal_networks(draw):
-    """A small layered network: sources first, sinks last, edges forward."""
+def temporal_networks(draw, inf: bool = False):
+    """A small layered network: sources first, sinks last, edges forward.
+
+    With ``inf``, edge capacities may also be INF.
+    """
     T = draw(st.integers(1, MAX_HORIZON))
     n = draw(st.integers(2, 5))
     names = [f"n{k}" for k in range(n)]
@@ -54,7 +58,7 @@ def temporal_networks(draw):
     chosen = draw(
         st.lists(st.sampled_from(candidates), unique=True, min_size=1, max_size=6)
     )
-    edges = {key: draw(edge_fns(horizon=T)) for key in sorted(chosen)}
+    edges = {key: draw(edge_fns(horizon=T, inf=inf)) for key in sorted(chosen)}
     return TemporalNetwork(tuple(names), edges, sources, sinks, T)
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from tempoflow import (
     ModelError,
     OracleBudgetError,
+    attach_super_terminals,
     build_cten,
     build_ten,
     cten_edge_capacity,
@@ -14,7 +15,7 @@ from tempoflow import (
 )
 
 from conftest import build_e1, build_fig4
-from strategies import edge_fns
+from strategies import balanced_demands, edge_fns, temporal_networks
 
 
 def brute_capacity(fn, interval, target):
@@ -32,6 +33,11 @@ def test_interval_partition_convention():
     part = intervals_of((0, 1, 4), 4)
     assert part.intervals == ((0, 0), (1, 3), (4, 4))
     assert part.interval_of(2) == (1, 3)
+    assert [part.index_of(t) for t in (0, 1, 3, 4)] == [0, 1, 1, 2]
+    assert intervals_of((0,), 0).index_of(0) == 0
+    for t in (-1, 5):
+        with pytest.raises(ModelError):
+            part.index_of(t)
 
 
 def test_interval_partition_requires_bounds():
@@ -93,3 +99,29 @@ def test_cten_edge_capacity_matches_brute_force(fn, data) -> None:
     assert cten_edge_capacity(pieces, (a, b), (a2, b2)) == brute_capacity(
         fn, (a, b), (a2, b2)
     )
+
+
+@given(temporal_networks(inf=True), st.data())
+def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
+    """The cTEN is the TEN with each (interval, interval) block summed, in order.
+
+    Blocks are grouped like the arcs of both builders (holdovers per node,
+    then one group per edge) and sorted within a group; blocks inside one
+    interval are dropped.
+    """
+    full = attach_super_terminals(net, data.draw(balanced_demands(net)))
+    T = full.horizon
+    bps = {i: (0, T, *data.draw(st.sets(st.integers(0, T)))) for i in full.nodes}
+    parts = {i: intervals_of(bps[i], T) for i in full.nodes}
+    ten, cten = build_ten(full), build_cten(full, bps)
+    assert cten.vertices == tuple((i, iv) for i in full.nodes for iv in parts[i].intervals)
+    blocks: dict = {}
+    for tail, head, cap in ten.arcs:
+        (i, (t, _)), (j, (t2, _)) = ten.label(tail), ten.label(head)
+        a = cten.vertex(i, parts[i].interval_of(t))
+        b = cten.vertex(j, parts[j].interval_of(t2))
+        if a != b:
+            group = blocks.setdefault((i, j), {})
+            group[a, b] = group.get((a, b), 0) + cap
+    expected = [(a, b, cap) for group in blocks.values() for (a, b), cap in sorted(group.items())]
+    assert [tuple(arc) for arc in cten.arcs] == expected

@@ -117,6 +117,19 @@ def test_extract_flow_infeasible_instance():
         extract_flow(build_e1(), 3, DemandVector({"s": -3, "d": 3}))
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"s": -1, "d": 1, "x": 0}, "non-terminals"),
+        ({"s": 1, "d": -1}, "source s has positive demand"),
+    ],
+    ids=["non-terminal", "positive-source"],
+)
+def test_extract_flow_rejects_bad_demands(values, message):
+    with pytest.raises(ModelError, match=message):
+        extract_flow(build_e1(), 3, DemandVector(values))
+
+
 def test_horizon_monotonicity(corpus):
     from tempoflow.solvers import _at_horizon
 
