@@ -68,7 +68,6 @@ from .feasibility import (
     capacity_oT,
     capacity_oT_ten,
     feas,
-    restrict_for_set,
     verify_violated,
 )
 from .cutlab import (

@@ -21,6 +21,9 @@ borrows the union of the in-neighbors' sets instead of its own.
 
 One pin graph per network holds the anchors, in/out presence and weighted
 adjacency; each node's set is enumerated once, carrying partial sums.
+Callers name the nodes whose sets they need: the verdict asks only for
+the original network's nodes, so gadget nodes are walked through but
+never enumerated from.
 """
 
 from __future__ import annotations
@@ -140,15 +143,18 @@ def pps_settle_neighbor(canon: CanonicalTemporalNetwork, i: str) -> str:
     return a if len(pins.gamma(a)) <= len(pins.gamma(b)) else b
 
 
-def cten_breakpoints(canon: CanonicalTemporalNetwork) -> dict[str, BreakpointSet]:
-    """Per-node sets A_i = (Gamma*(i) within [0, T]) with 0 and T forced in.
+def cten_breakpoints(
+    canon: CanonicalTemporalNetwork, nodes: tuple[str, ...]
+) -> dict[str, BreakpointSet]:
+    """Sets A_i = (Gamma*(i) within [0, T]) with 0 and T forced in, for ``nodes``.
 
-    T + 1 is dropped: a cut time of T + 1 puts the node entirely on the
-    sink side, which the partition can already express.
+    Every node in ``nodes`` must be a node of ``canon``; only their sets
+    are enumerated.  T + 1 is dropped: a cut time of T + 1 puts the node
+    entirely on the sink side, which the partition can already express.
     """
     T = canon.horizon
     pins = _PinGraph(canon)
     return {
         i: tuple(sorted({0, T} | {t for t in pins.gamma_star(i) if t <= T}))
-        for i in canon.net.nodes
+        for i in nodes
     }

@@ -14,6 +14,7 @@ from .model import INF, ModelError, compute_mu, merged_pieces
 from .reductions import attach_super_terminals
 from .expansion import OracleBudgetError, build_ten
 from .maxflow import max_flow
+from .feasibility import capacity_oT_ten
 from .netio import InstanceSpec, ParsedInstance, generate_instance, parse_network, serialize_flow, serialize_network
 from .solvers import BoundedSearchError, dttn_feasible, extract_flow, max_flow_over_time, quickest_transshipment
 
@@ -122,6 +123,12 @@ def _cmd_verify(args) -> int:
     if outcome.feasible != oracle_feasible:
         print("MISMATCH: fast path disagrees with the full-expansion oracle", file=sys.stderr)
         return EXIT_ERROR
+    if not outcome.feasible:
+        o_t = capacity_oT_ten(net, v, outcome.violated)
+        print(f"oT:        fast-path {outcome.o_T}, oracle {o_t}")
+        if outcome.o_T != o_t:
+            print("MISMATCH: certificate capacity disagrees with the full expansion", file=sys.stderr)
+            return EXIT_ERROR
     print("agreement: yes")
     return EXIT_OK if outcome.feasible else EXIT_INFEASIBLE
 
@@ -130,12 +137,11 @@ def _cmd_stats(args) -> int:
     parsed = _load(args.input)
     net, v = parsed.network, parsed.demands
     T = net.horizon
-    outcome = dttn_feasible(net, T, v)
-    canon, cten = outcome.canonical, outcome.graph
-    n_canon = len(canon.net.nodes)
-    ten_nodes = n_canon * (T + 1)
-    ten_arcs = n_canon * T
-    for fn in canon.net.edges.values():
+    cten = dttn_feasible(net, T, v).graph
+    full = attach_super_terminals(net, v)
+    ten_nodes = len(full.nodes) * (T + 1)
+    ten_arcs = len(full.nodes) * T
+    for fn in full.edges.values():
         for (a, b, u, tau) in merged_pieces(fn.capacity, fn.travel_time):
             if u != 0:
                 ten_arcs += max(0, min(b, T - tau) - a + 1)

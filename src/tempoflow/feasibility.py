@@ -1,26 +1,29 @@
 """Feasibility via condensed expansion, with violated-set certificates.
 
 The verdict comes from one steady-state max flow on the condensed
-expansion of the canonical form: the instance is feasible iff the flow
-saturates every super-source edge.  When it does not, the terminals whose
-first (sources) or last (sinks) interval is reachable in the residual
-graph form a violated set: the flow the sources in the set can deliver to
-sinks outside it within the horizon falls short of the set's net demand.
-That flow, o_T, is read off the verdict's own cut, so a verdict costs one
-max flow; ``capacity_oT`` recomputes it by a second one, for checking.
+expansion of the original network with super terminals attached: the
+instance is feasible iff the flow saturates every super-source edge.  The
+gadget-reduced canonical network serves only to derive the original
+nodes' breakpoint sets.  When the flow does not saturate, the terminals
+whose first (sources) or last (sinks) interval is reachable in the
+residual graph form a violated set: the flow the sources in the set can
+deliver to sinks outside it within the horizon falls short of the set's
+net demand.  That flow, o_T, is read off the verdict's own cut, so a
+verdict costs one max flow; ``capacity_oT`` recomputes it by a second one,
+for checking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .model import INF, DemandVector, ModelError, TemporalNetwork
+from .model import INF, DemandVector, ModelError, TemporalNetwork, to_one_shot
 from .reductions import (
     D_STAR,
     S_STAR,
-    CanonicalTemporalNetwork,
     attach_super_terminals,
     canonical_reduction,
+    hoppe_tardos_star,
     one_shot_edge,
 )
 from .breakpoints import cten_breakpoints
@@ -33,7 +36,6 @@ class FeasOutcome:
     """Either a saturating condensed-expansion flow or a violated set."""
 
     feasible: bool
-    canonical: CanonicalTemporalNetwork
     breakpoints: dict[str, tuple[int, ...]]
     graph: ExpandedGraph
     flow_value: int
@@ -48,22 +50,45 @@ class FeasOutcome:
         return f"INFEASIBLE violated={ids} oT={self.o_T} negv={self.neg_v}"
 
 
-def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
-    """Decide feasibility of a gadget-reduced static transshipment instance.
+def feas(
+    net: TemporalNetwork, v: DemandVector, reduced: TemporalNetwork, v2: DemandVector
+) -> FeasOutcome:
+    """Decide feasibility of the demands ``v`` on the temporal network ``net``.
 
-    ``net`` and ``v`` are the output of ``hoppe_tardos_star``: the
-    breakpoint sets are exact only on its canonical form.  The canonical
-    network and its breakpoints are computed once and serve both the
-    verdict and, on an infeasible instance, the certificate.
+    ``reduced`` and ``v2`` are ``hoppe_tardos_star`` of ``net``'s one-shot
+    split.  Their canonical form yields Gamma* of ``net``'s own nodes (s*
+    and d* are anchors, so they get {0, T}); the verdict and, on an
+    infeasible instance, the certificate come from the condensed expansion
+    of ``net`` with super terminals over those sets.
+
+    Why that expansion is exact, though the structure theorem speaks of
+    the canonical network only:
+    1. Holdover arcs make each node's source side in a cut of the full
+       expansion an up-set [phi(i), T].  The condensed expansion merges
+       each interval's steps, so its minimum cut is the least cut of the
+       full expansion with every phi(i) an interval start or T + 1; it is
+       exact iff some minimum cut has every phi(i) in Gamma*(i).
+    2. The one-shot split and the gadgets preserve cuts on the original
+       nodes: with their phi fixed, the least canonical cut over the
+       inserted nodes' times is the original cut plus a constant.  A relay
+       node takes its head's time.  A gadget's forced u-per-step streams
+       make the least cost of its arcs and surrogate super edges a
+       constant plus u per departure step in [alpha, beta] at or after
+       phi(x) that arrives before phi(y): the cost of edge xy in the
+       original cut.  So every canonical minimum cut restricted to the
+       original nodes is a minimum cut of the original expansion.
+    3. The structure theorem gives a canonical minimum cut with every
+       phi(i) in Gamma*(i); by 2 its restriction to the original nodes,
+       with s* at 0 and d* at T + 1, is the minimum cut 1 asks for.
     """
     T = net.horizon
-    canon = canonical_reduction(net, v)
-    bps = cten_breakpoints(canon)
-    graph = build_cten(canon.net, bps)
+    full = attach_super_terminals(net, v)
+    bps = cten_breakpoints(canonical_reduction(reduced, v2), full.nodes)
+    graph = build_cten(full, bps)
     value, flow = max_flow(graph)
     required = sum(d for d in v.values.values() if d > 0)
     if value >= required:
-        return FeasOutcome(True, canon, bps, graph, value)
+        return FeasOutcome(True, bps, graph, value)
     side = residual_reachable(graph, flow)
     violated = set()
     for s in sorted(net.sources):
@@ -87,7 +112,7 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
     #    + v(A cap sinks) and its other arcs at least C.  The other arcs are all
     #    S weighs after restriction, so C is the minimum cut there: o_T(A).
     o_t = value - v.total(a & net.sinks) + v.total(net.sources - a)
-    return FeasOutcome(False, canon, bps, graph, value, a, o_t, -v.total(a))
+    return FeasOutcome(False, bps, graph, value, a, o_t, -v.total(a))
 
 
 def _restrict_super_edges(net: TemporalNetwork, a: frozenset[str]) -> TemporalNetwork:
@@ -115,23 +140,19 @@ def _restrict_super_edges(net: TemporalNetwork, a: frozenset[str]) -> TemporalNe
     return TemporalNetwork(net.nodes, edges, net.sources, net.sinks, T)
 
 
-def restrict_for_set(
-    canon: CanonicalTemporalNetwork, a: frozenset[str]
-) -> CanonicalTemporalNetwork:
-    """The canonical network with the super edges restricted to A."""
-    return replace(canon, net=_restrict_super_edges(canon.net, a))
-
-
 def capacity_oT(
-    canon: CanonicalTemporalNetwork, bps: dict[str, tuple[int, ...]], a: frozenset[str]
+    full: TemporalNetwork, bps: dict[str, tuple[int, ...]], a: frozenset[str]
 ) -> int:
     """Maximum flow A's sources can deliver to sinks outside A by the horizon.
 
-    Restricts the canonical form and solves its condensed expansion over
-    the unrestricted network's breakpoints ``bps`` (restriction only
-    removes paths, so they stay valid).  ``feas`` reads it off its cut.
+    ``full`` is the original network with super terminals attached, and
+    ``bps`` its breakpoints from the unrestricted verdict.  Restricts the
+    super edges to A and solves the condensed expansion over ``bps``:
+    restriction changes super-edge capacities only, and the sets depend on
+    the topology, the anchors and the inner edges alone, so they stay
+    exact.  ``feas`` reads the same value off its cut.
     """
-    value, _ = max_flow(build_cten(restrict_for_set(canon, a).net, bps))
+    value, _ = max_flow(build_cten(_restrict_super_edges(full, a), bps))
     return value
 
 
@@ -149,8 +170,11 @@ def capacity_oT_ten(net: TemporalNetwork, v: DemandVector, a: frozenset[str]) ->
 def verify_violated(net: TemporalNetwork, v: DemandVector, a: frozenset[str]) -> bool:
     """True iff A certifies infeasibility: its capacity is below -v(A).
 
-    Recomputes the canonical form and breakpoints of the gadget-reduced
-    instance from scratch, independently of the verdict that reported A.
+    Recomputes the gadget reduction, its canonical form and the original
+    nodes' breakpoints from scratch, independently of the verdict that
+    reported A, and solves the restricted condensed expansion of ``net``.
     """
-    canon = canonical_reduction(net, v)
-    return capacity_oT(canon, cten_breakpoints(canon), a) < -v.total(a)
+    one_shot, _ = to_one_shot(net)
+    canon = canonical_reduction(*hoppe_tardos_star(one_shot, v))
+    full = attach_super_terminals(net, v)
+    return capacity_oT(full, cten_breakpoints(canon, full.nodes), a) < -v.total(a)

@@ -79,11 +79,16 @@ def hoppe_tardos_star(
     demands = {t: v.get(t) for t in sorted(net.sources | net.sinks)}
     sources = set(net.sources)
     sinks = set(net.sinks)
+    # Gadgets repeat few (u, tau) pairs: each distinct edge is built, and
+    # so validated, once per reduction and shared (EdgeFn is immutable).
+    built: dict[tuple, EdgeFn] = {}
 
     def static(u, tau) -> EdgeFn:
-        return EdgeFn(
-            PiecewiseConstFn.constant(u, T), PiecewiseConstFn.constant(tau, T)
-        )
+        if (u, tau) not in built:
+            built[u, tau] = EdgeFn(
+                PiecewiseConstFn.constant(u, T), PiecewiseConstFn.constant(tau, T)
+            )
+        return built[u, tau]
 
     for (x, y), e in net.edges.items():
         if e.capacity == INF:
@@ -173,12 +178,17 @@ def attach_super_terminals(
     v.check_against(net)
 
     edges = dict(net.edges)
+    built: dict[tuple, EdgeFn] = {}
+
+    def super_edge(t, cap) -> EdgeFn:
+        if (t, cap) not in built:
+            built[t, cap] = one_shot_edge(t, cap, T)
+        return built[t, cap]
+
     for s in sorted(net.sources):
-        cap = INF if s in infinite_terminals else -v.get(s)
-        edges[(S_STAR, s)] = one_shot_edge(0, cap, T)
+        edges[(S_STAR, s)] = super_edge(0, INF if s in infinite_terminals else -v.get(s))
     for d in sorted(net.sinks):
-        cap = INF if d in infinite_terminals else v.get(d)
-        edges[(d, D_STAR)] = one_shot_edge(T, cap, T)
+        edges[(d, D_STAR)] = super_edge(T, INF if d in infinite_terminals else v.get(d))
     return TemporalNetwork(
         net.nodes + (S_STAR, D_STAR),
         edges,
@@ -248,16 +258,12 @@ def classify_roles(
     return frozenset(ps_plus), frozenset(ps_minus), frozenset(pps_minus)
 
 
-def canonical_reduction(
-    net: TemporalNetwork,
-    v: DemandVector,
-    infinite_terminals: frozenset[str] = frozenset(),
-) -> CanonicalTemporalNetwork:
+def canonical_reduction(net: TemporalNetwork, v: DemandVector) -> CanonicalTemporalNetwork:
     """Attach super terminals to a static network and classify node roles."""
     if not net.is_static():
         raise ModelError("canonical reduction requires a static inner network")
     if v.total() != 0:
         raise ModelError(f"total demand must be 0, got {v.total()}")
-    full = attach_super_terminals(net, v, infinite_terminals)
+    full = attach_super_terminals(net, v)
     ps_plus, ps_minus, pps_minus = classify_roles(full)
     return CanonicalTemporalNetwork(full, S_STAR, D_STAR, ps_plus, ps_minus, pps_minus)

@@ -42,7 +42,7 @@ def dttn_feasible(net: TemporalNetwork, horizon: int, v: DemandVector) -> FeasOu
     _check_horizon(net, horizon)
     one_shot, _ = to_one_shot(net)
     reduced, v2 = hoppe_tardos_star(one_shot, v)
-    return feas(reduced, v2)
+    return feas(net, v, reduced, v2)
 
 
 def _at_horizon(net: TemporalNetwork, horizon: int) -> TemporalNetwork:
@@ -120,11 +120,11 @@ def quickest_transshipment(
 def max_flow_over_time(net: TemporalNetwork, horizon: int) -> tuple[int, FlowOverTime | None]:
     """Largest deliverable amount from the single source to the single sink.
 
-    The gadget reduction is built with the terminal demand left open; on
-    its canonical form the two terminal super edges get infinite capacity.
-    One steady-state max flow F on the condensed expansion then gives the
-    answer as F minus the total demand of the surrogate sinks (which is
-    what the gadgets absorb regardless of the terminal demand).
+    The gadget reduction of zero terminal demands gives the original
+    nodes' breakpoints, as in ``feas`` (the sets do not depend on the
+    super-edge capacities).  The answer is one steady-state max flow on the
+    condensed expansion of the network with infinite super edges at both
+    terminals.
     """
     if len(net.sources) != 1 or len(net.sinks) != 1:
         raise ModelError("max flow over time requires a single source and sink")
@@ -133,14 +133,9 @@ def max_flow_over_time(net: TemporalNetwork, horizon: int) -> tuple[int, FlowOve
     d = next(iter(net.sinks))
     one_shot, _ = to_one_shot(net)
     zero = DemandVector({s: 0, d: 0})
-    reduced, v2 = hoppe_tardos_star(one_shot, zero)
-    surrogate_total = sum(
-        val for node, val in v2.values.items() if node not in (s, d) and val > 0
-    )
-    canon = canonical_reduction(reduced, v2, infinite_terminals=frozenset({s, d}))
-    bps = cten_breakpoints(canon)
-    value, _ = max_flow(build_cten(canon.net, bps))
-    best = value - surrogate_total
+    canon = canonical_reduction(*hoppe_tardos_star(one_shot, zero))
+    full = attach_super_terminals(net, zero, infinite_terminals=frozenset({s, d}))
+    best, _ = max_flow(build_cten(full, cten_breakpoints(canon, full.nodes)))
     witness = None
     try:
         demands = DemandVector({s: -best, d: best})

@@ -95,8 +95,7 @@ def test_criterion_03_violated_set_soundness(corpus, fast_verdicts):
             continue
         infeasible += 1
         assert outcome.o_T < outcome.neg_v  # strict, exact integers
-        reduced, v2, _ = reduce_instance(parsed)
-        assert verify_violated(reduced, v2, outcome.violated)
+        assert verify_violated(parsed.network, parsed.demands, outcome.violated)
     assert infeasible > 0
 
 
@@ -107,7 +106,7 @@ def test_criterion_04_condensation_exactness(corpus):
         _, _, canon = reduce_instance(parsed)
         T = canon.horizon
         ten_value, _ = max_flow(build_ten(canon.net))
-        bps = cten_breakpoints(canon)
+        bps = cten_breakpoints(canon, canon.net.nodes)
         cten_value, _ = max_flow(build_cten(canon.net, bps))
         assert cten_value == ten_value
 
@@ -122,6 +121,32 @@ def test_criterion_04_condensation_exactness(corpus):
             assert lossy_value >= ten_value
             perturbed_checked += 1
     assert perturbed_checked >= 200
+
+
+def test_criterion_04_original_network_condensation(corpus, fast_verdicts):
+    """The verdict's cTEN of the original network is exact, and not trivially.
+
+    Its value equals the TEN's; dropping interior breakpoints never lowers
+    it (a coarser partition only merges TEN vertices) and must raise it
+    somewhere in the corpus, or the sets would not be doing any work.
+    """
+    outcomes, _ = fast_verdicts
+    rng = random.Random(404)
+    raised = 0
+    for parsed, outcome in zip(corpus, outcomes):
+        net, v = parsed.network, parsed.demands
+        T = net.horizon
+        full = attach_super_terminals(net, v)
+        ten_value, _ = max_flow(build_ten(full))
+        assert outcome.flow_value == ten_value
+        lossy = {
+            i: tuple(t for t in pts if t in (0, T) or rng.random() < 0.5)
+            for i, pts in outcome.breakpoints.items()
+        }
+        lossy_value, _ = max_flow(build_cten(full, lossy))
+        assert lossy_value >= ten_value
+        raised += lossy_value > ten_value
+    assert raised >= 1
 
 
 def diversify_min_cut(ten, values, movable, horizon, rng, steps):
@@ -253,7 +278,7 @@ def test_criterion_07_condensed_size_bounds(capsys):
         one_shot, _ = to_one_shot(net)
         reduced, v2 = hoppe_tardos_star(one_shot, v)
         canon = canonical_reduction(reduced, v2)
-        cten = build_cten(canon.net, cten_breakpoints(canon))
+        cten = build_cten(canon.net, cten_breakpoints(canon, canon.net.nodes))
         n = len(net.nodes)
         ratios_nodes.append(len(cten.vertices) / mu)
         ratios_arcs.append(len(cten.arcs) / (n * mu))
@@ -264,6 +289,45 @@ def test_criterion_07_condensed_size_bounds(capsys):
         print(
             f"\n[criterion 7] condensed size constants: "
             f"nodes <= {c1:.1f} * mu, arcs <= {c2:.1f} * n * mu"
+        )
+
+
+def test_criterion_07_original_network_size_bounds(capsys):
+    """Size of the verdict's cTEN, which is built on the original network.
+
+    On the one-edge family both nodes are pseudoterminals of the canonical
+    form, so their sets are {0, T} and the graph has the same size at every
+    mu.  Behind a middle node m, the alternating capacities reach m's set,
+    so the graph grows with mu, but linearly.
+    """
+    from tempoflow import compute_mu
+
+    sizes = set()
+    ratios_nodes, ratios_arcs = [], []
+    for mu in (10, 20, 40, 80, 160):
+        net, v = scale_family(mu)
+        sizes.add(len(dttn_feasible(net, net.horizon, v).graph.vertices))
+        T = mu - 1
+        caps = [(t, t, 1 + (t % 2)) for t in range(T + 1)]
+        chain = make_network(
+            ("s", "m", "d"),
+            {("s", "m"): (caps, 1), ("m", "d"): ([(0, T, 2)], 2)},
+            {"s"},
+            {"d"},
+            T,
+        )
+        mu_chain = compute_mu(chain)
+        cten = dttn_feasible(chain, T, v).graph
+        ratios_nodes.append(len(cten.vertices) / mu_chain)
+        ratios_arcs.append(len(cten.arcs) / (len(chain.nodes) * mu_chain))
+    assert len(sizes) == 1
+    assert max(ratios_nodes) / min(ratios_nodes) < 2.0
+    assert max(ratios_arcs) / min(ratios_arcs) < 2.0
+    with capsys.disabled():
+        print(
+            f"\n[criterion 7, original network] one edge: {sizes.pop()} vertices at every mu; "
+            f"chain: nodes <= {max(ratios_nodes):.1f} * mu, "
+            f"arcs <= {max(ratios_arcs):.1f} * n * mu"
         )
 
 

@@ -51,7 +51,7 @@ def test_chain_gamma_terminals_trivial():
 
 def test_breakpoints_replace_top_with_horizon():
     canon = chain_canonical()
-    bps = cten_breakpoints(canon)
+    bps = cten_breakpoints(canon, canon.net.nodes)
     assert bps["q"] == (0, 2, 3, 8, 9, 10)  # 11 dropped, 10 forced in
     assert bps["p"] == (0, 10)
 
@@ -82,7 +82,7 @@ def test_all_sets_within_range():
         g = gamma_star(canon, i)
         assert all(0 <= t <= T + 1 for t in g)
         assert 0 in g and T + 1 in g
-    bps = cten_breakpoints(canon)
+    bps = cten_breakpoints(canon, canon.net.nodes)
     for i, pts in bps.items():
         assert pts[0] == 0 and pts[-1] == T
         assert T + 1 not in pts
@@ -103,7 +103,7 @@ def test_cten_breakpoints_match_gamma_star(corpus):
         one_shot, _ = to_one_shot(parsed.network)
         canon = canonical_reduction(*hoppe_tardos_star(one_shot, parsed.demands))
         T = canon.horizon
-        bps = cten_breakpoints(canon)
+        bps = cten_breakpoints(canon, canon.net.nodes)
         for i in canon.net.nodes:
             clipped = {t for t in gamma_star(canon, i) if 0 <= t <= T}
             assert bps[i] == tuple(sorted(clipped | {0, T}))

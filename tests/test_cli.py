@@ -76,6 +76,34 @@ def test_stats(e1_path, capsys):
     assert "cten-nodes" in out and "ten-nodes" in out
 
 
+def test_stats_compares_expansions_of_one_network(e1_path, capsys):
+    from tempoflow import DemandVector, attach_super_terminals, build_ten
+
+    from conftest import build_e1
+
+    assert main(["stats", "-i", e1_path]) == 0
+    sizes = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    ten = build_ten(attach_super_terminals(build_e1(), DemandVector({"s": -2, "d": 2})))
+    assert int(sizes["ten-nodes"]) == len(ten.vertices)
+    assert int(sizes["ten-arcs"]) == len(ten.arcs)
+    assert int(sizes["cten-nodes"]) <= int(sizes["ten-nodes"])
+
+
+def test_verify_checks_certificate(infeasible_path, capsys):
+    assert main(["verify", "-i", infeasible_path]) == 1
+    out = capsys.readouterr().out
+    assert "oT:        fast-path 2, oracle 2" in out and "agreement: yes" in out
+
+
+def test_verify_reports_certificate_mismatch(infeasible_path, capsys, monkeypatch):
+    import tempoflow.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "capacity_oT_ten", lambda net, v, a: 99)
+    assert main(["verify", "-i", infeasible_path]) == 2
+    captured = capsys.readouterr()
+    assert "MISMATCH" in captured.err and "agreement" not in captured.out
+
+
 def test_missing_file_is_error(capsys):
     assert main(["feas", "-i", "/no/such/file"]) == 2
     assert "error:" in capsys.readouterr().err

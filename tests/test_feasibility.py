@@ -1,7 +1,11 @@
 from collections import Counter
 
+from hypothesis import given, settings
+
 from tempoflow import (
     DemandVector,
+    attach_super_terminals,
+    build_ten,
     canonical_reduction,
     capacity_oT,
     capacity_oT_ten,
@@ -9,44 +13,45 @@ from tempoflow import (
     dttn_feasible,
     feas,
     hoppe_tardos_star,
-    restrict_for_set,
+    max_flow,
     to_one_shot,
     verify_violated,
 )
-from tempoflow.model import INF
 
-from conftest import build_e1
-
-
-def reduced_e1(v):
-    one_shot, _ = to_one_shot(build_e1())
-    return hoppe_tardos_star(one_shot, v)
+from conftest import build_e1, make_network
+from strategies import demand_instances
 
 
-def fast_capacity(reduced, v2, a):
-    canon = canonical_reduction(reduced, v2)
-    return capacity_oT(canon, cten_breakpoints(canon), a)
+def feas_e1(v):
+    net = build_e1()
+    one_shot, _ = to_one_shot(net)
+    return feas(net, v, *hoppe_tardos_star(one_shot, v))
+
+
+def fast_capacity(net, v, a):
+    one_shot, _ = to_one_shot(net)
+    canon = canonical_reduction(*hoppe_tardos_star(one_shot, v))
+    full = attach_super_terminals(net, v)
+    return capacity_oT(full, cten_breakpoints(canon, full.nodes), a)
 
 
 def test_zero_demand_feasible():
-    reduced, v2 = reduced_e1(DemandVector({"s": 0, "d": 0}))
-    assert feas(reduced, v2).feasible
+    assert feas_e1(DemandVector({"s": 0, "d": 0})).feasible
 
 
 def test_e1_two_units_feasible():
-    reduced, v2 = reduced_e1(DemandVector({"s": -2, "d": 2}))
-    outcome = feas(reduced, v2)
+    outcome = feas_e1(DemandVector({"s": -2, "d": 2}))
     assert outcome.feasible
     assert outcome.serialize() == "FEASIBLE"
 
 
 def test_e1_three_units_infeasible_with_certificate():
-    reduced, v2 = reduced_e1(DemandVector({"s": -3, "d": 3}))
-    outcome = feas(reduced, v2)
+    v = DemandVector({"s": -3, "d": 3})
+    outcome = feas_e1(v)
     assert not outcome.feasible
     assert outcome.violated and "s" in outcome.violated
     assert outcome.o_T < outcome.neg_v
-    assert verify_violated(reduced, v2, outcome.violated)
+    assert verify_violated(build_e1(), v, outcome.violated)
     assert outcome.serialize().startswith("INFEASIBLE violated=")
     assert "<" not in outcome.serialize()
 
@@ -74,28 +79,27 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    outcome = dttn_feasible(build_e1(), 3, DemandVector({"s": -3, "d": 3}))
+    # A chain whose middle node is no anchor, so its set is enumerated.
+    net = make_network(
+        ("s", "m", "d"),
+        {("s", "m"): ([(0, 3, 1)], 1), ("m", "d"): ([(0, 3, 1)], 1)},
+        {"s"},
+        {"d"},
+        3,
+    )
+    v = DemandVector({"s": -3, "d": 3})
+    outcome = dttn_feasible(net, 3, v)
     assert not outcome.feasible
-    assert pin_starts and set(pin_starts.values()) == {1}
+    # Pin sums start at original nodes only, never at gadget nodes.
+    assert set(pin_starts) == {"m"} and set(pin_starts.values()) == {1}
     assert calls == {
         "canonical_reduction": 1,
         "cten_breakpoints": 1,
         "build_cten": 1,
         "max_flow": 1,
-        "merged_pieces": len(outcome.canonical.net.edges),
-        "pin_sums": len(pin_starts),
+        "merged_pieces": len(attach_super_terminals(net, v).edges),
+        "pin_sums": 1,
     }
-
-
-def test_restrict_for_set_capacities():
-    reduced, v2 = reduced_e1(DemandVector({"s": -3, "d": 3}))
-    canon = canonical_reduction(reduced, v2)
-    sources = {j for (i, j) in canon.net.edges if i == canon.s_star}
-    a = frozenset({"s"})
-    restricted = restrict_for_set(canon, a)
-    for s in sources:
-        cap = restricted.net.edges[(canon.s_star, s)].capacity(0)
-        assert cap == (INF if s in a else 0)
 
 
 def test_capacity_oT_e1_source_side():
@@ -106,58 +110,55 @@ def test_capacity_oT_e1_source_side():
 
 
 def test_capacity_oT_matches_reported_certificate():
-    reduced, v2 = reduced_e1(DemandVector({"s": -3, "d": 3}))
-    outcome = feas(reduced, v2)
+    v = DemandVector({"s": -3, "d": 3})
+    outcome = feas_e1(v)
     assert not outcome.feasible
-    fast = fast_capacity(reduced, v2, outcome.violated)
-    assert fast == outcome.o_T == 4
+    fast = fast_capacity(build_e1(), v, outcome.violated)
+    assert fast == outcome.o_T == 2
 
 
 def test_capacity_oT_empty_and_full():
-    reduced, v2 = reduced_e1(DemandVector({"s": -2, "d": 2}))
-    terminals = frozenset(reduced.terminals)
-    assert fast_capacity(reduced, v2, frozenset()) == 0
-    assert fast_capacity(reduced, v2, terminals) == 0
+    net, v = build_e1(), DemandVector({"s": -2, "d": 2})
+    assert fast_capacity(net, v, frozenset()) == 0
+    assert fast_capacity(net, v, net.terminals) == 0
 
 
 def test_capacity_modes_agree(corpus):
     for parsed in corpus[:30]:
         net, v = parsed.network, parsed.demands
-        one_shot, _ = to_one_shot(net)
-        reduced, v2 = hoppe_tardos_star(one_shot, v)
-        a = frozenset(s for s in reduced.sources if v2.get(s) < 0)
-        fast = fast_capacity(reduced, v2, a)
-        slow = capacity_oT_ten(reduced, v2, a)
-        assert fast == slow
+        a = frozenset(s for s in net.sources if v.get(s) < 0)
+        assert fast_capacity(net, v, a) == capacity_oT_ten(net, v, a)
 
 
 def test_claim_identity_on_infeasible(corpus):
     """|f| - v(A cap S-) + v((S \\ A) cap S+) equals the restricted max flow."""
-    from tempoflow import build_cten, max_flow
-
     checked = 0
     for parsed in corpus:
         net, v = parsed.network, parsed.demands
         outcome = dttn_feasible(net, net.horizon, v)
         if outcome.feasible:
             continue
-        canon = outcome.canonical
         a = outcome.violated
-        reduced_sinks = {i for (i, j) in canon.net.edges if j == canon.d_star}
-        reduced_sources = {j for (i, j) in canon.net.edges if i == canon.s_star}
-        v2 = {
-            s: -canon.net.edges[(canon.s_star, s)].capacity(0) for s in reduced_sources
-        } | {d: canon.net.edges[(d, canon.d_star)].capacity(canon.horizon) for d in reduced_sinks}
-        restricted = restrict_for_set(canon, a)
-        value, _ = max_flow(build_cten(restricted.net, outcome.breakpoints))
-        expected = (
-            outcome.flow_value
-            - sum(v2[d] for d in a & reduced_sinks)
-            + sum(v2[s] for s in (reduced_sources - a))
-        )
+        assert a <= net.terminals
+        value = capacity_oT(attach_super_terminals(net, v), outcome.breakpoints, a)
+        expected = outcome.flow_value - v.total(a & net.sinks) + v.total(net.sources - a)
         assert value == expected
-        assert outcome.o_T == value
+        assert outcome.o_T == value == capacity_oT_ten(net, v, a)
         checked += 1
         if checked >= 25:
             break
     assert checked >= 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(demand_instances())
+def test_verdict_flow_equals_original_ten(instance):
+    """The original network's cTEN has the TEN's max-flow value and certificate."""
+    net, v = instance
+    outcome = dttn_feasible(net, net.horizon, v)
+    ten_value, _ = max_flow(build_ten(attach_super_terminals(net, v)))
+    assert outcome.flow_value == ten_value
+    if not outcome.feasible:
+        assert outcome.violated <= net.terminals
+        assert outcome.o_T == capacity_oT_ten(net, v, outcome.violated)
+        assert outcome.o_T < outcome.neg_v

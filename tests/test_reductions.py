@@ -63,6 +63,31 @@ def test_infinite_capacity_rejected():
         hoppe_tardos_star(one_shot, DemandVector({"s": -1, "d": 1}))
 
 
+def test_gadget_and_super_edges_shared(corpus):
+    """One EdgeFn object per gadget (u, tau) and per super-edge (time, capacity)."""
+
+    def assert_shared(keyed):
+        ids: dict[tuple, set[int]] = {}
+        for key, fn in keyed:
+            ids.setdefault(key, set()).add(id(fn))
+        assert all(len(group) == 1 for group in ids.values())
+
+    for parsed in corpus[:40]:
+        net, v = parsed.network, parsed.demands
+        T = net.horizon
+        one_shot, _ = to_one_shot(net)
+        reduced, _ = hoppe_tardos_star(one_shot, v)
+        assert_shared(
+            ((fn.capacity(0), fn.travel_time(0)), fn) for fn in reduced.edges.values()
+        )
+        full = attach_super_terminals(net, v)
+        assert_shared(
+            ((0, -v.get(j)) if i == "s*" else (T, v.get(i)), fn)
+            for (i, j), fn in full.edges.items()
+            if (i, j) not in net.edges
+        )
+
+
 def test_attach_super_terminals_windows():
     net = build_e1()
     v = DemandVector({"s": -2, "d": 2})
