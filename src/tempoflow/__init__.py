@@ -39,6 +39,7 @@ from .reductions import (
 )
 from .breakpoints import (
     EnumerationCapError,
+    canonical_breakpoints,
     cten_breakpoints,
     gamma_enumerate,
     gamma_star,
@@ -68,6 +69,7 @@ from .feasibility import (
     capacity_oT,
     capacity_oT_ten,
     feas,
+    gadget_breakpoints,
     verify_violated,
 )
 from .cutlab import (

@@ -1,35 +1,45 @@
 """Critical-time sets that make the condensed expansion exact.
 
-A minimum cut of the full expansion can always be rearranged, at equal
-cost, so that every node's cut time is "pinned": connected to a node
-sitting at a boundary value (0 or T + 1) through a chain of edges whose
-endpoint cut times differ by exactly the edge's travel time.  Pin chains
-traverse edges in either orientation and terminate at the first node that
-settles on the boundary — the super terminals and the pseudoterminals.
+A minimum cut of the full expansion of the gadget-reduced canonical
+network can always be rearranged, at equal cost, so that every node's cut
+time is "pinned": connected to a node sitting at a boundary value (0 or
+T + 1) through a chain of edges whose endpoint cut times differ by exactly
+the edge's travel time.  Pin chains traverse edges in either orientation
+and terminate at the first node that settles on the boundary — the super
+terminals and the pseudoterminals (the anchors).
 
 Gamma(i) therefore collects, over undirected simple paths from i to any
-potential boundary node (with no boundary node in the interior of the
-path), the sums of signed travel times, offset by both boundary values
-and clamped to [0, T + 1].  Blocking propagation through boundary nodes
-is what keeps the sets small: on gadget-reduced networks each set is
-proportional to the local degree, so the condensed expansion has size
-linear in the number of constant pieces and independent of the horizon.
+anchor (with no anchor in the interior of the path), the sums of signed
+travel times, offset by both boundary values and clamped to [0, T + 1].
+Blocking propagation through anchors is what keeps the sets small: on
+gadget-reduced networks each set is proportional to the local degree, so
+the condensed expansion has size linear in the number of constant pieces
+and independent of the horizon.  For a pseudo-pseudosink the settling
+moves land its cut time on one of its two in-neighbors' values (or the
+boundary), so its set (Gamma*) borrows the union of the in-neighbors' sets.
 
-For a pseudo-pseudosink the settling moves land its cut time on one of
-its two in-neighbors' values (or the boundary), so its set (Gamma*)
-borrows the union of the in-neighbors' sets instead of its own.
-
-One pin graph per network holds the anchors, in/out presence and weighted
-adjacency; each node's set is enumerated once, carrying partial sums.
-Callers name the nodes whose sets they need: the verdict asks only for
-the original network's nodes, so gadget nodes are walked through but
-never enumerated from.
+The verdict needs the sets of the original nodes only, and those are read
+straight off the one-shot network (``cten_breakpoints``): every gadget
+edge has travel time alpha, tau, T - beta or 0, so a pin path crosses the
+gadget of edge x -> y in one of a few fixed shapes.  It enters at x (or
+y), may leave through one of the gadget's four anchors, and otherwise
+crosses to the other endpoint with plus or minus tau.  Crossing uses the
+gadget's t+ and t-, so a path crosses each gadget at most once and cannot
+leave through the gadget it arrived by.  The gadget form itself, one pin
+graph per canonical network (``canonical_breakpoints``), stays as the
+independent derivation that certificates and tests check the sets with.
 """
 
 from __future__ import annotations
 
-from .model import ModelError
-from .reductions import CanonicalTemporalNetwork, StructuralError
+from .model import ModelError, OneShotNetwork
+from .reductions import (
+    D_STAR,
+    S_STAR,
+    CanonicalTemporalNetwork,
+    StructuralError,
+    check_gadget_reducible,
+)
 
 # Simple paths enumerated per node before giving up.
 PATH_CAP = 200_000
@@ -143,18 +153,98 @@ def pps_settle_neighbor(canon: CanonicalTemporalNetwork, i: str) -> str:
     return a if len(pins.gamma(a)) <= len(pins.gamma(b)) else b
 
 
-def cten_breakpoints(
+def _clip(sums: set[int], horizon: int) -> BreakpointSet:
+    """A_i from the pin sums of Gamma(i): both boundary offsets within [0, T], plus 0 and T.
+
+    T + 1 is dropped: a cut time of T + 1 puts the node entirely on the
+    sink side, which the partition can already express.
+    """
+    T = horizon
+    kept = {t for t in sums if 0 <= t <= T} | {T + 1 + t for t in sums if -T - 1 <= t < 0}
+    return tuple(sorted({0, T} | kept))
+
+
+def canonical_breakpoints(
     canon: CanonicalTemporalNetwork, nodes: tuple[str, ...]
 ) -> dict[str, BreakpointSet]:
     """Sets A_i = (Gamma*(i) within [0, T]) with 0 and T forced in, for ``nodes``.
 
-    Every node in ``nodes`` must be a node of ``canon``; only their sets
-    are enumerated.  T + 1 is dropped: a cut time of T + 1 puts the node
-    entirely on the sink side, which the partition can already express.
+    Enumerated on the gadget form; every node in ``nodes`` must be a node
+    of ``canon``.
     """
     T = canon.horizon
     pins = _PinGraph(canon)
     return {
         i: tuple(sorted({0, T} | {t for t in pins.gamma_star(i) if t <= T}))
+        for i in nodes
+    }
+
+
+def cten_breakpoints(
+    one_shot: OneShotNetwork, nodes: tuple[str, ...]
+) -> dict[str, BreakpointSet]:
+    """The gadget form's sets A_i for original nodes, read off the one-shot network.
+
+    ``nodes`` are nodes of ``one_shot`` or s*/d*, never gadget nodes (so
+    never pseudo-pseudosinks: Gamma* is Gamma).  An edge x -> y with window
+    [alpha, beta] and travel time tau is one undirected step of weight
+    plus or minus tau between x and y.  A path at x with partial sums P
+    also reaches the gadget's anchors with P + {+-alpha, 0, 0, +-(T - beta)}
+    (through s+, s2-, s2+ and s-: four paths), and a path at y with
+    P +- tau + the same offsets.  The sets and the counts charged against
+    ``PATH_CAP`` are those of the gadget form path for path.  The input
+    must be gadget-reducible except for INF capacities, which no set reads.
+    """
+    check_gadget_reducible(one_shot)
+    T = one_shot.horizon
+    anchors = one_shot.sources | one_shot.sinks | {S_STAR, D_STAR}
+    # Per node, per incident edge: (edge, far endpoint, tau, exit offsets).
+    sides: dict[str, list[tuple[tuple[str, str], str, int, set[int]]]] = {
+        n: [] for n in one_shot.nodes
+    }
+    heads, tails = set(), set()
+    for edge, e in one_shot.edges.items():
+        x, y = edge
+        tau = e.travel_time
+        near = {e.alpha, -e.alpha, 0, T - e.beta, e.beta - T}
+        sides[x].append((edge, y, tau, near))
+        sides[y].append((edge, x, tau, {w + s for w in near for s in (tau, -tau)}))
+        tails.add(x)
+        heads.add(y)
+
+    def pin_sums(start: str) -> set[int]:
+        sums: set[int] = set()
+        budget = PATH_CAP
+        on_path = {start}
+
+        def charge(paths: int):
+            nonlocal budget
+            budget -= paths
+            if budget < 0:
+                raise EnumerationCapError(f"more than {PATH_CAP} simple paths from {start}")
+
+        def dfs(node: str, partial: set[int], arrived_by):
+            for edge, far, tau, exits in sides[node]:
+                if edge == arrived_by:  # its t+ and t- are on the path
+                    continue
+                charge(4)
+                sums.update(p + w for p in partial for w in exits)
+                if far in on_path:
+                    continue
+                reached = {p + s for p in partial for s in (tau, -tau)}
+                if far in anchors:
+                    charge(1)
+                    sums.update(reached)
+                else:
+                    on_path.add(far)
+                    dfs(far, reached, edge)
+                    on_path.remove(far)
+
+        dfs(start, {0}, None)
+        return sums
+
+    return {
+        # Anchors and nodes lacking an in- or an out-edge have {0, T}.
+        i: _clip(set() if i in anchors or i not in heads or i not in tails else pin_sums(i), T)
         for i in nodes
     }

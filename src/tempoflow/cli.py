@@ -14,7 +14,7 @@ from .model import INF, ModelError, compute_mu, merged_pieces
 from .reductions import attach_super_terminals
 from .expansion import OracleBudgetError, build_ten
 from .maxflow import max_flow
-from .feasibility import capacity_oT_ten
+from .feasibility import capacity_oT_ten, gadget_breakpoints
 from .netio import InstanceSpec, ParsedInstance, generate_instance, parse_network, serialize_flow, serialize_network
 from .solvers import BoundedSearchError, dttn_feasible, extract_flow, max_flow_over_time, quickest_transshipment
 
@@ -123,6 +123,10 @@ def _cmd_verify(args) -> int:
     if outcome.feasible != oracle_feasible:
         print("MISMATCH: fast path disagrees with the full-expansion oracle", file=sys.stderr)
         return EXIT_ERROR
+    if outcome.breakpoints != gadget_breakpoints(net, v):
+        print("MISMATCH: breakpoint sets disagree with the gadget form's", file=sys.stderr)
+        return EXIT_ERROR
+    print("breakpoints: agree")
     if not outcome.feasible:
         o_t = capacity_oT_ten(net, v, outcome.violated)
         print(f"oT:        fast-path {outcome.o_T}, oracle {o_t}")

@@ -3,21 +3,22 @@
 The verdict comes from one steady-state max flow on the condensed
 expansion of the original network with super terminals attached: the
 instance is feasible iff the flow saturates every super-source edge.  The
-gadget-reduced canonical network serves only to derive the original
-nodes' breakpoint sets.  When the flow does not saturate, the terminals
+breakpoint sets are the gadget-reduced canonical network's, read straight
+off the one-shot split.  When the flow does not saturate, the terminals
 whose first (sources) or last (sinks) interval is reachable in the
 residual graph form a violated set: the flow the sources in the set can
 deliver to sinks outside it within the horizon falls short of the set's
 net demand.  That flow, o_T, is read off the verdict's own cut, so a
 verdict costs one max flow; ``capacity_oT`` recomputes it by a second one,
-for checking.
+for checking, and ``verify_violated`` does so over sets derived on the
+gadget form itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .model import INF, DemandVector, ModelError, TemporalNetwork, to_one_shot
+from .model import INF, DemandVector, ModelError, OneShotNetwork, TemporalNetwork, to_one_shot
 from .reductions import (
     D_STAR,
     S_STAR,
@@ -26,7 +27,7 @@ from .reductions import (
     hoppe_tardos_star,
     one_shot_edge,
 )
-from .breakpoints import cten_breakpoints
+from .breakpoints import BreakpointSet, canonical_breakpoints, cten_breakpoints
 from .expansion import build_cten, build_ten, intervals_of, ExpandedGraph
 from .maxflow import max_flow, residual_reachable
 
@@ -50,16 +51,14 @@ class FeasOutcome:
         return f"INFEASIBLE violated={ids} oT={self.o_T} negv={self.neg_v}"
 
 
-def feas(
-    net: TemporalNetwork, v: DemandVector, reduced: TemporalNetwork, v2: DemandVector
-) -> FeasOutcome:
+def feas(net: TemporalNetwork, v: DemandVector, one_shot: OneShotNetwork) -> FeasOutcome:
     """Decide feasibility of the demands ``v`` on the temporal network ``net``.
 
-    ``reduced`` and ``v2`` are ``hoppe_tardos_star`` of ``net``'s one-shot
-    split.  Their canonical form yields Gamma* of ``net``'s own nodes (s*
-    and d* are anchors, so they get {0, T}); the verdict and, on an
-    infeasible instance, the certificate come from the condensed expansion
-    of ``net`` with super terminals over those sets.
+    ``one_shot`` is ``net``'s one-shot split.  The Gamma* sets of the
+    split's gadget-reduced canonical form, read off the split for ``net``'s
+    own nodes (s* and d* are anchors, so they get {0, T}), give the
+    condensed expansion of ``net`` with super terminals; the verdict and,
+    on an infeasible instance, the certificate come from its max flow.
 
     Why that expansion is exact, though the structure theorem speaks of
     the canonical network only:
@@ -80,10 +79,24 @@ def feas(
     3. The structure theorem gives a canonical minimum cut with every
        phi(i) in Gamma*(i); by 2 its restriction to the original nodes,
        with s* at 0 and d* at T + 1, is the minimum cut 1 asks for.
+    4. ``cten_breakpoints`` enumerates exactly the canonical pin paths
+       from original nodes.  The gadget of edge xy joins x and y only
+       through its t- and t+, and its other inner nodes t2- and t2+ lead
+       only to its anchors s+, s-, s2+ and s2-.  So a simple path crosses
+       each gadget at most once, x-t--t+-y or back, adding +-tau; from
+       either side it can end in the gadget's four anchor exits, offset
+       by {+-alpha, 0, 0, +-(T - beta)} (plus +-tau from the y side); and
+       the gadget it arrived by is used up, its t+ and t- being on the
+       path.  A gadget whose far endpoint is on the path still offers
+       its exits.  Original nodes are never pseudo-pseudosinks, so their
+       Gamma* is their Gamma.  No capacity enters a sum, so INF
+       capacities need no finite stand-in here.
     """
+    if v.total() != 0:
+        raise ModelError(f"total demand must be 0, got {v.total()}")
     T = net.horizon
     full = attach_super_terminals(net, v)
-    bps = cten_breakpoints(canonical_reduction(reduced, v2), full.nodes)
+    bps = cten_breakpoints(one_shot, full.nodes)
     graph = build_cten(full, bps)
     value, flow = max_flow(graph)
     required = sum(d for d in v.values.values() if d > 0)
@@ -167,14 +180,33 @@ def capacity_oT_ten(net: TemporalNetwork, v: DemandVector, a: frozenset[str]) ->
     return value
 
 
+def gadget_breakpoints(net: TemporalNetwork, v: DemandVector) -> dict[str, BreakpointSet]:
+    """The original nodes' sets (s* and d* included), enumerated on the gadget form.
+
+    An independent derivation of ``cten_breakpoints``: the one-shot split is
+    gadget-reduced and the sets are read off its canonical form's pin
+    graph.  Each INF capacity becomes one more than the largest finite
+    one; the sets read no capacity, and the gadget demands stay finite.
+    """
+    one_shot, _ = to_one_shot(net)
+    stand_in = net.max_finite_capacity() + 1
+    finite = replace(
+        one_shot,
+        edges={
+            edge: replace(e, capacity=stand_in) if e.capacity == INF else e
+            for edge, e in one_shot.edges.items()
+        },
+    )
+    canon = canonical_reduction(*hoppe_tardos_star(finite, v))
+    return canonical_breakpoints(canon, net.nodes + (S_STAR, D_STAR))
+
+
 def verify_violated(net: TemporalNetwork, v: DemandVector, a: frozenset[str]) -> bool:
     """True iff A certifies infeasibility: its capacity is below -v(A).
 
-    Recomputes the gadget reduction, its canonical form and the original
-    nodes' breakpoints from scratch, independently of the verdict that
-    reported A, and solves the restricted condensed expansion of ``net``.
+    Recomputes the original nodes' breakpoints on the gadget form, so
+    independently of the verdict that reported A and of its enumerator,
+    and solves the restricted condensed expansion of ``net``.
     """
-    one_shot, _ = to_one_shot(net)
-    canon = canonical_reduction(*hoppe_tardos_star(one_shot, v))
     full = attach_super_terminals(net, v)
-    return capacity_oT(full, cten_breakpoints(canon, full.nodes), a) < -v.total(a)
+    return capacity_oT(full, gadget_breakpoints(net, v), a) < -v.total(a)

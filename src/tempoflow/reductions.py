@@ -56,6 +56,29 @@ def _gadget_names(x: str, y: str) -> dict[str, str]:
     }
 
 
+def check_gadget_reducible(net: OneShotNetwork):
+    """Reject what the gadgets could not represent, INF capacities aside.
+
+    A finite capacity u makes a second-stage demand u * (T + 1), which must
+    fit the machine integer range, and no node may already carry a gadget
+    node's name.  Gadget names contain ':' and determine their edge when
+    no node id does, so the names are compared only when one does.
+    """
+    T = net.horizon
+    for (x, y), e in net.edges.items():
+        if e.capacity != INF:
+            check_width(e.capacity * (T + 1), f"gadget demand for edge ({x}, {y})")
+    if not any(":" in n for n in net.nodes):
+        return
+    existing = set(net.nodes)
+    for (x, y) in net.edges:
+        names = set(_gadget_names(x, y).values())
+        clash = names & existing
+        if clash:
+            raise ModelError(f"node ids {sorted(clash)} are reserved for the reduction")
+        existing |= names
+
+
 def hoppe_tardos_star(
     net: OneShotNetwork, v: DemandVector
 ) -> tuple[TemporalNetwork, DemandVector]:
@@ -73,8 +96,8 @@ def hoppe_tardos_star(
         raise ModelError(f"total demand must be 0, got {v.total()}")
     v.check_against(net)
 
+    check_gadget_reducible(net)
     nodes = list(net.nodes)
-    existing = set(nodes)
     edges: dict[tuple[str, str], EdgeFn] = {}
     demands = {t: v.get(t) for t in sorted(net.sources | net.sinks)}
     sources = set(net.sources)
@@ -97,12 +120,7 @@ def hoppe_tardos_star(
                 "(the surrogate demands would be infinite)"
             )
         u, tau, alpha, beta = e.capacity, e.travel_time, e.alpha, e.beta
-        check_width(u * (T + 1), f"gadget demand for edge ({x}, {y})")
         names = _gadget_names(x, y)
-        clash = set(names.values()) & existing
-        if clash:
-            raise ModelError(f"node ids {sorted(clash)} are reserved for the reduction")
-        existing.update(names.values())
         nodes.extend(names.values())
 
         edges[(names["s+"], names["t+"])] = static(u, alpha)

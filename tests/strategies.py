@@ -74,6 +74,7 @@ def balanced_demands(draw, net: TemporalNetwork):
 
 
 @st.composite
-def demand_instances(draw):
-    net = draw(temporal_networks())
+def demand_instances(draw, inf: bool = False):
+    """A network (with INF capacities allowed under ``inf``) and balanced demands."""
+    net = draw(temporal_networks(inf=inf))
     return net, draw(balanced_demands(net))

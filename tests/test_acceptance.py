@@ -22,9 +22,9 @@ from tempoflow import (
     attach_super_terminals,
     build_cten,
     build_ten,
+    canonical_breakpoints,
     canonical_reduction,
     canonicalize_min_cut,
-    cten_breakpoints,
     cten_edge_capacity,
     cut_cost,
     dttn_feasible,
@@ -106,7 +106,7 @@ def test_criterion_04_condensation_exactness(corpus):
         _, _, canon = reduce_instance(parsed)
         T = canon.horizon
         ten_value, _ = max_flow(build_ten(canon.net))
-        bps = cten_breakpoints(canon, canon.net.nodes)
+        bps = canonical_breakpoints(canon, canon.net.nodes)
         cten_value, _ = max_flow(build_cten(canon.net, bps))
         assert cten_value == ten_value
 
@@ -278,7 +278,7 @@ def test_criterion_07_condensed_size_bounds(capsys):
         one_shot, _ = to_one_shot(net)
         reduced, v2 = hoppe_tardos_star(one_shot, v)
         canon = canonical_reduction(reduced, v2)
-        cten = build_cten(canon.net, cten_breakpoints(canon, canon.net.nodes))
+        cten = build_cten(canon.net, canonical_breakpoints(canon, canon.net.nodes))
         n = len(net.nodes)
         ratios_nodes.append(len(cten.vertices) / mu)
         ratios_arcs.append(len(cten.arcs) / (n * mu))

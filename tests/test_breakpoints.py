@@ -1,17 +1,22 @@
 import pytest
+from hypothesis import given, settings
 
 from tempoflow import (
     DemandVector,
     EnumerationCapError,
+    attach_super_terminals,
+    canonical_breakpoints,
     canonical_reduction,
     cten_breakpoints,
     gamma_enumerate,
+    gadget_breakpoints,
     gamma_star,
     hoppe_tardos_star,
     to_one_shot,
 )
 
 from conftest import build_e1, make_network
+from strategies import temporal_networks
 
 
 def chain_canonical():
@@ -51,7 +56,7 @@ def test_chain_gamma_terminals_trivial():
 
 def test_breakpoints_replace_top_with_horizon():
     canon = chain_canonical()
-    bps = cten_breakpoints(canon, canon.net.nodes)
+    bps = canonical_breakpoints(canon, canon.net.nodes)
     assert bps["q"] == (0, 2, 3, 8, 9, 10)  # 11 dropped, 10 forced in
     assert bps["p"] == (0, 10)
 
@@ -82,7 +87,7 @@ def test_all_sets_within_range():
         g = gamma_star(canon, i)
         assert all(0 <= t <= T + 1 for t in g)
         assert 0 in g and T + 1 in g
-    bps = cten_breakpoints(canon, canon.net.nodes)
+    bps = canonical_breakpoints(canon, canon.net.nodes)
     for i, pts in bps.items():
         assert pts[0] == 0 and pts[-1] == T
         assert T + 1 not in pts
@@ -97,13 +102,74 @@ def test_enumeration_cap_enforced(monkeypatch):
         gamma_enumerate(canon, "q")
 
 
+def gadget_sets(net, v, nodes):
+    """Gamma* of ``nodes`` on the gadget form, clipped as ``cten_breakpoints`` clips."""
+    one_shot, _ = to_one_shot(net)
+    canon = canonical_reduction(*hoppe_tardos_star(one_shot, v))
+    T = canon.horizon
+    return {
+        i: tuple(sorted({t for t in gamma_star(canon, i) if 0 <= t <= T} | {0, T}))
+        for i in nodes
+    }
+
+
+def one_shot_sets(net, v):
+    nodes = attach_super_terminals(net, v).nodes
+    return cten_breakpoints(to_one_shot(net)[0], nodes), nodes
+
+
 def test_cten_breakpoints_match_gamma_star(corpus):
-    """The batched pass equals the per-node definition, clipped to [0, T]."""
-    for parsed in corpus[:100]:
-        one_shot, _ = to_one_shot(parsed.network)
-        canon = canonical_reduction(*hoppe_tardos_star(one_shot, parsed.demands))
-        T = canon.horizon
-        bps = cten_breakpoints(canon, canon.net.nodes)
-        for i in canon.net.nodes:
-            clipped = {t for t in gamma_star(canon, i) if 0 <= t <= T}
-            assert bps[i] == tuple(sorted(clipped | {0, T}))
+    """The one-shot sets equal the gadget form's, node for node, on the corpus.
+
+    On the first 100 instances the batched gadget pass is also checked
+    against the per-node definition over every canonical node.
+    """
+    for k, parsed in enumerate(corpus):
+        net, v = parsed.network, parsed.demands
+        bps, nodes = one_shot_sets(net, v)
+        assert bps == gadget_sets(net, v, nodes)
+        if k < 100:
+            canon = canonical_reduction(*hoppe_tardos_star(to_one_shot(net)[0], v))
+            every = canon.net.nodes
+            assert canonical_breakpoints(canon, every) == gadget_sets(net, v, every)
+
+
+@settings(max_examples=80, deadline=None)
+@given(temporal_networks())
+def test_one_shot_sets_equal_gadget_sets(net):
+    v = DemandVector({})
+    bps, nodes = one_shot_sets(net, v)
+    assert bps == gadget_sets(net, v, nodes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(temporal_networks(inf=True))
+def test_one_shot_sets_equal_gadget_sets_with_inf(net):
+    """INF capacities: the reference swaps in a finite stand-in, the verdict path none."""
+    v = DemandVector({})
+    bps, _ = one_shot_sets(net, v)
+    assert bps == gadget_breakpoints(net, v)
+
+
+@pytest.mark.parametrize("cap, raises", [(5, 200), (20, 125), (60, 18)])
+def test_enumeration_cap_agrees_with_gadget_form(corpus, monkeypatch, cap, raises):
+    """Both enumerators exceed a small PATH_CAP on the same instances."""
+    import tempoflow.breakpoints as breakpoints_mod
+
+    monkeypatch.setattr(breakpoints_mod, "PATH_CAP", cap)
+
+    def capped(sets, *args):
+        try:
+            sets(*args)
+        except EnumerationCapError:
+            return True
+        return False
+
+    hits = 0
+    for parsed in corpus:
+        net, v = parsed.network, parsed.demands
+        nodes = attach_super_terminals(net, v).nodes
+        one_shot = capped(one_shot_sets, net, v)
+        assert one_shot == capped(gadget_sets, net, v, nodes)
+        hits += one_shot
+    assert hits == raises

@@ -104,6 +104,28 @@ def test_verify_reports_certificate_mismatch(infeasible_path, capsys, monkeypatc
     assert "MISMATCH" in captured.err and "agreement" not in captured.out
 
 
+def test_verify_checks_breakpoints(e1_path, capsys):
+    assert main(["verify", "-i", e1_path]) == 0
+    out = capsys.readouterr().out
+    assert "breakpoints: agree" in out and "agreement: yes" in out
+
+
+def test_verify_reports_breakpoint_mismatch(e1_path, capsys, monkeypatch):
+    import tempoflow.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "gadget_breakpoints", lambda net, v: {})
+    assert main(["verify", "-i", e1_path]) == 2
+    captured = capsys.readouterr()
+    assert "MISMATCH" in captured.err and "agreement" not in captured.out
+
+
+def test_feas_accepts_infinite_capacity(tmp_path, capsys):
+    path = tmp_path / "inf.tn"
+    path.write_text(E1_FILE.replace("cap 1", "cap inf"))
+    assert main(["feas", "-i", str(path)]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
 def test_missing_file_is_error(capsys):
     assert main(["feas", "-i", "/no/such/file"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -6,13 +6,11 @@ from tempoflow import (
     DemandVector,
     attach_super_terminals,
     build_ten,
-    canonical_reduction,
     capacity_oT,
     capacity_oT_ten,
-    cten_breakpoints,
     dttn_feasible,
     feas,
-    hoppe_tardos_star,
+    gadget_breakpoints,
     max_flow,
     to_one_shot,
     verify_violated,
@@ -25,14 +23,12 @@ from strategies import demand_instances
 def feas_e1(v):
     net = build_e1()
     one_shot, _ = to_one_shot(net)
-    return feas(net, v, *hoppe_tardos_star(one_shot, v))
+    return feas(net, v, one_shot)
 
 
 def fast_capacity(net, v, a):
-    one_shot, _ = to_one_shot(net)
-    canon = canonical_reduction(*hoppe_tardos_star(one_shot, v))
     full = attach_super_terminals(net, v)
-    return capacity_oT(full, cten_breakpoints(canon, full.nodes), a)
+    return capacity_oT(full, gadget_breakpoints(net, v), a)
 
 
 def test_zero_demand_feasible():
@@ -60,9 +56,16 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
     import tempoflow.breakpoints as breakpoints_mod
     import tempoflow.expansion as expansion_mod
     import tempoflow.feasibility as feasibility_mod
+    import tempoflow.reductions as reductions_mod
+    import tempoflow.solvers as solvers_mod
 
-    calls, pin_starts = Counter(), Counter()
+    calls = Counter()
     for module, name in (
+        (reductions_mod, "hoppe_tardos_star"),
+        (reductions_mod, "canonical_reduction"),
+        (solvers_mod, "hoppe_tardos_star"),
+        (solvers_mod, "canonical_reduction"),
+        (feasibility_mod, "hoppe_tardos_star"),
         (feasibility_mod, "canonical_reduction"),
         (feasibility_mod, "cten_breakpoints"),
         (feasibility_mod, "build_cten"),
@@ -74,8 +77,6 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            if _name == "pin_sums":
-                pin_starts[args[1]] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
@@ -90,15 +91,13 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
     v = DemandVector({"s": -3, "d": 3})
     outcome = dttn_feasible(net, 3, v)
     assert not outcome.feasible
-    # Pin sums start at original nodes only, never at gadget nodes.
-    assert set(pin_starts) == {"m"} and set(pin_starts.values()) == {1}
+    assert outcome.breakpoints["m"] == (0, 1, 2, 3)
+    # No gadget network and no gadget pin graph on the verdict path.
     assert calls == {
-        "canonical_reduction": 1,
         "cten_breakpoints": 1,
         "build_cten": 1,
         "max_flow": 1,
         "merged_pieces": len(attach_super_terminals(net, v).edges),
-        "pin_sums": 1,
     }
 
 
@@ -150,11 +149,7 @@ def test_claim_identity_on_infeasible(corpus):
     assert checked >= 10
 
 
-@settings(max_examples=60, deadline=None)
-@given(demand_instances())
-def test_verdict_flow_equals_original_ten(instance):
-    """The original network's cTEN has the TEN's max-flow value and certificate."""
-    net, v = instance
+def check_verdict_against_original_ten(net, v):
     outcome = dttn_feasible(net, net.horizon, v)
     ten_value, _ = max_flow(build_ten(attach_super_terminals(net, v)))
     assert outcome.flow_value == ten_value
@@ -162,3 +157,17 @@ def test_verdict_flow_equals_original_ten(instance):
         assert outcome.violated <= net.terminals
         assert outcome.o_T == capacity_oT_ten(net, v, outcome.violated)
         assert outcome.o_T < outcome.neg_v
+
+
+@settings(max_examples=60, deadline=None)
+@given(demand_instances())
+def test_verdict_flow_equals_original_ten(instance):
+    """The original network's cTEN has the TEN's max-flow value and certificate."""
+    check_verdict_against_original_ten(*instance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(demand_instances(inf=True))
+def test_verdict_flow_equals_original_ten_with_inf(instance):
+    """The same with INF capacities, which the verdict path accepts."""
+    check_verdict_against_original_ten(*instance)

@@ -88,6 +88,41 @@ def test_gadget_and_super_edges_shared(corpus):
         )
 
 
+@pytest.mark.parametrize(
+    "nodes, edges, message",
+    [
+        # A node already carries a gadget node's name.
+        (("s", "d", "t2-:s:d"), {("s", "d"): ([(0, 3, 1)], 1)}, "reserved"),
+        # Two edges whose gadget names coincide.
+        (
+            ("a", "b:c", "a:b", "c"),
+            {
+                ("a", "b:c"): ([(0, 3, 1)], 1),
+                ("b:c", "a:b"): ([(0, 3, 1)], 0),
+                ("a:b", "c"): ([(0, 3, 1)], 1),
+            },
+            "reserved",
+        ),
+        # u * (T + 1) past the machine integer range.
+        (("s", "d"), {("s", "d"): ([(0, 3, 2**62)], 1)}, "exceeds"),
+    ],
+)
+def test_what_the_gadgets_cannot_represent_is_rejected(nodes, edges, message):
+    """The verdict path builds no gadgets but rejects what they could not represent."""
+    from tempoflow import dttn_feasible, max_flow_over_time
+
+    net = make_network(nodes, edges, {nodes[0]}, {nodes[-1]}, 3)
+    v = DemandVector({nodes[0]: -1, nodes[-1]: 1})
+    one_shot, _ = to_one_shot(net)
+    for call in (
+        lambda: hoppe_tardos_star(one_shot, v),
+        lambda: dttn_feasible(net, 3, v),
+        lambda: max_flow_over_time(net, 3),
+    ):
+        with pytest.raises(ModelError, match=message):
+            call()
+
+
 def test_attach_super_terminals_windows():
     net = build_e1()
     v = DemandVector({"s": -2, "d": 2})
