@@ -2,8 +2,7 @@
 
 Feasibility, quickest-horizon, and max-flow-over-time solvers whose
 running time is independent of the time horizon, together with a full
-time-expanded-network oracle and a minimum-cut structure laboratory used
-to verify the condensation machinery.
+time-expanded-network oracle.
 """
 
 from .model import (
@@ -71,16 +70,6 @@ from .feasibility import (
     feas,
     gadget_breakpoints,
     verify_violated,
-)
-from .cutlab import (
-    CutFunction,
-    PinnedGraph,
-    canonicalize_min_cut,
-    cut_cost,
-    forbidden_set,
-    min_cut_times,
-    pinned_graph,
-    shift_cut,
 )
 from .solvers import (
     BoundedSearchError,

@@ -80,15 +80,18 @@ class _PinGraph:
         minus its travel time, and when the reverse edge also exists its
         travel time contributes with both signs too.  Anchors terminate a
         path and never appear in its interior.  Each step of the search
-        extends the partial sums of the path so far by one edge's weights.
+        extends the partial sums of the path so far by one edge's weights;
+        the path is an explicit stack, so its length is not bounded by the
+        interpreter's recursion limit.
         """
         sums: set[int] = set()
         budget = PATH_CAP
         on_path = {start}
-
-        def dfs(node: str, partial: set[int]):
-            nonlocal budget
-            for nxt, weights in self.adjacent[node]:
+        # Per path node: its remaining steps and the path's partial sums.
+        stack = [(start, iter(self.adjacent[start]), {0})]
+        while stack:
+            node, steps, partial = stack[-1]
+            for nxt, weights in steps:
                 if nxt in on_path:
                     continue
                 reached = {t + w for t in partial for w in weights}
@@ -101,10 +104,11 @@ class _PinGraph:
                     sums.update(reached)
                 else:
                     on_path.add(nxt)
-                    dfs(nxt, reached)
-                    on_path.remove(nxt)
-
-        dfs(start, {0})
+                    stack.append((nxt, iter(self.adjacent[nxt]), reached))
+                    break
+            else:
+                stack.pop()
+                on_path.remove(node)
         return sums
 
     def gamma(self, i: str) -> BreakpointSet:
@@ -144,13 +148,6 @@ def gamma_star(canon: CanonicalTemporalNetwork, i: str) -> BreakpointSet:
     covers every value it can end on.
     """
     return _PinGraph(canon).gamma_star(i)
-
-
-def pps_settle_neighbor(canon: CanonicalTemporalNetwork, i: str) -> str:
-    """The in-neighbor a pseudo-pseudosink settles toward (smaller set wins)."""
-    pins = _PinGraph(canon)
-    a, b = pins.pps_in_neighbors(i)
-    return a if len(pins.gamma(a)) <= len(pins.gamma(b)) else b
 
 
 def _clip(sums: set[int], horizon: int) -> BreakpointSet:
@@ -223,8 +220,12 @@ def cten_breakpoints(
             if budget < 0:
                 raise EnumerationCapError(f"more than {PATH_CAP} simple paths from {start}")
 
-        def dfs(node: str, partial: set[int], arrived_by):
-            for edge, far, tau, exits in sides[node]:
+        # Per path node: its remaining sides, the path's partial sums and
+        # the edge it arrived by; an explicit stack, as in _PinGraph.pin_sums.
+        stack = [(start, iter(sides[start]), {0}, None)]
+        while stack:
+            node, steps, partial, arrived_by = stack[-1]
+            for edge, far, tau, exits in steps:
                 if edge == arrived_by:  # its t+ and t- are on the path
                     continue
                 charge(4)
@@ -237,10 +238,11 @@ def cten_breakpoints(
                     sums.update(reached)
                 else:
                     on_path.add(far)
-                    dfs(far, reached, edge)
-                    on_path.remove(far)
-
-        dfs(start, {0}, None)
+                    stack.append((far, iter(sides[far]), reached, edge))
+                    break
+            else:
+                stack.pop()
+                on_path.remove(node)
         return sums
 
     return {

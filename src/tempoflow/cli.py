@@ -1,14 +1,16 @@
 """Command-line surface.
 
-Exit codes: 0 feasible/success, 1 infeasible, 2 error.  Verdicts and
-optimal values come from the condensed-expansion fast path; witness flows
-need the full expansion and are skipped (with a notice) past its budget.
+Exit codes: 0 feasible/success, 1 infeasible, 2 error, any exception
+included, so a crash never reads as a verdict.  Verdicts and optimal
+values come from the condensed-expansion fast path; witness flows need
+the full expansion and are skipped (with a notice) past its budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .model import INF, ModelError, compute_mu, merged_pieces
 from .reductions import attach_super_terminals
@@ -115,9 +117,8 @@ def _cmd_verify(args) -> int:
     parsed = _load(args.input)
     net, v = parsed.network, parsed.demands
     outcome = dttn_feasible(net, net.horizon, v)
-    required = sum(d for d in v.values.values() if d > 0)
     oracle_value, _ = max_flow(build_ten(attach_super_terminals(net, v)))
-    oracle_feasible = oracle_value >= required
+    oracle_feasible = oracle_value >= v.required()
     print(f"fast-path: {'FEASIBLE' if outcome.feasible else 'INFEASIBLE'}")
     print(f"oracle:    {'FEASIBLE' if oracle_feasible else 'INFEASIBLE'}")
     if outcome.feasible != oracle_feasible:
@@ -149,12 +150,12 @@ def _cmd_stats(args) -> int:
         for (a, b, u, tau) in merged_pieces(fn.capacity, fn.travel_time):
             if u != 0:
                 ten_arcs += max(0, min(b, T - tau) - a + 1)
-    u_max = net.max_finite_capacity()
+    has_inf = any(u == INF for fn in net.edges.values() for _, _, u in fn.capacity.pieces)
     print(f"n {len(net.nodes)}")
     print(f"m {len(net.edges)}")
     print(f"k {len(net.terminals)}")
     print(f"mu {compute_mu(net)}")
-    print(f"U {'inf' if u_max == INF else u_max}")
+    print(f"U {'inf' if has_inf else net.max_finite_capacity()}")
     print(f"cten-nodes {len(cten.vertices)}")
     print(f"cten-arcs {len(cten.arcs)}")
     print(f"ten-nodes {ten_nodes}")
@@ -219,6 +220,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # a crash must not read as INFEASIBLE (exit 1)
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -92,15 +92,13 @@ def feas(net: TemporalNetwork, v: DemandVector, one_shot: OneShotNetwork) -> Fea
        Gamma* is their Gamma.  No capacity enters a sum, so INF
        capacities need no finite stand-in here.
     """
-    if v.total() != 0:
-        raise ModelError(f"total demand must be 0, got {v.total()}")
+    v.check_balanced()
     T = net.horizon
     full = attach_super_terminals(net, v)
     bps = cten_breakpoints(one_shot, full.nodes)
     graph = build_cten(full, bps)
     value, flow = max_flow(graph)
-    required = sum(d for d in v.values.values() if d > 0)
-    if value >= required:
+    if value >= v.required():
         return FeasOutcome(True, bps, graph, value)
     side = residual_reachable(graph, flow)
     violated = set()

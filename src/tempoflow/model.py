@@ -229,6 +229,14 @@ class DemandVector:
             return sum(self.values.values())
         return sum(self.values.get(i, 0) for i in subset)
 
+    def required(self) -> int:
+        """What the sinks must receive: the value of a saturating flow."""
+        return sum(d for d in self.values.values() if d > 0)
+
+    def check_balanced(self):
+        if self.total() != 0:
+            raise ModelError(f"total demand must be 0, got {self.total()}")
+
     def check_against(self, net: TemporalNetwork | OneShotNetwork):
         extra = set(self.values) - (net.sources | net.sinks)
         if extra:
@@ -249,9 +257,6 @@ class FlowOverTime:
 
     def amount(self, edge: tuple[str, str], t: int) -> int:
         return self.flows.get((edge, t), 0)
-
-    def nonzero(self):
-        return ((edge, t, a) for (edge, t), a in self.flows.items() if a > 0)
 
 
 def net_flow(net: TemporalNetwork, f: FlowOverTime, i: str, t: int) -> int:

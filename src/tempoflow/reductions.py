@@ -92,8 +92,7 @@ def hoppe_tardos_star(
     t2+, t2- or s2-.
     """
     T = net.horizon
-    if v.total() != 0:
-        raise ModelError(f"total demand must be 0, got {v.total()}")
+    v.check_balanced()
     v.check_against(net)
 
     check_gadget_reducible(net)
@@ -280,8 +279,7 @@ def canonical_reduction(net: TemporalNetwork, v: DemandVector) -> CanonicalTempo
     """Attach super terminals to a static network and classify node roles."""
     if not net.is_static():
         raise ModelError("canonical reduction requires a static inner network")
-    if v.total() != 0:
-        raise ModelError(f"total demand must be 0, got {v.total()}")
+    v.check_balanced()
     full = attach_super_terminals(net, v)
     ps_plus, ps_minus, pps_minus = classify_roles(full)
     return CanonicalTemporalNetwork(full, S_STAR, D_STAR, ps_plus, ps_minus, pps_minus)

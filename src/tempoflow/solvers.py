@@ -74,12 +74,12 @@ def quickest_transshipment(
     Exponential search doubles the probe until feasible, then binary
     search closes the range; feasibility is monotone in the horizon since
     a flow for T is a flow for T + 1.  Horizon 0 is probed only once
-    horizon 1 is known feasible, or when the cap is 0.  Each probe rebuilds
-    the reduction (it depends on the horizon).  The witness is extracted at
-    oracle scale and is None when the full expansion exceeds its budget.
+    horizon 1 is known feasible, or when the cap is 0.  Each probe is a
+    whole verdict on the network truncated or extended to its horizon.  The
+    witness is extracted at oracle scale and is None when the full
+    expansion exceeds its budget.
     """
-    if v.total() != 0:
-        raise ModelError(f"total demand must be 0, got {v.total()}")
+    v.check_balanced()
     if horizon_cap < 0:
         raise ModelError("horizon cap must be non-negative")
     if all(d == 0 for d in v.values.values()):
@@ -108,7 +108,7 @@ def quickest_transshipment(
         else:
             lo = mid
     try:
-        witness = extract_flow(_at_horizon(net, hi), hi, v)
+        witness = extract_flow(net, hi, v)
     except OracleBudgetError:
         witness = None
     return hi, witness
@@ -148,11 +148,10 @@ def extract_flow(net: TemporalNetwork, horizon: int, v: DemandVector) -> FlowOve
     are storage and stay implicit).  ``attach_super_terminals`` checks the
     demands against the terminals.
     """
-    if v.total() != 0:
-        raise ModelError(f"total demand must be 0, got {v.total()}")
+    v.check_balanced()
     full = attach_super_terminals(_at_horizon(net, horizon), v)
     graph = build_ten(full)
-    required = sum(d for d in v.values.values() if d > 0)
+    required = v.required()
     value, flow = max_flow(graph)
     if value < required:
         raise ModelError(

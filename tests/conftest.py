@@ -49,6 +49,18 @@ def build_e1() -> TemporalNetwork:
     )
 
 
+def build_chain(n: int) -> TemporalNetwork:
+    """Path s -> m0 -> ... -> d of n nodes, capacity 1, horizon 5.
+
+    The first edge has travel time 2 and the others 0, so m0's critical
+    times are more than {0, T}; every pin path from m0 runs the whole chain.
+    """
+    nodes = ("s",) + tuple(f"m{k}" for k in range(n - 2)) + ("d",)
+    edges = {(a, b): ([(0, 5, 1)], 0) for a, b in zip(nodes, nodes[1:])}
+    edges[("s", "m0")] = ([(0, 5, 1)], 2)
+    return make_network(nodes, edges, {"s"}, {"d"}, 5)
+
+
 def build_fig4() -> TemporalNetwork:
     """Three-node network where condensing with bad breakpoints loses the cut.
 

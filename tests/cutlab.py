@@ -18,11 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import INF, ModelError
-from .reductions import CanonicalTemporalNetwork
-from .breakpoints import gamma_star, pps_settle_neighbor
-from .expansion import ExpandedGraph
-from .maxflow import InternalConsistencyError, SteadyFlow, residual_reachable
+from tempoflow import (
+    INF,
+    CanonicalTemporalNetwork,
+    ExpandedGraph,
+    InternalConsistencyError,
+    ModelError,
+    SteadyFlow,
+    gamma_enumerate,
+    gamma_star,
+    residual_reachable,
+)
 
 
 @dataclass(frozen=True)
@@ -166,6 +172,12 @@ def pinned_graph(canon: CanonicalTemporalNetwork, phi: CutFunction) -> PinnedGra
         n for n in canon.net.nodes if phi[n] in (0, phi.horizon + 1)
     )
     return PinnedGraph({n: frozenset(a) for n, a in adjacency.items()}, anchored)
+
+
+def pps_settle_neighbor(canon: CanonicalTemporalNetwork, i: str) -> str:
+    """The in-neighbor a pseudo-pseudosink settles toward (smaller set wins)."""
+    a, b = sorted(j for (j, _) in canon.net.in_edges(i))
+    return a if len(gamma_enumerate(canon, a)) <= len(gamma_enumerate(canon, b)) else b
 
 
 def canonicalize_min_cut(

@@ -24,9 +24,7 @@ from tempoflow import (
     build_ten,
     canonical_breakpoints,
     canonical_reduction,
-    canonicalize_min_cut,
     cten_edge_capacity,
-    cut_cost,
     dttn_feasible,
     extract_flow,
     gamma_star,
@@ -34,10 +32,7 @@ from tempoflow import (
     max_flow,
     max_flow_over_time,
     merged_pieces,
-    min_cut_times,
     quickest_transshipment,
-    shift_cut,
-    forbidden_set,
     to_one_shot,
     validate_flow,
     verify_violated,
@@ -45,6 +40,7 @@ from tempoflow import (
 from tempoflow.solvers import BoundedSearchError, _at_horizon
 
 from conftest import build_fig4, make_network, oracle_feasible, oracle_max_flow_over_time
+from cutlab import CutFunction, canonicalize_min_cut, cut_cost, forbidden_set, min_cut_times, shift_cut
 
 
 @pytest.fixture(scope="session")
@@ -182,8 +178,6 @@ def diversify_min_cut(ten, values, movable, horizon, rng, steps):
 
 
 def test_criterion_05_cut_canonicalization(corpus):
-    from tempoflow import CutFunction
-
     rng = random.Random(505)
     harvested = 0
     identity_pairs = 0

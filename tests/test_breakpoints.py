@@ -15,7 +15,7 @@ from tempoflow import (
     to_one_shot,
 )
 
-from conftest import build_e1, make_network
+from conftest import build_chain, build_e1, make_network
 from strategies import temporal_networks
 
 
@@ -100,6 +100,15 @@ def test_enumeration_cap_enforced(monkeypatch):
     monkeypatch.setattr(breakpoints_mod, "PATH_CAP", 0)
     with pytest.raises(EnumerationCapError):
         gamma_enumerate(canon, "q")
+
+
+def test_long_chain_sets_agree():
+    """Pin paths thousands of steps long: both searches keep their own stack."""
+    one_shot, _ = to_one_shot(build_chain(1500))
+    canon = canonical_reduction(*hoppe_tardos_star(one_shot, DemandVector({"s": -1, "d": 1})))
+    got = cten_breakpoints(one_shot, ("m0",))
+    assert got == canonical_breakpoints(canon, ("m0",))
+    assert got["m0"] == (0, 2, 4, 5)
 
 
 def gadget_sets(net, v, nodes):

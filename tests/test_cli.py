@@ -126,6 +126,26 @@ def test_feas_accepts_infinite_capacity(tmp_path, capsys):
     assert "error" not in capsys.readouterr().err
 
 
+def test_stats_reports_infinite_capacity(tmp_path, e1_path, capsys):
+    path = tmp_path / "inf.tn"
+    path.write_text(E1_FILE.replace("cap 1", "cap inf"))
+    assert main(["stats", "-i", str(path)]) == 0
+    assert "U inf" in capsys.readouterr().out.splitlines()
+    assert main(["stats", "-i", e1_path]) == 0
+    assert "U 1" in capsys.readouterr().out.splitlines()
+
+
+def test_internal_failure_is_error(e1_path, capsys, monkeypatch):
+    import tempoflow.cli as cli_mod
+
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_mod, "dttn_feasible", crash)
+    assert main(["feas", "-i", e1_path]) == 2
+    assert "error: internal: RuntimeError: boom" in capsys.readouterr().err
+
+
 def test_missing_file_is_error(capsys):
     assert main(["feas", "-i", "/no/such/file"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,24 +1,26 @@
 import pytest
 
 from tempoflow import (
-    CutFunction,
     DemandVector,
     ModelError,
     build_ten,
     canonical_reduction,
-    canonicalize_min_cut,
-    cut_cost,
-    forbidden_set,
     gamma_star,
     hoppe_tardos_star,
     max_flow,
-    min_cut_times,
-    pinned_graph,
-    shift_cut,
     to_one_shot,
 )
 
 from conftest import build_e1, build_fig4
+from cutlab import (
+    CutFunction,
+    canonicalize_min_cut,
+    cut_cost,
+    forbidden_set,
+    min_cut_times,
+    pinned_graph,
+    shift_cut,
+)
 
 
 def e1_canonical(v):

@@ -4,14 +4,17 @@ from tempoflow import (
     BoundedSearchError,
     DemandVector,
     ModelError,
+    attach_super_terminals,
+    build_ten,
     dttn_feasible,
     extract_flow,
+    max_flow,
     max_flow_over_time,
     quickest_transshipment,
     validate_flow,
 )
 
-from conftest import build_e1, make_network
+from conftest import build_chain, build_e1, make_network
 
 
 def test_e1_feasible_at_three():
@@ -23,6 +26,16 @@ def test_e1_infeasible_at_two():
 
     net = _at_horizon(build_e1(), 2)
     assert not dttn_feasible(net, 2, DemandVector({"s": -2, "d": 2})).feasible
+
+
+def test_long_chain_verdict_matches_ten():
+    """A 1,100-node chain: the verdict's flow equals the full expansion's."""
+    net = build_chain(1100)
+    v = DemandVector({"s": -8, "d": 8})
+    outcome = dttn_feasible(net, net.horizon, v)
+    ten_value, _ = max_flow(build_ten(attach_super_terminals(net, v)))
+    assert outcome.flow_value == ten_value == 4
+    assert not outcome.feasible
 
 
 @pytest.mark.parametrize(
