@@ -125,14 +125,10 @@ class _PinGraph:
     def gamma_star(self, i: str) -> BreakpointSet:
         if i not in self.pps:
             return self.gamma(i)
-        a, b = self.pps_in_neighbors(i)
-        return tuple(sorted(set(self.gamma(a)) | set(self.gamma(b))))
-
-    def pps_in_neighbors(self, i: str) -> tuple[str, str]:
-        preds = sorted(self.into[i])
+        preds = self.into[i]
         if len(preds) != 2:
             raise StructuralError(f"pseudo-pseudosink {i} has {len(preds)} in-neighbors")
-        return preds[0], preds[1]
+        return tuple(sorted(set(self.gamma(preds[0])) | set(self.gamma(preds[1]))))
 
 
 def gamma_enumerate(canon: CanonicalTemporalNetwork, i: str) -> BreakpointSet:
@@ -140,14 +136,18 @@ def gamma_enumerate(canon: CanonicalTemporalNetwork, i: str) -> BreakpointSet:
     return _PinGraph(canon).gamma(i)
 
 
-def gamma_star(canon: CanonicalTemporalNetwork, i: str) -> BreakpointSet:
-    """Gamma*(i): for a pseudo-pseudosink, its in-neighbors' sets combined.
+def gamma_star(
+    canon: CanonicalTemporalNetwork, nodes: tuple[str, ...]
+) -> dict[str, BreakpointSet]:
+    """Gamma*(i) for each of ``nodes``, all read off one pin graph.
 
-    The settling stage moves a pseudo-pseudosink onto one of its two
+    Gamma* is Gamma, except that a pseudo-pseudosink gets its in-neighbors'
+    sets combined: the settling stage moves it onto one of its two
     in-neighbors' cut times or the boundary, so the union of their sets
     covers every value it can end on.
     """
-    return _PinGraph(canon).gamma_star(i)
+    pins = _PinGraph(canon)
+    return {i: pins.gamma_star(i) for i in nodes}
 
 
 def _clip(sums: set[int], horizon: int) -> BreakpointSet:
@@ -170,10 +170,9 @@ def canonical_breakpoints(
     of ``canon``.
     """
     T = canon.horizon
-    pins = _PinGraph(canon)
     return {
-        i: tuple(sorted({0, T} | {t for t in pins.gamma_star(i) if t <= T}))
-        for i in nodes
+        i: tuple(sorted({0, T} | {t for t in g if t <= T}))
+        for i, g in gamma_star(canon, nodes).items()
     }
 
 

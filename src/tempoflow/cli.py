@@ -129,7 +129,7 @@ def _cmd_verify(args) -> int:
         return EXIT_ERROR
     print("breakpoints: agree")
     if not outcome.feasible:
-        o_t = capacity_oT_ten(net, v, outcome.violated)
+        o_t = capacity_oT_ten(net, outcome.violated)
         print(f"oT:        fast-path {outcome.o_T}, oracle {o_t}")
         if outcome.o_T != o_t:
             print("MISMATCH: certificate capacity disagrees with the full expansion", file=sys.stderr)

@@ -9,23 +9,24 @@ whose first (sources) or last (sinks) interval is reachable in the
 residual graph form a violated set: the flow the sources in the set can
 deliver to sinks outside it within the horizon falls short of the set's
 net demand.  That flow, o_T, is read off the verdict's own cut, so a
-verdict costs one max flow; ``capacity_oT`` recomputes it by a second one,
-for checking, and ``verify_violated`` does so over sets derived on the
-gadget form itself.
+verdict costs one max flow.  For checking, ``capacity_oT`` recomputes it
+by a second one on ``set_super_terminals(net, A)``, whose super edges
+are open at A's sources and the sinks outside A, and ``verify_violated``
+does so over sets derived on the gadget form itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .model import INF, DemandVector, ModelError, OneShotNetwork, TemporalNetwork, to_one_shot
+from .model import INF, DemandVector, OneShotNetwork, TemporalNetwork, to_one_shot
 from .reductions import (
     D_STAR,
     S_STAR,
     attach_super_terminals,
     canonical_reduction,
     hoppe_tardos_star,
-    one_shot_edge,
+    set_super_terminals,
 )
 from .breakpoints import BreakpointSet, canonical_breakpoints, cten_breakpoints
 from .expansion import build_cten, build_ten, intervals_of, ExpandedGraph
@@ -101,16 +102,13 @@ def feas(net: TemporalNetwork, v: DemandVector, one_shot: OneShotNetwork) -> Fea
     if value >= v.required():
         return FeasOutcome(True, bps, graph, value)
     side = residual_reachable(graph, flow)
-    violated = set()
-    for s in sorted(net.sources):
-        first = intervals_of(bps[s], T).interval_of(0)
-        if graph.vertex(s, first) in side:
-            violated.add(s)
-    for d in sorted(net.sinks):
-        last = intervals_of(bps[d], T).interval_of(T)
-        if graph.vertex(d, last) in side:
-            violated.add(d)
-    a = frozenset(violated)
+    # A holds the sources whose first interval and the sinks whose last
+    # interval is on the residual side.
+    a = frozenset(
+        i
+        for i in net.terminals
+        if graph.vertex(i, intervals_of(bps[i], T).interval_of(0 if i in net.sources else T)) in side
+    )
     # o_T(A) = |f| - v(A cap sinks) - (-v)(sources \ A), read off the cut `side`:
     # 1. `side` crosses exactly the saturated super edges of the sources outside
     #    A and of the sinks in A; every other super edge has both ends on one
@@ -126,55 +124,29 @@ def feas(net: TemporalNetwork, v: DemandVector, one_shot: OneShotNetwork) -> Fea
     return FeasOutcome(False, bps, graph, value, a, o_t, -v.total(a))
 
 
-def _restrict_super_edges(net: TemporalNetwork, a: frozenset[str]) -> TemporalNetwork:
-    """Open the super edges of the terminals in A and close the rest.
-
-    ``net`` carries super terminals s*/d*.  Super-source edges to sources in
-    A become infinite and to sources outside A zero; super-sink edges from
-    sinks in A become zero and from sinks outside A infinite.  The maximum
-    flow over time of the result is the capacity of A: what A's sources
-    can push to the other sinks.
-    """
-    terminals = {j for (i, j) in net.edges if i == S_STAR} | {
-        i for (i, j) in net.edges if j == D_STAR
-    }
-    extra = a - terminals
-    if extra:
-        raise ModelError(f"not terminals: {sorted(extra)}")
-    T = net.horizon
-    edges = dict(net.edges)
-    for (i, j) in net.edges:
-        if i == S_STAR:
-            edges[(i, j)] = one_shot_edge(0, INF if j in a else 0, T)
-        elif j == D_STAR:
-            edges[(i, j)] = one_shot_edge(T, 0 if i in a else INF, T)
-    return TemporalNetwork(net.nodes, edges, net.sources, net.sinks, T)
-
-
 def capacity_oT(
-    full: TemporalNetwork, bps: dict[str, tuple[int, ...]], a: frozenset[str]
+    net: TemporalNetwork, bps: dict[str, tuple[int, ...]], a: frozenset[str]
 ) -> int:
     """Maximum flow A's sources can deliver to sinks outside A by the horizon.
 
-    ``full`` is the original network with super terminals attached, and
-    ``bps`` its breakpoints from the unrestricted verdict.  Restricts the
-    super edges to A and solves the condensed expansion over ``bps``:
+    ``net`` is the original network, without super terminals, and ``bps``
+    the breakpoints of its unrestricted verdict.  Solves the condensed
+    expansion of ``set_super_terminals(net, a)`` over ``bps``: the
     restriction changes super-edge capacities only, and the sets depend on
     the topology, the anchors and the inner edges alone, so they stay
     exact.  ``feas`` reads the same value off its cut.
     """
-    value, _ = max_flow(build_cten(_restrict_super_edges(full, a), bps))
+    value, _ = max_flow(build_cten(set_super_terminals(net, a), bps))
     return value
 
 
-def capacity_oT_ten(net: TemporalNetwork, v: DemandVector, a: frozenset[str]) -> int:
+def capacity_oT_ten(net: TemporalNetwork, a: frozenset[str]) -> int:
     """Reference for ``capacity_oT``: the full expansion of any network.
 
-    Attaches super terminals to the (possibly temporal) network, restricts
-    them to A and solves the full expansion within the size budget.
+    Solves the full expansion of the (possibly temporal) network with
+    super terminals restricted to A, within the size budget.
     """
-    restricted = _restrict_super_edges(attach_super_terminals(net, v), a)
-    value, _ = max_flow(build_ten(restricted))
+    value, _ = max_flow(build_ten(set_super_terminals(net, a)))
     return value
 
 
@@ -206,5 +178,4 @@ def verify_violated(net: TemporalNetwork, v: DemandVector, a: frozenset[str]) ->
     independently of the verdict that reported A and of its enumerator,
     and solves the restricted condensed expansion of ``net``.
     """
-    full = attach_super_terminals(net, v)
-    return capacity_oT(full, gadget_breakpoints(net, v), a) < -v.total(a)
+    return capacity_oT(net, gadget_breakpoints(net, v), a) < -v.total(a)

@@ -29,7 +29,7 @@ from .model import (
     PiecewiseConstFn,
     TemporalNetwork,
 )
-from .reductions import D_STAR, S_STAR, attach_super_terminals
+from .reductions import D_STAR, S_STAR, with_super_terminals
 from .expansion import build_ten
 from .maxflow import max_flow
 
@@ -323,13 +323,8 @@ def _feasible_demands(net: TemporalNetwork, rng: random.Random) -> DemandVector:
     Super-terminal capacities are randomized (not infinite) so different
     seeds spread the demand across terminals differently.
     """
-    caps = DemandVector(
-        {
-            **{s: -rng.randint(0, 3 * net.horizon + 3) for s in sorted(net.sources)},
-            **{d: rng.randint(0, 3 * net.horizon + 3) for d in sorted(net.sinks)},
-        }
-    )
-    graph = build_ten(attach_super_terminals(net, caps))
+    caps = {t: rng.randint(0, 3 * net.horizon + 3) for t in sorted(net.sources) + sorted(net.sinks)}
+    graph = build_ten(with_super_terminals(net, caps))
     _, flow = max_flow(graph)
     values = {t: 0 for t in sorted(net.terminals)}
     for ((i, j), _), amount in graph.departures(flow.arc_flows).items():

@@ -1,4 +1,4 @@
-"""Gadget reduction to a static network and the canonical super-terminal form.
+"""Gadget reduction to a static network, super terminals, and the canonical form.
 
 Each one-shot edge x -> y with window [alpha, beta], capacity u and travel
 time tau is replaced by a static eight-node gadget.  The first stage turns
@@ -167,32 +167,21 @@ class CanonicalTemporalNetwork:
 
 def one_shot_edge(active_t: int, cap, horizon: int) -> EdgeFn:
     """A zero-travel-time edge with capacity ``cap`` at ``active_t`` only."""
-    pieces = []
-    if active_t > 0:
-        pieces.append((0, active_t - 1, 0))
-    pieces.append((active_t, active_t, cap))
-    if active_t < horizon:
-        pieces.append((active_t + 1, horizon, 0))
-    return EdgeFn(PiecewiseConstFn(tuple(pieces)), PiecewiseConstFn.constant(0, horizon))
+    pieces = ((0, active_t - 1, 0), (active_t, active_t, cap), (active_t + 1, horizon, 0))
+    capacity = PiecewiseConstFn(tuple(p for p in pieces if p[0] <= p[1]))
+    return EdgeFn(capacity, PiecewiseConstFn.constant(0, horizon))
 
 
-def attach_super_terminals(
-    net: TemporalNetwork,
-    v: DemandVector,
-    infinite_terminals: frozenset[str] = frozenset(),
-) -> TemporalNetwork:
+def with_super_terminals(net: TemporalNetwork, caps: dict[str, int]) -> TemporalNetwork:
     """Add s* and d* with one-shot edges at times 0 and T respectively.
 
-    The s*-edge to a source s has capacity -v(s) at time 0 only; the
-    d*-edge from a sink d has capacity v(d) at time T only.  Terminals in
-    ``infinite_terminals`` get infinite capacity instead (used for the
-    maximum-flow-over-time construction, where the terminal demand is the
-    unknown).  Demands must be given for terminals only, with their signs.
+    The s*-edge to a source s has capacity ``caps[s]`` at time 0 only; the
+    d*-edge from a sink d has capacity ``caps[d]`` at time T only.  INF is
+    allowed.  Every terminal needs an entry.
     """
     T = net.horizon
     if S_STAR in net.nodes or D_STAR in net.nodes:
         raise ModelError(f"node ids {S_STAR!r}/{D_STAR!r} are reserved")
-    v.check_against(net)
 
     edges = dict(net.edges)
     built: dict[tuple, EdgeFn] = {}
@@ -203,15 +192,40 @@ def attach_super_terminals(
         return built[t, cap]
 
     for s in sorted(net.sources):
-        edges[(S_STAR, s)] = super_edge(0, INF if s in infinite_terminals else -v.get(s))
+        edges[(S_STAR, s)] = super_edge(0, caps[s])
     for d in sorted(net.sinks):
-        edges[(d, D_STAR)] = super_edge(T, INF if d in infinite_terminals else v.get(d))
+        edges[(d, D_STAR)] = super_edge(T, caps[d])
     return TemporalNetwork(
         net.nodes + (S_STAR, D_STAR),
         edges,
         frozenset({S_STAR}),
         frozenset({D_STAR}),
         T,
+    )
+
+
+def attach_super_terminals(net: TemporalNetwork, v: DemandVector) -> TemporalNetwork:
+    """Super terminals that supply -v(s) to each source and drain v(d) from each sink.
+
+    Demands must be given for terminals only, with their signs.
+    """
+    v.check_against(net)
+    return with_super_terminals(net, {t: abs(v.get(t)) for t in net.terminals})
+
+
+def set_super_terminals(net: TemporalNetwork, a: frozenset[str]) -> TemporalNetwork:
+    """Super terminals whose maximum flow over time is o_T(A).
+
+    The sources in the terminal set A and the sinks outside it get
+    infinite super edges, every other terminal a closed one, so the value
+    is what A's sources can deliver to the other sinks by the horizon.
+    The maximum flow over time from s to d is o_T({s}).
+    """
+    extra = a - net.terminals
+    if extra:
+        raise ModelError(f"not terminals: {sorted(extra)}")
+    return with_super_terminals(
+        net, {t: INF if (t in a) == (t in net.sources) else 0 for t in net.terminals}
     )
 
 

@@ -124,8 +124,11 @@ def oracle_feasible(net: TemporalNetwork, v: DemandVector) -> bool:
     return oracle_max_flow_over_time(net, v) >= required
 
 
-def corpus_spec(rng) -> InstanceSpec:
-    """One random draw of the small-instance parameter envelope."""
+def corpus_spec(rng, horizons: tuple[int, int] = (1, 12)) -> InstanceSpec:
+    """One random draw of the small-instance parameter envelope.
+
+    ``horizons`` bounds the horizon; the other parameters do not depend on it.
+    """
     sources = rng.randint(1, 2)
     sinks = rng.randint(1, 2)
     return InstanceSpec(
@@ -133,7 +136,7 @@ def corpus_spec(rng) -> InstanceSpec:
         n_sources=sources,
         n_sinks=sinks,
         n_edges=rng.randint(1, 8),
-        horizon=rng.randint(1, 12),
+        horizon=rng.randint(*horizons),
         max_capacity=4,
         max_travel_time=3,
         max_pieces=3,
@@ -148,6 +151,15 @@ def corpus():
 
     rng = random.Random(20260823)
     return [generate_instance(corpus_spec(rng), seed) for seed in range(500)]
+
+
+@pytest.fixture(scope="session")
+def long_corpus():
+    """200 instances of the same envelope with T in 20..60, where the sets coarsen."""
+    import random
+
+    rng = random.Random(20261018)
+    return [generate_instance(corpus_spec(rng, (20, 60)), seed) for seed in range(200)]
 
 
 @pytest.fixture

@@ -25,7 +25,6 @@ from tempoflow import (
     InternalConsistencyError,
     ModelError,
     SteadyFlow,
-    gamma_enumerate,
     gamma_star,
     residual_reachable,
 )
@@ -174,10 +173,17 @@ def pinned_graph(canon: CanonicalTemporalNetwork, phi: CutFunction) -> PinnedGra
     return PinnedGraph({n: frozenset(a) for n, a in adjacency.items()}, anchored)
 
 
-def pps_settle_neighbor(canon: CanonicalTemporalNetwork, i: str) -> str:
-    """The in-neighbor a pseudo-pseudosink settles toward (smaller set wins)."""
+def pps_settle_neighbor(
+    canon: CanonicalTemporalNetwork, i: str, gammas: dict[str, tuple[int, ...]]
+) -> str:
+    """The in-neighbor a pseudo-pseudosink settles toward (smaller set wins).
+
+    ``gammas`` holds every node's Gamma*.  An in-neighbor of a
+    pseudo-pseudosink is no pseudo-pseudosink (its out-edges would reach a
+    pseudosink only), so its Gamma* is its Gamma.
+    """
     a, b = sorted(j for (j, _) in canon.net.in_edges(i))
-    return a if len(gamma_enumerate(canon, a)) <= len(gamma_enumerate(canon, b)) else b
+    return a if len(gammas[a]) <= len(gammas[b]) else b
 
 
 def canonicalize_min_cut(
@@ -194,6 +200,7 @@ def canonicalize_min_cut(
     """
     T = phi.horizon
     cost = cut_cost(ten, phi)
+    allowed = gamma_star(canon, canon.net.nodes)
 
     def step(next_phi: CutFunction, what: str) -> CutFunction:
         new_cost = cut_cost(ten, next_phi)
@@ -240,7 +247,7 @@ def canonicalize_min_cut(
     # otherwise onto the designated in-neighbor's value.
     for i in sorted(canon.pps_minus):
         (out_edge,) = canon.net.out_edges(i)
-        target = 0 if phi[out_edge[1]] == 0 else phi[pps_settle_neighbor(canon, i)]
+        target = 0 if phi[out_edge[1]] == 0 else phi[pps_settle_neighbor(canon, i, allowed)]
         while phi[i] != target:
             delta = +1 if target > phi[i] else -1
             phi = step(_shifted(phi, {i}, delta), f"settling shift of {i}")
@@ -251,7 +258,6 @@ def canonicalize_min_cut(
     # though an equal-cost critical value exists.  Repair one node at a
     # time: reassign it to the first critical value that keeps the cost,
     # repeating until stable (a repaired neighbor can unlock a node).
-    allowed = {i: gamma_star(canon, i) for i in canon.net.nodes}
 
     def interior_pinned_component(start: str) -> frozenset[str]:
         adjacency = pinned_graph(canon, phi).adjacency

@@ -37,16 +37,17 @@ def edge_fns(draw, horizon: int | None = None, inf: bool = False):
 
 
 @st.composite
-def temporal_networks(draw, inf: bool = False):
+def temporal_networks(draw, inf: bool = False, single_pair: bool = False):
     """A small layered network: sources first, sinks last, edges forward.
 
-    With ``inf``, edge capacities may also be INF.
+    With ``inf``, edge capacities may also be INF; with ``single_pair``,
+    the network has one source and one sink.
     """
     T = draw(st.integers(1, MAX_HORIZON))
     n = draw(st.integers(2, 5))
     names = [f"n{k}" for k in range(n)]
-    n_sources = draw(st.integers(1, min(2, n - 1)))
-    n_sinks = draw(st.integers(1, n - n_sources))
+    n_sources = 1 if single_pair else draw(st.integers(1, min(2, n - 1)))
+    n_sinks = 1 if single_pair else draw(st.integers(1, n - n_sources))
     sources = frozenset(names[:n_sources])
     sinks = frozenset(names[-n_sinks:])
     candidates = [

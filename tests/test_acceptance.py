@@ -53,6 +53,12 @@ def fast_verdicts(corpus):
     return outcomes, time.perf_counter() - t0
 
 
+@pytest.fixture(scope="session")
+def long_verdicts(long_corpus):
+    """dttn_feasible over the T in 20..60 slice."""
+    return [dttn_feasible(p.network, p.network.horizon, p.demands) for p in long_corpus]
+
+
 def reduce_instance(parsed):
     net, v = parsed.network, parsed.demands
     one_shot, _ = to_one_shot(net)
@@ -93,6 +99,28 @@ def test_criterion_03_violated_set_soundness(corpus, fast_verdicts):
         assert outcome.o_T < outcome.neg_v  # strict, exact integers
         assert verify_violated(parsed.network, parsed.demands, outcome.violated)
     assert infeasible > 0
+
+
+def test_criterion_02_oracle_equivalence_long_horizon(long_corpus, long_verdicts):
+    """The same verdicts where the sets coarsen: most cTENs are smaller than the TEN."""
+    smaller = 0
+    for parsed, outcome in zip(long_corpus, long_verdicts):
+        net, v = parsed.network, parsed.demands
+        assert outcome.feasible == oracle_feasible(net, v)
+        ten = build_ten(attach_super_terminals(net, v))
+        smaller += len(outcome.graph.vertices) < len(ten.vertices)
+    assert smaller > len(long_corpus) // 2
+
+
+def test_criterion_03_violated_set_soundness_long_horizon(long_corpus, long_verdicts):
+    infeasible = 0
+    for parsed, outcome in zip(long_corpus, long_verdicts):
+        if outcome.feasible:
+            continue
+        infeasible += 1
+        assert outcome.o_T < outcome.neg_v
+        assert verify_violated(parsed.network, parsed.demands, outcome.violated)
+    assert infeasible >= 20
 
 
 def test_criterion_04_condensation_exactness(corpus):
@@ -191,8 +219,8 @@ def test_criterion_05_cut_canonicalization(corpus):
         phi = min_cut_times(ten, flow, T)
         canonical = canonicalize_min_cut(canon, phi, ten)
         assert cut_cost(ten, canonical) == value
-        for i in canon.net.nodes:
-            assert canonical[i] in gamma_star(canon, i)
+        for i, g in gamma_star(canon, canon.net.nodes).items():
+            assert canonical[i] in g
         harvested += 1
 
         movable = [
@@ -372,6 +400,18 @@ def test_criterion_09_max_flow_over_time(corpus):
         assert value == oracle_max_flow_over_time(net)
         checked += 1
     assert checked >= 100
+
+
+def test_criterion_09_max_flow_over_time_long_horizon(long_corpus):
+    checked = 0
+    for parsed in long_corpus:
+        net = parsed.network
+        if len(net.sources) != 1 or len(net.sinks) != 1:
+            continue
+        value, _ = max_flow_over_time(net, net.horizon)
+        assert value == oracle_max_flow_over_time(net)
+        checked += 1
+    assert checked >= 40
 
 
 def test_criterion_10_extracted_flows_integral_and_valid(corpus, fast_verdicts):

@@ -63,7 +63,7 @@ def test_breakpoints_replace_top_with_horizon():
 
 def test_gamma_star_defaults_to_gamma():
     canon = chain_canonical()
-    assert gamma_star(canon, "q") == gamma_enumerate(canon, "q")
+    assert gamma_star(canon, ("q",))["q"] == gamma_enumerate(canon, "q")
 
 
 def test_gamma_star_pps_unions_in_neighbors():
@@ -74,7 +74,7 @@ def test_gamma_star_pps_unions_in_neighbors():
     (pps,) = sorted(canon.pps_minus)
     preds = sorted(e[0] for e in canon.net.edges if e[1] == pps)
     union = set(gamma_enumerate(canon, preds[0])) | set(gamma_enumerate(canon, preds[1]))
-    assert set(gamma_star(canon, pps)) == union
+    assert set(gamma_star(canon, (pps,))[pps]) == union
 
 
 def test_all_sets_within_range():
@@ -83,8 +83,7 @@ def test_all_sets_within_range():
     reduced, v2 = hoppe_tardos_star(one_shot, DemandVector({"s": -2, "d": 2}))
     canon = canonical_reduction(reduced, v2)
     T = canon.horizon
-    for i in canon.net.nodes:
-        g = gamma_star(canon, i)
+    for g in gamma_star(canon, canon.net.nodes).values():
         assert all(0 <= t <= T + 1 for t in g)
         assert 0 in g and T + 1 in g
     bps = canonical_breakpoints(canon, canon.net.nodes)
@@ -117,8 +116,8 @@ def gadget_sets(net, v, nodes):
     canon = canonical_reduction(*hoppe_tardos_star(one_shot, v))
     T = canon.horizon
     return {
-        i: tuple(sorted({t for t in gamma_star(canon, i) if 0 <= t <= T} | {0, T}))
-        for i in nodes
+        i: tuple(sorted({t for t in g if 0 <= t <= T} | {0, T}))
+        for i, g in gamma_star(canon, nodes).items()
     }
 
 

@@ -98,7 +98,7 @@ def test_verify_checks_certificate(infeasible_path, capsys):
 def test_verify_reports_certificate_mismatch(infeasible_path, capsys, monkeypatch):
     import tempoflow.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "capacity_oT_ten", lambda net, v, a: 99)
+    monkeypatch.setattr(cli_mod, "capacity_oT_ten", lambda net, a: 99)
     assert main(["verify", "-i", infeasible_path]) == 2
     captured = capsys.readouterr()
     assert "MISMATCH" in captured.err and "agreement" not in captured.out

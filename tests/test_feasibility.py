@@ -1,9 +1,11 @@
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 
 from tempoflow import (
     DemandVector,
+    ModelError,
     attach_super_terminals,
     build_ten,
     capacity_oT,
@@ -27,8 +29,7 @@ def feas_e1(v):
 
 
 def fast_capacity(net, v, a):
-    full = attach_super_terminals(net, v)
-    return capacity_oT(full, gadget_breakpoints(net, v), a)
+    return capacity_oT(net, gadget_breakpoints(net, v), a)
 
 
 def test_zero_demand_feasible():
@@ -104,8 +105,7 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
 def test_capacity_oT_e1_source_side():
     # {s} alone can deliver at most the two departures in the window
     net = build_e1()
-    v = DemandVector({"s": -3, "d": 3})
-    assert capacity_oT_ten(net, v, frozenset({"s"})) == 2
+    assert capacity_oT_ten(net, frozenset({"s"})) == 2
 
 
 def test_capacity_oT_matches_reported_certificate():
@@ -122,11 +122,31 @@ def test_capacity_oT_empty_and_full():
     assert fast_capacity(net, v, net.terminals) == 0
 
 
+def test_capacity_rejects_non_terminals():
+    net = make_network(
+        ("s", "m", "d"),
+        {("s", "m"): ([(0, 3, 1)], 1), ("m", "d"): ([(0, 3, 1)], 1)},
+        {"s"},
+        {"d"},
+        3,
+    )
+    v = DemandVector({"s": -3, "d": 3})
+    bps = dttn_feasible(net, 3, v).breakpoints
+    a = frozenset({"s", "m"})
+    for call in (
+        lambda: capacity_oT(net, bps, a),
+        lambda: capacity_oT_ten(net, a),
+        lambda: verify_violated(net, v, a),
+    ):
+        with pytest.raises(ModelError, match=r"not terminals: \['m'\]"):
+            call()
+
+
 def test_capacity_modes_agree(corpus):
     for parsed in corpus[:30]:
         net, v = parsed.network, parsed.demands
         a = frozenset(s for s in net.sources if v.get(s) < 0)
-        assert fast_capacity(net, v, a) == capacity_oT_ten(net, v, a)
+        assert fast_capacity(net, v, a) == capacity_oT_ten(net, a)
 
 
 def test_claim_identity_on_infeasible(corpus):
@@ -139,10 +159,10 @@ def test_claim_identity_on_infeasible(corpus):
             continue
         a = outcome.violated
         assert a <= net.terminals
-        value = capacity_oT(attach_super_terminals(net, v), outcome.breakpoints, a)
+        value = capacity_oT(net, outcome.breakpoints, a)
         expected = outcome.flow_value - v.total(a & net.sinks) + v.total(net.sources - a)
         assert value == expected
-        assert outcome.o_T == value == capacity_oT_ten(net, v, a)
+        assert outcome.o_T == value == capacity_oT_ten(net, a)
         checked += 1
         if checked >= 25:
             break
@@ -155,7 +175,7 @@ def check_verdict_against_original_ten(net, v):
     assert outcome.flow_value == ten_value
     if not outcome.feasible:
         assert outcome.violated <= net.terminals
-        assert outcome.o_T == capacity_oT_ten(net, v, outcome.violated)
+        assert outcome.o_T == capacity_oT_ten(net, outcome.violated)
         assert outcome.o_T < outcome.neg_v
 
 

@@ -1,5 +1,6 @@
-"""The benchmark's span probes name attributes that exist in the package."""
+"""The benchmark's span probes and imports name attributes that exist in the package."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -17,5 +18,26 @@ def test_perfbench_probes_exist(monkeypatch):
         f"{module}.{attr}"
         for module, attr, _, _ in spans.PROBES
         if not hasattr(importlib.import_module(f"tempoflow.{module}"), attr)
+    ]
+    assert not missing
+
+
+def test_perfbench_imports_resolve():
+    """Every name a benchmark script imports from tempoflow exists."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    imported = []
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tempoflow":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert {name for script, _, name in imported if script == "run.py"} >= {
+        "build_ten",
+        "max_flow",
+        "attach_super_terminals",
+    }
+    missing = [
+        f"{script}: {module}.{name}"
+        for script, module, name in imported
+        if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing

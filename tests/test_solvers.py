@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from tempoflow import (
     BoundedSearchError,
@@ -6,6 +7,7 @@ from tempoflow import (
     ModelError,
     attach_super_terminals,
     build_ten,
+    capacity_oT_ten,
     dttn_feasible,
     extract_flow,
     max_flow,
@@ -15,6 +17,7 @@ from tempoflow import (
 )
 
 from conftest import build_chain, build_e1, make_network
+from strategies import temporal_networks
 
 
 def test_e1_feasible_at_three():
@@ -117,6 +120,19 @@ def test_maxflow_requires_single_terminals():
     )
     with pytest.raises(ModelError):
         max_flow_over_time(net, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(temporal_networks(single_pair=True))
+def test_max_flow_over_time_bounds_single_pair_demands(net):
+    """The max flow over time w is o_T({s}): demand w is feasible, w + 1 is not."""
+    (s,), (d,) = net.sources, net.sinks
+    w, _ = max_flow_over_time(net, net.horizon)
+    assert w == capacity_oT_ten(net, frozenset({s}))
+    assert dttn_feasible(net, net.horizon, DemandVector({s: -w, d: w})).feasible
+    over = dttn_feasible(net, net.horizon, DemandVector({s: -w - 1, d: w + 1}))
+    assert not over.feasible
+    assert over.violated == {s} and over.o_T == w
 
 
 def test_extract_flow_e1_unique():
