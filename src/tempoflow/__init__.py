@@ -47,7 +47,6 @@ from .expansion import (
     DEFAULT_TEN_BUDGET,
     Arc,
     ExpandedGraph,
-    IntervalPartition,
     OracleBudgetError,
     build_cten,
     build_ten,

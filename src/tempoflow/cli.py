@@ -18,7 +18,7 @@ from .expansion import OracleBudgetError, build_ten
 from .maxflow import max_flow
 from .feasibility import capacity_oT_ten, gadget_breakpoints
 from .netio import InstanceSpec, ParsedInstance, generate_instance, parse_network, serialize_flow, serialize_network
-from .solvers import BoundedSearchError, dttn_feasible, extract_flow, max_flow_over_time, quickest_transshipment
+from .solvers import BoundedSearchError, _at_horizon, dttn_feasible, extract_flow, max_flow_over_time, quickest_transshipment
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -66,8 +66,6 @@ def _cmd_maxflow(args) -> int:
     parsed = _load(args.input)
     net = parsed.network
     if args.horizon is not None and args.horizon != net.horizon:
-        from .solvers import _at_horizon
-
         net = _at_horizon(net, args.horizon)
     value, flow = max_flow_over_time(net, net.horizon)
     print(f"maxflow {value}")
@@ -86,7 +84,7 @@ def _cmd_expand(args) -> int:
     else:
         graph = dttn_feasible(net, net.horizon, v).graph
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(graph.to_dot() + "\n")
+        fh.write(graph.to_dot(args.mode) + "\n")
     print(f"wrote {args.mode} with {len(graph.vertices)} vertices, {len(graph.arcs)} arcs")
     return EXIT_OK
 

@@ -1,13 +1,14 @@
-"""Time-expanded networks, full and condensed, as steady-state graphs.
+"""Time-expanded networks as steady-state graphs over (node, interval) vertices.
 
-The full expansion (one vertex per node and time step) is the brute-force
-oracle and is gated by an explicit size budget.  The condensed expansion
-groups each node's time steps into the intervals of a per-node breakpoint
-set; arc capacities are the exact sums of the per-step capacities, computed
-in closed form per constant piece so no loop over the horizon ever runs.
-Each edge is built in one sweep of its merged pieces against its tail's
-intervals, adding every piece's arrival count straight into the arc of its
-(departure, target) interval pair.
+The condensed expansion groups each node's time steps into the intervals
+of a per-node breakpoint set; arc capacities are the exact sums of the
+per-step capacities, computed in closed form per constant piece so no
+loop over the horizon ever runs.  Each edge is built in one sweep of its
+merged pieces against its tail's intervals, adding every piece's arrival
+count straight into the arc of its (departure, target) interval pair.
+The full expansion (one vertex per node and time step) is the condensed
+one over the sets {0, ..., T}; it is the brute-force oracle and is gated
+by an explicit size budget.
 """
 
 from __future__ import annotations
@@ -29,37 +30,19 @@ class OracleBudgetError(ModelError):
 Interval = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
+def intervals_of(points, horizon: int) -> tuple[Interval, ...]:
     """Closed integer intervals covering [0, T] induced by a breakpoint set.
 
     Breakpoints a_1 < ... < a_p (with a_1 = 0, a_p = T) induce the
     intervals [a_j, a_{j+1} - 1] plus the final singleton [T, T], so the
     points are exactly the intervals' first steps.
     """
-
-    points: tuple[int, ...]
-    intervals: tuple[Interval, ...]
-
-    def index_of(self, t: int) -> int:
-        if not (0 <= t <= self.points[-1]):
-            raise ModelError(f"t={t} outside [0, {self.points[-1]}]")
-        return bisect_right(self.points, t) - 1
-
-    def interval_of(self, t: int) -> Interval:
-        return self.intervals[self.index_of(t)]
-
-
-def intervals_of(points, horizon: int) -> IntervalPartition:
-    """Partition [0, T] for a breakpoint set containing 0 and T."""
-    pts = tuple(sorted(set(points)))
+    pts = sorted(set(points))
     if not pts or pts[0] != 0 or pts[-1] != horizon:
-        raise ModelError(f"breakpoint set must contain 0 and {horizon}: {pts}")
-    if horizon == 0:
-        return IntervalPartition(pts, ((0, 0),))
-    ivs = [(pts[k], pts[k + 1] - 1) for k in range(len(pts) - 1) if pts[k] <= pts[k + 1] - 1]
+        raise ModelError(f"breakpoint set must contain 0 and {horizon}: {tuple(pts)}")
+    ivs = [(pts[k], pts[k + 1] - 1) for k in range(len(pts) - 1)]
     ivs.append((horizon, horizon))
-    return IntervalPartition(pts, tuple(ivs))
+    return tuple(ivs)
 
 
 class Arc(NamedTuple):
@@ -70,17 +53,24 @@ class Arc(NamedTuple):
 
 @dataclass(frozen=True)
 class ExpandedGraph:
-    """Steady-state flow graph over (node, interval) vertices."""
+    """Steady-state flow graph over (node, interval) vertices.
 
-    flavor: str  # "TEN" or "cTEN"
+    ``ranges[i]`` holds node i's vertex ids, one per interval in time order.
+    """
+
     vertices: tuple[tuple[str, Interval], ...]
     arcs: tuple[Arc, ...]
     source: int
     sink: int
-    index: dict[tuple[str, Interval], int] = field(repr=False)
+    ranges: dict[str, range] = field(repr=False)
 
-    def vertex(self, node: str, interval: Interval) -> int:
-        return self.index[(node, interval)]
+    def vertex_at(self, node: str, t: int) -> int:
+        """The vertex of ``node`` whose interval contains step t."""
+        ids = self.ranges[node]
+        horizon = self.vertices[ids[-1]][1][1]
+        if not (0 <= t <= horizon):
+            raise ModelError(f"t={t} outside [0, {horizon}]")
+        return bisect_right(self.vertices, t, ids.start, ids.stop, key=lambda lab: lab[1][0]) - 1
 
     def label(self, vid: int) -> tuple[str, Interval]:
         return self.vertices[vid]
@@ -96,16 +86,17 @@ class ExpandedGraph:
                 out[(i, j), t] = out.get(((i, j), t), 0) + amount
         return out
 
-    def to_dot(self) -> str:
-        lines = [f"digraph {self.flavor.lower()} {{"]
+    def to_dot(self, name: str) -> str:
+        """Graphviz text of the arcs, as the digraph ``name``."""
+        lines = [f"digraph {name} {{"]
 
-        def name(vid: int) -> str:
+        def vertex_name(vid: int) -> str:
             node, (lo, hi) = self.vertices[vid]
             return f'"{node}@[{lo},{hi}]"'
 
         for arc in self.arcs:
             cap = "inf" if arc.capacity == INF else str(arc.capacity)
-            lines.append(f"  {name(arc.tail)} -> {name(arc.head)} [label={cap}];")
+            lines.append(f"  {vertex_name(arc.tail)} -> {vertex_name(arc.head)} [label={cap}];")
         lines.append("}")
         return "\n".join(lines)
 
@@ -120,7 +111,8 @@ def build_ten(net: TemporalNetwork, budget: int = DEFAULT_TEN_BUDGET) -> Expande
     """Full expansion: vertices V x [0, T], unit-time holdover arcs.
 
     The max-flow value of this graph equals the maximum flow over time of
-    the network, which is why it serves as the ground-truth oracle.
+    the network, which is why it serves as the ground-truth oracle.  It is
+    the condensed expansion with every breakpoint set {0, ..., T}.
     """
     T = net.horizon
     size = len(net.nodes) * (T + 1)
@@ -128,22 +120,8 @@ def build_ten(net: TemporalNetwork, budget: int = DEFAULT_TEN_BUDGET) -> Expande
         raise OracleBudgetError(
             f"full expansion needs {size} vertices, over the budget of {budget}"
         )
-    s, d = _single_terminals(net)
-    vertices = tuple((i, (t, t)) for i in net.nodes for t in range(T + 1))
-    index = {lab: k for k, lab in enumerate(vertices)}
-    arcs: list[Arc] = []
-    for i in net.nodes:
-        for t in range(T):
-            arcs.append(Arc(index[(i, (t, t))], index[(i, (t + 1, t + 1))], INF))
-    for (i, j), fn in net.edges.items():
-        for (a, b, u, tau) in merged_pieces(fn.capacity, fn.travel_time):
-            if u == 0:
-                continue
-            for t in range(a, min(b, T - tau) + 1):
-                arcs.append(Arc(index[(i, (t, t))], index[(j, (t + tau, t + tau))], u))
-    return ExpandedGraph(
-        "TEN", vertices, tuple(arcs), index[(s, (0, 0))], index[(d, (T, T))], index
-    )
+    every_step = range(T + 1)
+    return build_cten(net, {i: every_step for i in net.nodes})
 
 
 def _edge_arcs(pieces: list, departures, starts, targets):
@@ -193,32 +171,32 @@ def cten_edge_capacity(pieces: list, interval: Interval, target: Interval) -> in
 def build_cten(net: TemporalNetwork, breakpoints: dict[str, tuple[int, ...]]) -> ExpandedGraph:
     """Condensed expansion over per-node interval partitions.
 
-    Vertex (i, k) of node i's k-th interval has id offset[i] + k.  Each
-    edge's merged pieces are swept once against its tail's intervals.
-    With every breakpoint set equal to {0, ..., T} this is arc-for-arc the
-    full expansion.  Arcs whose summed capacity is zero are omitted.
+    Node i's k-th interval is vertex ranges[i][k], ids numbered node by
+    node from per-node offsets.  Each edge's merged pieces are swept once
+    against its tail's intervals.  With every breakpoint set equal to
+    {0, ..., T} this is the full expansion.  Arcs whose summed capacity is
+    zero are omitted.
     """
     T = net.horizon
     s, d = _single_terminals(net)
     parts = {i: intervals_of(breakpoints[i], T) for i in net.nodes}
-    offset: dict[str, int] = {}
+    starts = {i: [lo for lo, _ in ivs] for i, ivs in parts.items()}
+    # Arc endpoints are read from one list of ids so that all arcs at a
+    # vertex share one int object: ints past 256 are not cached, and
+    # offset + k would allocate one per endpoint, about a fifth of a full
+    # expansion's memory.
+    ids = list(range(sum(map(len, parts.values()))))
+    own: dict[str, list[int]] = {}
     vertices: list[tuple[str, Interval]] = []
     arcs: list[Arc] = []
     for i in net.nodes:
-        offset[i] = base = len(vertices)
-        ivs = parts[i].intervals
-        vertices += ((i, iv) for iv in ivs)
-        arcs += (Arc(base + k, base + k + 1, INF) for k in range(len(ivs) - 1))
+        own[i] = node_ids = ids[len(vertices):len(vertices) + len(parts[i])]
+        vertices += ((i, iv) for iv in parts[i])
+        arcs += (Arc(a, b, INF) for a, b in zip(node_ids, node_ids[1:]))
     for (i, j), fn in net.edges.items():
-        base_i, base_j, tgt = offset[i], offset[j], parts[j]
+        tail, head = own[i], own[j]
         pieces = merged_pieces(fn.capacity, fn.travel_time)
-        for k, m, cap in _edge_arcs(pieces, parts[i].intervals, tgt.points, tgt.intervals):
-            arcs.append(Arc(base_i + k, base_j + m, cap))
-    return ExpandedGraph(
-        "cTEN",
-        tuple(vertices),
-        tuple(arcs),
-        offset[s],
-        offset[d] + len(parts[d].intervals) - 1,
-        {lab: k for k, lab in enumerate(vertices)},
-    )
+        for k, m, cap in _edge_arcs(pieces, parts[i], starts[j], parts[j]):
+            arcs.append(Arc(tail[k], head[m], cap))
+    ranges = {i: range(node_ids[0], node_ids[-1] + 1) for i, node_ids in own.items()}
+    return ExpandedGraph(tuple(vertices), tuple(arcs), ranges[s][0], ranges[d][-1], ranges)

@@ -29,7 +29,7 @@ from .reductions import (
     set_super_terminals,
 )
 from .breakpoints import BreakpointSet, canonical_breakpoints, cten_breakpoints
-from .expansion import build_cten, build_ten, intervals_of, ExpandedGraph
+from .expansion import build_cten, build_ten, ExpandedGraph
 from .maxflow import max_flow, residual_reachable
 
 
@@ -107,7 +107,7 @@ def feas(net: TemporalNetwork, v: DemandVector, one_shot: OneShotNetwork) -> Fea
     a = frozenset(
         i
         for i in net.terminals
-        if graph.vertex(i, intervals_of(bps[i], T).interval_of(0 if i in net.sources else T)) in side
+        if graph.vertex_at(i, 0 if i in net.sources else T) in side
     )
     # o_T(A) = |f| - v(A cap sinks) - (-v)(sources \ A), read off the cut `side`:
     # 1. `side` crosses exactly the saturated super edges of the sources outside

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from .model import (
     DemandVector,
+    EdgeFn,
     FlowOverTime,
     ModelError,
+    PiecewiseConstFn,
     TemporalNetwork,
     to_one_shot,
 )
@@ -44,8 +46,6 @@ def dttn_feasible(net: TemporalNetwork, horizon: int, v: DemandVector) -> FeasOu
 
 def _at_horizon(net: TemporalNetwork, horizon: int) -> TemporalNetwork:
     """The same network truncated or extended to a different horizon."""
-    from .model import EdgeFn, PiecewiseConstFn
-
     if horizon < 0:
         raise ModelError(f"horizon must be non-negative, got {horizon}")
 

@@ -81,13 +81,12 @@ def build_fig4() -> TemporalNetwork:
     )
 
 
-def oracle_max_flow_over_time(net: TemporalNetwork, v: DemandVector | None = None):
-    """Max flow over time via an independently built full expansion.
+def oracle_ten(net: TemporalNetwork) -> nx.DiGraph:
+    """The full expansion over vertices (node, t), built independently.
 
-    With demands given, super terminals cap each source at -v(s) (time 0)
-    and each sink at v(d) (time T); without demands, terminals are open.
-    Infinite capacities are expressed by omitting the capacity attribute,
-    which networkx treats as unbounded.
+    Holdover arcs carry no capacity attribute, which networkx treats as
+    unbounded; departures with zero capacity or arriving after T are left
+    out.
     """
     T = net.horizon
     g = nx.DiGraph()
@@ -105,6 +104,19 @@ def oracle_max_flow_over_time(net: TemporalNetwork, v: DemandVector | None = Non
                 g[(i, t)][arrive]["capacity"] += u
             else:
                 g.add_edge((i, t), arrive, capacity=u)
+    return g
+
+
+def oracle_max_flow_over_time(net: TemporalNetwork, v: DemandVector | None = None):
+    """Max flow over time via ``oracle_ten``.
+
+    With demands given, super terminals cap each source at -v(s) (time 0)
+    and each sink at v(d) (time T); without demands, terminals are open.
+    Infinite capacities are expressed by omitting the capacity attribute,
+    which networkx treats as unbounded.
+    """
+    T = net.horizon
+    g = oracle_ten(net)
     for s in net.sources:
         if v is None:
             g.add_edge(SUPER_SOURCE, (s, 0))

@@ -69,7 +69,7 @@ def min_cut_times(graph: ExpandedGraph, flow: SteadyFlow, horizon: int) -> CutFu
         values[node] = first.get(node, horizon + 1)
     for vid in side:
         node, (t, _) = graph.label(vid)
-        if t > values[node] and graph.vertex(node, (values[node], values[node])) not in side:
+        if t > values[node] and graph.vertex_at(node, values[node]) not in side:
             raise InternalConsistencyError(f"residual side of {node} is not upward-closed")
     return CutFunction(values, horizon)
 

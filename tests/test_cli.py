@@ -58,7 +58,7 @@ def test_expand_writes_dot(e1_path, tmp_path, capsys):
     for mode in ("ten", "cten"):
         assert main(["expand", "-i", e1_path, "--mode", mode, "-o", str(out)]) == 0
         text = out.read_text()
-        assert text.startswith("digraph")
+        assert text.startswith(f"digraph {mode} {{")
 
 
 def test_gen_roundtrip(tmp_path, capsys):

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tempoflow import (
+    INF,
     ModelError,
     OracleBudgetError,
     attach_super_terminals,
@@ -13,8 +14,9 @@ from tempoflow import (
     max_flow,
     merged_pieces,
 )
+from tempoflow.solvers import _at_horizon
 
-from conftest import build_e1, build_fig4
+from conftest import build_e1, build_fig4, oracle_ten
 from strategies import balanced_demands, edge_fns, temporal_networks
 
 
@@ -30,14 +32,19 @@ def brute_capacity(fn, interval, target):
 
 
 def test_interval_partition_convention():
-    part = intervals_of((0, 1, 4), 4)
-    assert part.intervals == ((0, 0), (1, 3), (4, 4))
-    assert part.interval_of(2) == (1, 3)
-    assert [part.index_of(t) for t in (0, 1, 3, 4)] == [0, 1, 1, 2]
-    assert intervals_of((0,), 0).index_of(0) == 0
+    assert intervals_of((0, 1, 4), 4) == ((0, 0), (1, 3), (4, 4))
+    net = build_fig4()
+    graph = build_cten(net, {i: (0, 1, 4) for i in net.nodes})
+    first = graph.ranges["b"].start
+    assert graph.label(graph.vertex_at("b", 2)) == ("b", (1, 3))
+    assert [graph.vertex_at("b", t) - first for t in (0, 1, 3, 4)] == [0, 1, 1, 2]
+    assert intervals_of((0,), 0) == ((0, 0),)
+    flat = _at_horizon(build_e1(), 0)
+    point = build_cten(flat, {i: (0,) for i in flat.nodes})
+    assert point.vertex_at("d", 0) - point.ranges["d"].start == 0
     for t in (-1, 5):
         with pytest.raises(ModelError):
-            part.index_of(t)
+            graph.vertex_at("b", t)
 
 
 def test_interval_partition_requires_bounds():
@@ -105,23 +112,27 @@ def test_cten_edge_capacity_matches_brute_force(fn, data) -> None:
 def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
     """The cTEN is the TEN with each (interval, interval) block summed, in order.
 
-    Blocks are grouped like the arcs of both builders (holdovers per node,
-    then one group per edge) and sorted within a group; blocks inside one
-    interval are dropped.
+    The TEN is the networkx ``oracle_ten``; ``build_ten``'s labelled arcs
+    must equal its edges and capacities.  Blocks are grouped like the arcs
+    of both builders (holdovers per node, then one group per edge) and
+    sorted within a group; blocks inside one interval are dropped.
     """
     full = attach_super_terminals(net, data.draw(balanced_demands(net)))
     T = full.horizon
     bps = {i: (0, T, *data.draw(st.sets(st.integers(0, T)))) for i in full.nodes}
-    parts = {i: intervals_of(bps[i], T) for i in full.nodes}
-    ten, cten = build_ten(full), build_cten(full, bps)
-    assert cten.vertices == tuple((i, iv) for i in full.nodes for iv in parts[i].intervals)
-    blocks: dict = {}
+    ten, cten, oracle = build_ten(full), build_cten(full, bps), oracle_ten(full)
+    oracle_arcs = [(p, q, attrs.get("capacity", INF)) for p, q, attrs in oracle.edges(data=True)]
+    ten_arcs = []
     for tail, head, cap in ten.arcs:
         (i, (t, _)), (j, (t2, _)) = ten.label(tail), ten.label(head)
-        a = cten.vertex(i, parts[i].interval_of(t))
-        b = cten.vertex(j, parts[j].interval_of(t2))
+        ten_arcs.append(((i, t), (j, t2), cap))
+    assert sorted(ten_arcs) == sorted(oracle_arcs)
+    assert cten.vertices == tuple((i, iv) for i in full.nodes for iv in intervals_of(bps[i], T))
+    blocks: dict = {**{(i, i): {} for i in full.nodes}, **{e: {} for e in full.edges}}
+    for (i, t), (j, t2), cap in oracle_arcs:
+        a, b = cten.vertex_at(i, t), cten.vertex_at(j, t2)
         if a != b:
-            group = blocks.setdefault((i, j), {})
+            group = blocks[i, j]
             group[a, b] = group.get((a, b), 0) + cap
     expected = [(a, b, cap) for group in blocks.values() for (a, b), cap in sorted(group.items())]
     assert [tuple(arc) for arc in cten.arcs] == expected

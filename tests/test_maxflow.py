@@ -21,9 +21,9 @@ from conftest import build_e1
 
 def graph_from_arcs(n, arcs, source, sink):
     vertices = tuple((f"v{k}", (0, 0)) for k in range(n))
-    index = {lab: k for k, lab in enumerate(vertices)}
+    ranges = {f"v{k}": range(k, k + 1) for k in range(n)}
     return ExpandedGraph(
-        "TEN", vertices, tuple(Arc(*a) for a in arcs), source, sink, index
+        vertices, tuple(Arc(*a) for a in arcs), source, sink, ranges
     )
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from tempoflow import (
     BoundedSearchError,
@@ -15,9 +15,10 @@ from tempoflow import (
     quickest_transshipment,
     validate_flow,
 )
+from tempoflow.solvers import _at_horizon
 
 from conftest import build_chain, build_e1, make_network
-from strategies import temporal_networks
+from strategies import demand_instances, temporal_networks
 
 
 def test_e1_feasible_at_three():
@@ -25,8 +26,6 @@ def test_e1_feasible_at_three():
 
 
 def test_e1_infeasible_at_two():
-    from tempoflow.solvers import _at_horizon
-
     net = _at_horizon(build_e1(), 2)
     assert not dttn_feasible(net, 2, DemandVector({"s": -2, "d": 2})).feasible
 
@@ -60,8 +59,6 @@ def test_quickest_e1_one_unit():
 def test_quickest_e1_two_units():
     t_star, flow = quickest_transshipment(build_e1(), DemandVector({"s": -2, "d": 2}), 64)
     assert t_star == 3
-    from tempoflow.solvers import _at_horizon
-
     assert validate_flow(_at_horizon(build_e1(), 3), 3, flow, DemandVector({"s": -2, "d": 2})).ok
 
 
@@ -73,8 +70,6 @@ def test_quickest_zero_demand():
 
 def test_quickest_zero_horizon():
     # zero travel time: one unit arrives at the departure step, so T* = 0
-    from tempoflow.solvers import _at_horizon
-
     net = make_network(("s", "d"), {("s", "d"): ([(0, 3, 1)], 0)}, {"s"}, {"d"}, 3)
     v = DemandVector({"s": -1, "d": 1})
     assert dttn_feasible(_at_horizon(net, 0), 0, v).feasible
@@ -160,10 +155,18 @@ def test_extract_flow_rejects_bad_demands(values, message):
 
 
 def test_horizon_monotonicity(corpus):
-    from tempoflow.solvers import _at_horizon
-
     for parsed in corpus[:40]:
         net, v = parsed.network, parsed.demands
         if dttn_feasible(net, net.horizon, v).feasible:
             T2 = net.horizon + 1
             assert dttn_feasible(_at_horizon(net, T2), T2, v).feasible
+
+
+@settings(max_examples=60, deadline=None)
+@given(demand_instances(inf=True))
+def test_feasible_at_horizon_stays_feasible_one_step_later(instance):
+    """Waiting one more step never loses a feasible transshipment."""
+    net, v = instance
+    assume(dttn_feasible(net, net.horizon, v).feasible)
+    T2 = net.horizon + 1
+    assert dttn_feasible(_at_horizon(net, T2), T2, v).feasible
