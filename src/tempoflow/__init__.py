@@ -45,7 +45,6 @@ from .breakpoints import (
 )
 from .expansion import (
     DEFAULT_TEN_BUDGET,
-    Arc,
     ExpandedGraph,
     OracleBudgetError,
     build_cten,

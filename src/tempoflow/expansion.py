@@ -3,20 +3,22 @@
 The condensed expansion groups each node's time steps into the intervals
 of a per-node breakpoint set; arc capacities are the exact sums of the
 per-step capacities, computed in closed form per constant piece so no
-loop over the horizon ever runs.  Each edge is built in one sweep of its
-merged pieces against its tail's intervals, adding every piece's arrival
-count straight into the arc of its (departure, target) interval pair.
-The full expansion (one vertex per node and time step) is the condensed
-one over the sets {0, ..., T}; it is the brute-force oracle and is gated
-by an explicit size budget.
+loop over the horizon ever runs.  Each live piece of an edge is swept
+once: its departures walk the tail's interval starts and the head's
+starts shifted back by the travel time together, and every elementary
+segment between two such starts adds its capacity to one (departure,
+target) interval pair.  Arcs are stored flat, as parallel tail, head and
+capacity tuples that max flow reads directly.  The full expansion (one
+vertex per node and time step) is the condensed one over the sets
+{0, ..., T}; it is the brute-force oracle and is gated by an explicit
+size budget.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import NamedTuple
+from itertools import pairwise
 
 from .model import INF, ModelError, TemporalNetwork, merged_pieces
 
@@ -30,39 +32,54 @@ class OracleBudgetError(ModelError):
 Interval = tuple[int, int]
 
 
-def intervals_of(points, horizon: int) -> tuple[Interval, ...]:
-    """Closed integer intervals covering [0, T] induced by a breakpoint set.
+def _bounds(points, horizon: int) -> list[int]:
+    """A breakpoint set's interval starts followed by T + 1.
 
-    Breakpoints a_1 < ... < a_p (with a_1 = 0, a_p = T) induce the
-    intervals [a_j, a_{j+1} - 1] plus the final singleton [T, T], so the
-    points are exactly the intervals' first steps.
+    Interval k is [bounds[k], bounds[k + 1] - 1], so breakpoints
+    a_1 < ... < a_p (with a_1 = 0, a_p = T) induce the intervals
+    [a_j, a_{j+1} - 1] plus the final singleton [T, T].
     """
     pts = sorted(set(points))
     if not pts or pts[0] != 0 or pts[-1] != horizon:
         raise ModelError(f"breakpoint set must contain 0 and {horizon}: {tuple(pts)}")
-    ivs = [(pts[k], pts[k + 1] - 1) for k in range(len(pts) - 1)]
-    ivs.append((horizon, horizon))
-    return tuple(ivs)
+    pts.append(horizon + 1)
+    return pts
 
 
-class Arc(NamedTuple):
-    tail: int
-    head: int
-    capacity: int | float
+def _intervals(bounds: list[int]) -> list[Interval]:
+    # A singleton interval repeats its start's int object rather than a
+    # fresh ``nxt - 1``: a full expansion holds one per vertex.
+    return [(lo, lo if nxt - lo == 1 else nxt - 1) for lo, nxt in pairwise(bounds)]
+
+
+def intervals_of(points, horizon: int) -> tuple[Interval, ...]:
+    """Closed integer intervals covering [0, T] induced by a breakpoint set.
+
+    The points are exactly the intervals' first steps.
+    """
+    return tuple(_intervals(_bounds(points, horizon)))
 
 
 @dataclass(frozen=True)
 class ExpandedGraph:
     """Steady-state flow graph over (node, interval) vertices.
 
+    Arc k runs from ``tails[k]`` to ``heads[k]`` with capacity ``caps[k]``.
     ``ranges[i]`` holds node i's vertex ids, one per interval in time order.
     """
 
     vertices: tuple[tuple[str, Interval], ...]
-    arcs: tuple[Arc, ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    caps: tuple[int | float, ...]
     source: int
     sink: int
     ranges: dict[str, range] = field(repr=False)
+
+    @property
+    def arcs(self) -> range:
+        """The arc ids, indexing ``tails``, ``heads`` and ``caps``."""
+        return range(len(self.caps))
 
     def vertex_at(self, node: str, t: int) -> int:
         """The vertex of ``node`` whose interval contains step t."""
@@ -78,10 +95,10 @@ class ExpandedGraph:
     def departures(self, arc_flows) -> dict[tuple[tuple[str, str], int], int]:
         """Positive flow of a full expansion per ``((i, j), departure)``; holdovers skipped."""
         out: dict[tuple[tuple[str, str], int], int] = {}
-        for arc, amount in zip(self.arcs, arc_flows, strict=True):
+        for tail, head, amount in zip(self.tails, self.heads, arc_flows, strict=True):
             if amount <= 0:
                 continue
-            (i, (t, _)), (j, _) = self.vertices[arc.tail], self.vertices[arc.head]
+            (i, (t, _)), (j, _) = self.vertices[tail], self.vertices[head]
             if i != j:
                 out[(i, j), t] = out.get(((i, j), t), 0) + amount
         return out
@@ -94,9 +111,9 @@ class ExpandedGraph:
             node, (lo, hi) = self.vertices[vid]
             return f'"{node}@[{lo},{hi}]"'
 
-        for arc in self.arcs:
-            cap = "inf" if arc.capacity == INF else str(arc.capacity)
-            lines.append(f"  {vertex_name(arc.tail)} -> {vertex_name(arc.head)} [label={cap}];")
+        for tail, head, cap in zip(self.tails, self.heads, self.caps):
+            label = "inf" if cap == INF else str(cap)
+            lines.append(f"  {vertex_name(tail)} -> {vertex_name(head)} [label={label}];")
         lines.append("}")
         return "\n".join(lines)
 
@@ -124,79 +141,93 @@ def build_ten(net: TemporalNetwork, budget: int = DEFAULT_TEN_BUDGET) -> Expande
     return build_cten(net, {i: every_step for i in net.nodes})
 
 
-def _edge_arcs(pieces: list, departures, starts, targets):
-    """Summed capacities of one edge between departure and target intervals.
+def _edge_sums(pieces: list, tail: list[int], head: list[int], horizon: int) -> dict:
+    """Summed capacities of one edge per (departure, target) interval pair.
 
-    ``pieces`` are the edge's ``merged_pieces``; ``departures`` and
-    ``targets`` are sorted disjoint intervals and ``starts`` the targets'
-    first steps.  Yields ``(k, m, capacity)`` for each departure k and
-    target m with positive capacity, by k and then m.  The capacity is the
-    exact sum of u(t) over t in departure k with t + travel_time(t) in
-    target m: the departures of a piece within [a, b] arrive over
-    [first, last] = [max(p, a) + tau, min(q, b) + tau], and target
-    [a', b'] counts min(b', last) - max(a', first) + 1 of them, so each
-    (piece, departure) overlap costs one bisect and one step per target hit.
+    ``pieces`` are the edge's ``merged_pieces``, and ``tail`` and ``head``
+    the ``_bounds`` of its endpoints.  Maps ``(k, m)`` to the exact sum of
+    u(t) over the departures t in tail interval k that arrive in head
+    interval m, for every pair with a positive sum; keys are inserted with
+    k nondecreasing.  Each live piece [p, q] is first clipped to
+    q <= T - tau, since a later departure would arrive after the horizon.
+    Its departures then walk the tail's starts and the head's starts
+    shifted by -tau together: each elementary segment [t, end) up to the
+    next such start departs in one interval k and arrives in one interval
+    m, and adds u * (end - t) to (k, m).
     """
-    n = 0  # first piece not ending before the current departure interval
-    for k, (a, b) in enumerate(departures):
-        while pieces[n][1] < a:
-            n += 1
-        sums: dict[int, int | float] = {}
-        for p, q, u, tau in islice(pieces, n, None):
-            if p > b:
-                break
-            if u == 0:
-                continue
-            first, last = max(p, a) + tau, min(q, b) + tau
-            m = bisect_right(starts, first) - 1
-            if m < 0 or targets[m][1] < first:
+    sums: dict[tuple[int, int], int | float] = {}
+    k = 0
+    for p, q, u, tau in pieces:
+        stop = min(q, horizon - tau) + 1  # first departure past the clipped piece
+        if u == 0 or p >= stop:
+            continue
+        k = bisect_right(tail, p, k) - 1
+        m = bisect_right(head, p + tau) - 1
+        t = p
+        while t < stop:
+            next_k, next_m = tail[k + 1], head[m + 1] - tau
+            end = next_k if next_k < next_m else next_m
+            if stop < end:
+                end = stop
+            key = (k, m)
+            sums[key] = sums.get(key, 0) + u * (end - t)
+            if end == next_k:
+                k += 1
+            if end == next_m:
                 m += 1
-            while m < len(targets) and starts[m] <= last:
-                lo, hi = targets[m]
-                sums[m] = sums.get(m, 0) + u * (min(hi, last) - max(lo, first) + 1)
-                m += 1
-        for m in sorted(sums):
-            yield k, m, sums[m]
+            t = end
+    return sums
 
 
 def cten_edge_capacity(pieces: list, interval: Interval, target: Interval) -> int | float:
     """Total capacity of departures in ``interval`` arriving in ``target``.
 
     ``pieces`` are an edge's ``merged_pieces``; this is the sweep of
-    ``build_cten`` restricted to one (departure, target) pair.
+    ``build_cten`` over partitions that have the two intervals as blocks.
     """
-    return sum(cap for _, _, cap in _edge_arcs(pieces, (interval,), (target[0],), (target,)))
+    T = pieces[-1][1]
+    (a, b), (a2, b2) = interval, target
+    tail, head = sorted({0, a, b + 1, T + 1}), sorted({0, a2, b2 + 1, T + 1})
+    return _edge_sums(pieces, tail, head, T).get((tail.index(a), head.index(a2)), 0)
 
 
 def build_cten(net: TemporalNetwork, breakpoints: dict[str, tuple[int, ...]]) -> ExpandedGraph:
     """Condensed expansion over per-node interval partitions.
 
     Node i's k-th interval is vertex ranges[i][k], ids numbered node by
-    node from per-node offsets.  Each edge's merged pieces are swept once
-    against its tail's intervals.  With every breakpoint set equal to
-    {0, ..., T} this is the full expansion.  Arcs whose summed capacity is
-    zero are omitted.
+    node.  Arcs come as every node's holdovers, then each edge's arcs by
+    departure and then target interval.  With every breakpoint set equal
+    to {0, ..., T} this is the full expansion.  Arcs whose summed capacity
+    is zero are omitted.
     """
     T = net.horizon
     s, d = _single_terminals(net)
-    parts = {i: intervals_of(breakpoints[i], T) for i in net.nodes}
-    starts = {i: [lo for lo, _ in ivs] for i, ivs in parts.items()}
+    bounds = {i: _bounds(breakpoints[i], T) for i in net.nodes}
     # Arc endpoints are read from one list of ids so that all arcs at a
     # vertex share one int object: ints past 256 are not cached, and
     # offset + k would allocate one per endpoint, about a fifth of a full
     # expansion's memory.
-    ids = list(range(sum(map(len, parts.values()))))
-    own: dict[str, list[int]] = {}
+    ids = list(range(sum(len(b) - 1 for b in bounds.values())))
+    first: dict[str, int] = {}
     vertices: list[tuple[str, Interval]] = []
-    arcs: list[Arc] = []
+    tails: list[int] = []
+    heads: list[int] = []
     for i in net.nodes:
-        own[i] = node_ids = ids[len(vertices):len(vertices) + len(parts[i])]
-        vertices += ((i, iv) for iv in parts[i])
-        arcs += (Arc(a, b, INF) for a, b in zip(node_ids, node_ids[1:]))
+        first[i] = lo = len(vertices)
+        vertices += [(i, iv) for iv in _intervals(bounds[i])]
+        hi = len(vertices)
+        tails += ids[lo:hi - 1]
+        heads += ids[lo + 1:hi]
+    caps: list[int | float] = [INF] * len(tails)
     for (i, j), fn in net.edges.items():
-        tail, head = own[i], own[j]
-        pieces = merged_pieces(fn.capacity, fn.travel_time)
-        for k, m, cap in _edge_arcs(pieces, parts[i], starts[j], parts[j]):
-            arcs.append(Arc(tail[k], head[m], cap))
-    ranges = {i: range(node_ids[0], node_ids[-1] + 1) for i, node_ids in own.items()}
-    return ExpandedGraph(tuple(vertices), tuple(arcs), ranges[s][0], ranges[d][-1], ranges)
+        lo_i, lo_j = first[i], first[j]
+        sums = _edge_sums(merged_pieces(fn.capacity, fn.travel_time), bounds[i], bounds[j], T)
+        for (k, m), cap in sorted(sums.items()):
+            tails.append(ids[lo_i + k])
+            heads.append(ids[lo_j + m])
+            caps.append(cap)
+    ranges = {i: range(lo, lo + len(bounds[i]) - 1) for i, lo in first.items()}
+    return ExpandedGraph(
+        tuple(vertices), tuple(tails), tuple(heads), tuple(caps),
+        ranges[s][0], ranges[d][-1], ranges,
+    )

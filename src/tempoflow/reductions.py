@@ -165,11 +165,18 @@ class CanonicalTemporalNetwork:
         return self.net.horizon
 
 
-def one_shot_edge(active_t: int, cap, horizon: int) -> EdgeFn:
-    """A zero-travel-time edge with capacity ``cap`` at ``active_t`` only."""
-    pieces = ((0, active_t - 1, 0), (active_t, active_t, cap), (active_t + 1, horizon, 0))
-    capacity = PiecewiseConstFn(tuple(p for p in pieces if p[0] <= p[1]))
-    return EdgeFn(capacity, PiecewiseConstFn.constant(0, horizon))
+def one_shot_edge(active_t: int, cap, zero: PiecewiseConstFn) -> EdgeFn:
+    """A zero-travel-time edge with capacity ``cap`` at ``active_t`` only.
+
+    ``zero`` is the constant-zero function on [0, T], the edge's travel time.
+    """
+    T = zero.horizon
+    pieces = [(active_t, active_t, cap)]
+    if active_t > 0:
+        pieces.insert(0, (0, active_t - 1, 0))
+    if active_t < T:
+        pieces.append((active_t + 1, T, 0))
+    return EdgeFn(PiecewiseConstFn(tuple(pieces)), zero)
 
 
 def with_super_terminals(net: TemporalNetwork, caps: dict[str, int]) -> TemporalNetwork:
@@ -177,18 +184,21 @@ def with_super_terminals(net: TemporalNetwork, caps: dict[str, int]) -> Temporal
 
     The s*-edge to a source s has capacity ``caps[s]`` at time 0 only; the
     d*-edge from a sink d has capacity ``caps[d]`` at time T only.  INF is
-    allowed.  Every terminal needs an entry.
+    allowed.  Every terminal needs an entry.  The super edges share one
+    zero travel-time function, and edges with equal times and capacities
+    are one object (EdgeFn is immutable).
     """
     T = net.horizon
     if S_STAR in net.nodes or D_STAR in net.nodes:
         raise ModelError(f"node ids {S_STAR!r}/{D_STAR!r} are reserved")
 
     edges = dict(net.edges)
+    zero = PiecewiseConstFn.constant(0, T)
     built: dict[tuple, EdgeFn] = {}
 
     def super_edge(t, cap) -> EdgeFn:
         if (t, cap) not in built:
-            built[t, cap] = one_shot_edge(t, cap, T)
+            built[t, cap] = one_shot_edge(t, cap, zero)
         return built[t, cap]
 
     for s in sorted(net.sources):

@@ -81,12 +81,12 @@ def cut_cost(graph: ExpandedGraph, phi: CutFunction) -> int | float:
     Holdover arcs can never cross (they would need t + 1 < phi(i) <= t).
     """
     total: int | float = 0
-    for arc in graph.arcs:
-        (i, (t, _)), (j, (t2, _)) = graph.label(arc.tail), graph.label(arc.head)
+    for tail, head, cap in zip(graph.tails, graph.heads, graph.caps):
+        (i, (t, _)), (j, (t2, _)) = graph.label(tail), graph.label(head)
         if t >= phi[i] and t2 < phi[j]:
             if i == j:
                 raise InternalConsistencyError(f"holdover arc of {i} crosses the cut")
-            total = INF if arc.capacity == INF else total + arc.capacity
+            total = INF if cap == INF else total + cap
     return total
 
 

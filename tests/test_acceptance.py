@@ -24,6 +24,7 @@ from tempoflow import (
     build_ten,
     canonical_breakpoints,
     canonical_reduction,
+    check_max_flow,
     cten_edge_capacity,
     dttn_feasible,
     extract_flow,
@@ -33,6 +34,7 @@ from tempoflow import (
     max_flow_over_time,
     merged_pieces,
     quickest_transshipment,
+    residual_reachable,
     to_one_shot,
     validate_flow,
     verify_violated,
@@ -123,6 +125,21 @@ def test_criterion_03_violated_set_soundness_long_horizon(long_corpus, long_verd
     assert infeasible >= 20
 
 
+def test_verdict_flows_are_maximum(fast_verdicts, long_verdicts):
+    """Every verdict cTEN's max flow checks out, and its side is the residual one.
+
+    ``feas`` reads the violated set off the side that ``max_flow`` returns,
+    so that side must equal the independent ``residual_reachable``.
+    """
+    outcomes, _ = fast_verdicts
+    for outcome in outcomes + long_verdicts:
+        graph = outcome.graph
+        value, flow = max_flow(graph)
+        assert value == outcome.flow_value
+        check_max_flow(graph, value, flow)
+        assert flow.side == residual_reachable(graph, flow)
+
+
 def test_criterion_04_condensation_exactness(corpus):
     rng = random.Random(404)
     perturbed_checked = 0
@@ -182,18 +199,18 @@ def diversify_min_cut(ten, values, movable, horizon, rng, steps):
     changes are evaluated on the arcs incident to the moved node only.
     """
     incident = {}
-    for arc in ten.arcs:
-        (i, _), (j, _) = ten.label(arc.tail), ten.label(arc.head)
+    for arc in zip(ten.tails, ten.heads, ten.caps):
+        (i, _), (j, _) = ten.label(arc[0]), ten.label(arc[1])
         incident.setdefault(i, []).append(arc)
         if j != i:
             incident.setdefault(j, []).append(arc)
 
     def local_cost(vals, node):
         total = 0
-        for arc in incident.get(node, ()):
-            (i, (t, _)), (j, (t2, _)) = ten.label(arc.tail), ten.label(arc.head)
+        for tail, head, cap in incident.get(node, ()):
+            (i, (t, _)), (j, (t2, _)) = ten.label(tail), ten.label(head)
             if t >= vals[i] and t2 < vals[j]:
-                total += arc.capacity
+                total += cap
         return total
 
     for _ in range(steps):

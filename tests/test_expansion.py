@@ -16,7 +16,7 @@ from tempoflow import (
 )
 from tempoflow.solvers import _at_horizon
 
-from conftest import build_e1, build_fig4, oracle_ten
+from conftest import build_e1, build_fig4, make_network, oracle_ten
 from strategies import balanced_demands, edge_fns, temporal_networks
 
 
@@ -55,9 +55,9 @@ def test_interval_partition_requires_bounds():
 def test_e1_ten_arcs_and_value():
     graph = build_ten(build_e1())
     crossing = [
-        (graph.label(a.tail), graph.label(a.head), a.capacity)
-        for a in graph.arcs
-        if graph.label(a.tail)[0] != graph.label(a.head)[0]
+        (graph.label(tail), graph.label(head), cap)
+        for tail, head, cap in zip(graph.tails, graph.heads, graph.caps)
+        if graph.label(tail)[0] != graph.label(head)[0]
     ]
     assert crossing == [
         (("s", (1, 1)), ("d", (2, 2)), 1),
@@ -108,6 +108,55 @@ def test_cten_edge_capacity_matches_brute_force(fn, data) -> None:
     )
 
 
+# name: (T, capacity pieces, travel-time pieces, tail points, head points,
+# number of arcs from x to y)
+SWEEP_CASES = {
+    # The second piece departs at 3 or later and travels 5 > T - 3.
+    "piece past the horizon": (
+        6, [(0, 2, 2), (3, 6, 3)], [(0, 2, 1), (3, 6, 5)], (0, 2, 6), (0, 3, 6), 2,
+    ),
+    "zero piece between live ones": (
+        8, [(0, 1, 2), (2, 4, 0), (5, 8, 1)], [(0, 8, 1)], (0, 2, 5, 8), (0, 3, 6, 8), 3,
+    ),
+    "inf piece over several intervals": (
+        8, [(0, 5, INF), (6, 8, 1)], [(0, 8, 0)], (0, 2, 4, 7, 8), (0, 3, 8), 6,
+    ),
+    "horizon zero": (0, [(0, 0, 3)], [(0, 0, 0)], (0,), (0,), 1),
+    "horizon zero, travel past it": (0, [(0, 0, 3)], [(0, 0, 1)], (0,), (0,), 0),
+    # Departures 0..7 arrive over 2..9, across the head's first three intervals.
+    "arrivals over three intervals": (10, [(0, 10, 1)], [(0, 10, 2)], (0, 8, 10), (0, 4, 7, 10), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_edge_cases(case):
+    """One edge x -> y: its arcs are the oracle TEN's blocks and the brute-force sums."""
+    T, caps, tts, tail_points, head_points, n_arcs = SWEEP_CASES[case]
+    net = make_network(["x", "y"], {("x", "y"): (caps, tts)}, ["x"], ["y"], T)
+    fn = net.edges["x", "y"]
+    pieces = merged_pieces(fn.capacity, fn.travel_time)
+    graph = build_cten(net, {"x": tail_points, "y": head_points})
+    brute = {}
+    for iv in intervals_of(tail_points, T):
+        for iv2 in intervals_of(head_points, T):
+            cap = brute_capacity(fn, iv, iv2)
+            assert cten_edge_capacity(pieces, iv, iv2) == cap
+            if cap:
+                brute[graph.vertex_at("x", iv[0]), graph.vertex_at("y", iv2[0])] = cap
+    blocks = {}
+    for (i, t), (j, t2), attrs in oracle_ten(net).edges(data=True):
+        if i != j:
+            key = graph.vertex_at(i, t), graph.vertex_at(j, t2)
+            blocks[key] = blocks.get(key, 0) + attrs["capacity"]
+    crossing = [
+        ((tail, head), cap)
+        for tail, head, cap in zip(graph.tails, graph.heads, graph.caps)
+        if graph.label(tail)[0] != graph.label(head)[0]
+    ]
+    assert crossing == sorted(blocks.items()) == sorted(brute.items())
+    assert len(crossing) == n_arcs
+
+
 @given(temporal_networks(inf=True), st.data())
 def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
     """The cTEN is the TEN with each (interval, interval) block summed, in order.
@@ -123,7 +172,7 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
     ten, cten, oracle = build_ten(full), build_cten(full, bps), oracle_ten(full)
     oracle_arcs = [(p, q, attrs.get("capacity", INF)) for p, q, attrs in oracle.edges(data=True)]
     ten_arcs = []
-    for tail, head, cap in ten.arcs:
+    for tail, head, cap in zip(ten.tails, ten.heads, ten.caps):
         (i, (t, _)), (j, (t2, _)) = ten.label(tail), ten.label(head)
         ten_arcs.append(((i, t), (j, t2), cap))
     assert sorted(ten_arcs) == sorted(oracle_arcs)
@@ -135,4 +184,4 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
             group = blocks[i, j]
             group[a, b] = group.get((a, b), 0) + cap
     expected = [(a, b, cap) for group in blocks.values() for (a, b), cap in sorted(group.items())]
-    assert [tuple(arc) for arc in cten.arcs] == expected
+    assert list(zip(cten.tails, cten.heads, cten.caps)) == expected

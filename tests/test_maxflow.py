@@ -13,7 +13,7 @@ from tempoflow import (
     max_flow,
     residual_reachable,
 )
-from tempoflow.expansion import Arc, ExpandedGraph
+from tempoflow.expansion import ExpandedGraph
 from tempoflow.model import INF
 
 from conftest import build_e1
@@ -22,9 +22,8 @@ from conftest import build_e1
 def graph_from_arcs(n, arcs, source, sink):
     vertices = tuple((f"v{k}", (0, 0)) for k in range(n))
     ranges = {f"v{k}": range(k, k + 1) for k in range(n)}
-    return ExpandedGraph(
-        vertices, tuple(Arc(*a) for a in arcs), source, sink, ranges
-    )
+    tails, heads, caps = zip(*arcs) if arcs else ((), (), ())
+    return ExpandedGraph(vertices, tails, heads, caps, source, sink, ranges)
 
 
 def test_unit_path():
@@ -66,6 +65,14 @@ def test_check_rejects_changed_arc(k, delta):
     changed[k] += delta
     with pytest.raises(InternalConsistencyError):
         check_max_flow(g, value, SteadyFlow(tuple(changed), value))
+
+
+def test_check_rejects_wrong_side():
+    g = graph_from_arcs(4, [(0, 1, 1), (1, 2, 1), (0, 3, 5)], 0, 2)
+    value, flow = max_flow(g)
+    assert flow.side == {0, 3}
+    with pytest.raises(InternalConsistencyError):
+        check_max_flow(g, value, SteadyFlow(flow.arc_flows, value, frozenset({0})))
 
 
 def test_min_cut_certificate_e1():
@@ -112,5 +119,6 @@ def test_min_cut_equals_flow(dag) -> None:
     g = graph_from_arcs(n, arcs, 0, n - 1)
     value, flow = max_flow(g)
     side = residual_reachable(g, flow)
+    assert flow.side == side
     assert 0 in side and (n - 1) not in side
     assert cut_capacity(g, side) == value
