@@ -19,9 +19,11 @@ moves land its cut time on one of its two in-neighbors' values (or the
 boundary), so its set (Gamma*) borrows the union of the in-neighbors' sets.
 
 The verdict needs the sets of the original nodes only, and those are read
-straight off the one-shot network (``cten_breakpoints``): every gadget
-edge has travel time alpha, tau, T - beta or 0, so a pin path crosses the
-gadget of edge x -> y in one of a few fixed shapes.  It enters at x (or
+straight off the temporal network (``cten_breakpoints``): each edge's
+live windows come off its merged pieces, split as the one-shot split
+splits them but with no one-shot network built.  Every gadget edge has
+travel time alpha, tau, T - beta or 0, so a pin path crosses the gadget
+of one-shot edge x -> y in one of a few fixed shapes.  It enters at x (or
 y), may leave through one of the gadget's four anchors, and otherwise
 crosses to the other endpoint with plus or minus tau.  Crossing uses the
 gadget's t+ and t-, so a path crosses each gadget at most once and cannot
@@ -32,13 +34,16 @@ independent derivation that certificates and tests check the sets with.
 
 from __future__ import annotations
 
-from .model import ModelError, OneShotNetwork
+from .model import INF, MAX_INT, ModelError, TemporalNetwork, live_windows, relay_name
 from .reductions import (
     D_STAR,
     S_STAR,
     CanonicalTemporalNetwork,
     StructuralError,
-    check_gadget_reducible,
+    SuperTerminals,
+    check_gadget_names,
+    check_gadget_width,
+    inner_parts,
 )
 
 # Simple paths enumerated per node before giving up.
@@ -176,37 +181,69 @@ def canonical_breakpoints(
     }
 
 
-def cten_breakpoints(
-    one_shot: OneShotNetwork, nodes: tuple[str, ...]
-) -> dict[str, BreakpointSet]:
-    """The gadget form's sets A_i for original nodes, read off the one-shot network.
+def _relay_named(nodes: tuple[str, ...], one_shot: list) -> tuple[tuple[str, ...], list]:
+    """The one-shot nodes and edges, each relay key (i, j, k) named as ``to_one_shot`` names it."""
+    existing = set(nodes)
+    names: dict[tuple, str] = {}
+    for _, y in one_shot:
+        if isinstance(y, tuple) and y not in names:
+            names[y] = relay_name(*y, existing)
+    return nodes + tuple(names.values()), [(names.get(x, x), names.get(y, y)) for x, y in one_shot]
 
-    ``nodes`` are nodes of ``one_shot`` or s*/d*, never gadget nodes (so
-    never pseudo-pseudosinks: Gamma* is Gamma).  An edge x -> y with window
-    [alpha, beta] and travel time tau is one undirected step of weight
-    plus or minus tau between x and y.  A path at x with partial sums P
-    also reaches the gadget's anchors with P + {+-alpha, 0, 0, +-(T - beta)}
-    (through s+, s2-, s2+ and s-: four paths), and a path at y with
-    P +- tau + the same offsets.  The sets and the counts charged against
-    ``PATH_CAP`` are those of the gadget form path for path.  The input
-    must be gadget-reducible except for INF capacities, which no set reads.
+
+def cten_breakpoints(
+    net: TemporalNetwork | SuperTerminals, nodes: tuple[str, ...]
+) -> dict[str, BreakpointSet]:
+    """The gadget form's sets A_i for original nodes, read off the network's windows.
+
+    ``nodes`` are nodes of ``net`` or s*/d*, never gadget nodes (so never
+    pseudo-pseudosinks: Gamma* is Gamma).  Each edge's live windows are
+    read off its merged pieces as ``to_one_shot`` splits them
+    (``live_windows``): the first joins the edge's endpoints, and each
+    further one runs to an implicit relay node, keyed by the tuple
+    (i, j, k), whose always-open zero-length edge leads on to j.  A
+    one-shot edge x -> y with window [alpha, beta] and travel time tau is
+    one undirected step of weight plus or minus tau between x and y.  A
+    path at x with partial sums P also reaches the gadget's anchors with
+    P + {+-alpha, 0, 0, +-(T - beta)} (through s+, s2-, s2+ and s-: four
+    paths), and a path at y with P +- tau + the same offsets.  The sets
+    and the counts charged against ``PATH_CAP`` are those of the gadget
+    form path for path.  What the gadgets could not represent is rejected,
+    INF capacities aside, which no set reads.
     """
-    check_gadget_reducible(one_shot)
-    T = one_shot.horizon
-    anchors = one_shot.sources | one_shot.sinks | {S_STAR, D_STAR}
-    # Per node, per incident edge: (edge, far endpoint, tau, exit offsets).
-    sides: dict[str, list[tuple[tuple[str, str], str, int, set[int]]]] = {
-        n: [] for n in one_shot.nodes
-    }
+    net, pieces, _ = inner_parts(net)
+    T = net.horizon
+    # A finite capacity above this makes a gadget demand u * (T + 1) overflow.
+    widest = MAX_INT // (T + 1)
+    anchors = net.sources | net.sinks | {S_STAR, D_STAR}
+    # Per node, per incident one-shot edge: (edge id, far endpoint, tau, exit offsets).
+    sides: dict = {n: [] for n in net.nodes}
     heads, tails = set(), set()
-    for edge, e in one_shot.edges.items():
-        x, y = edge
-        tau = e.travel_time
-        near = {e.alpha, -e.alpha, 0, T - e.beta, e.beta - T}
-        sides[x].append((edge, y, tau, near))
-        sides[y].append((edge, x, tau, {w + s for w in near for s in (tau, -tau)}))
-        tails.add(x)
-        heads.add(y)
+    # (x, y) per one-shot edge, in to_one_shot's order; y is a relay key
+    # (i, j, k) for every window of an edge after its first.
+    one_shot: list = []
+    for (i, j), edge_pieces in pieces.items():
+        windows = live_windows(edge_pieces, T)
+        for n, (k, a, b, u, tau) in enumerate(windows):
+            y = j if n == 0 else (i, j, k)
+            if u > widest and u != INF:  # rejected: name the edge as to_one_shot would
+                _, named = _relay_named(net.nodes, one_shot + [(i, y)])
+                check_gadget_width(u, T, *named[-1])
+            near = {a, -a, 0, T - b, b - T}
+            far = {w + s for w in near for s in (tau, -tau)}
+            sides[i].append((len(one_shot), y, tau, near))
+            if n == 0:
+                sides[j].append((len(one_shot), i, tau, far))
+                one_shot.append((i, j))
+            else:
+                sides[y] = [(len(one_shot), i, tau, far), (len(one_shot) + 1, j, 0, {0})]
+                sides[j].append((len(one_shot) + 1, y, 0, {0}))
+                one_shot += [(i, y), (y, j)]
+        if windows:
+            tails.add(i)
+            heads.add(j)
+    if any(":" in n for n in net.nodes):
+        check_gadget_names(*_relay_named(net.nodes, one_shot))
 
     def pin_sums(start: str) -> set[int]:
         sums: set[int] = set()

@@ -141,7 +141,7 @@ def _cmd_stats(args) -> int:
     net, v = parsed.network, parsed.demands
     T = net.horizon
     cten = dttn_feasible(net, T, v).graph
-    full = attach_super_terminals(net, v)
+    full = attach_super_terminals(net, v).materialize()
     ten_nodes = len(full.nodes) * (T + 1)
     ten_arcs = len(full.nodes) * T
     for fn in full.edges.values():

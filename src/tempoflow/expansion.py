@@ -7,11 +7,14 @@ loop over the horizon ever runs.  Each live piece of an edge is swept
 once: its departures walk the tail's interval starts and the head's
 starts shifted back by the travel time together, and every elementary
 segment between two such starts adds its capacity to one (departure,
-target) interval pair.  Arcs are stored flat, as parallel tail, head and
-capacity tuples that max flow reads directly.  The full expansion (one
-vertex per node and time step) is the condensed one over the sets
-{0, ..., T}; it is the brute-force oracle and is gated by an explicit
-size budget.
+target) interval pair.  Super terminals add no edges to sweep: s* and d*
+are vertices over their own sets, and each terminal with a positive
+capacity adds one arc, from s*'s first vertex to a source's first vertex
+or from a sink's last vertex to d*'s last.  Arcs are stored flat, as
+parallel tail, head and capacity tuples that max flow reads directly.
+The full expansion (one vertex per node and time step) is the condensed
+one over the sets {0, ..., T}; it is the brute-force oracle and is gated
+by an explicit size budget.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import pairwise
 
-from .model import INF, ModelError, TemporalNetwork, merged_pieces
+from .model import INF, ModelError, TemporalNetwork
+from .reductions import SuperTerminals, inner_parts
 
 DEFAULT_TEN_BUDGET = 2_000_000
 
@@ -118,13 +122,15 @@ class ExpandedGraph:
         return "\n".join(lines)
 
 
-def _single_terminals(net: TemporalNetwork) -> tuple[str, str]:
+def _single_terminals(net: TemporalNetwork | SuperTerminals) -> tuple[str, str]:
     if len(net.sources) != 1 or len(net.sinks) != 1:
         raise ModelError("expansion requires a single source and a single sink")
     return next(iter(net.sources)), next(iter(net.sinks))
 
 
-def build_ten(net: TemporalNetwork, budget: int = DEFAULT_TEN_BUDGET) -> ExpandedGraph:
+def build_ten(
+    net: TemporalNetwork | SuperTerminals, budget: int = DEFAULT_TEN_BUDGET
+) -> ExpandedGraph:
     """Full expansion: vertices V x [0, T], unit-time holdover arcs.
 
     The max-flow value of this graph equals the maximum flow over time of
@@ -191,17 +197,24 @@ def cten_edge_capacity(pieces: list, interval: Interval, target: Interval) -> in
     return _edge_sums(pieces, tail, head, T).get((tail.index(a), head.index(a2)), 0)
 
 
-def build_cten(net: TemporalNetwork, breakpoints: dict[str, tuple[int, ...]]) -> ExpandedGraph:
+def build_cten(
+    net: TemporalNetwork | SuperTerminals, breakpoints: dict[str, tuple[int, ...]]
+) -> ExpandedGraph:
     """Condensed expansion over per-node interval partitions.
 
     Node i's k-th interval is vertex ranges[i][k], ids numbered node by
-    node.  Arcs come as every node's holdovers, then each edge's arcs by
-    departure and then target interval.  With every breakpoint set equal
-    to {0, ..., T} this is the full expansion.  Arcs whose summed capacity
-    is zero are omitted.
+    node (s* and d* last, for super terminals).  Arcs come as every node's
+    holdovers, then each edge's arcs by departure and then target
+    interval, then the super arcs: s*'s first vertex to each source's
+    first vertex (sources sorted), then each sink's last vertex to d*'s
+    last vertex (sinks sorted), each with its terminal's capacity.  These
+    are the arcs the super edges of ``SuperTerminals.materialize`` sweep
+    into.  With every breakpoint set equal to {0, ..., T} this is the
+    full expansion.  Arcs whose capacity is zero are omitted.
     """
     T = net.horizon
     s, d = _single_terminals(net)
+    inner, pieces, super_caps = inner_parts(net)
     bounds = {i: _bounds(breakpoints[i], T) for i in net.nodes}
     # Arc endpoints are read from one list of ids so that all arcs at a
     # vertex share one int object: ints past 256 are not cached, and
@@ -219,14 +232,21 @@ def build_cten(net: TemporalNetwork, breakpoints: dict[str, tuple[int, ...]]) ->
         tails += ids[lo:hi - 1]
         heads += ids[lo + 1:hi]
     caps: list[int | float] = [INF] * len(tails)
-    for (i, j), fn in net.edges.items():
+    for (i, j), edge_pieces in pieces.items():
         lo_i, lo_j = first[i], first[j]
-        sums = _edge_sums(merged_pieces(fn.capacity, fn.travel_time), bounds[i], bounds[j], T)
-        for (k, m), cap in sorted(sums.items()):
+        for (k, m), cap in sorted(_edge_sums(edge_pieces, bounds[i], bounds[j], T).items()):
             tails.append(ids[lo_i + k])
             heads.append(ids[lo_j + m])
             caps.append(cap)
     ranges = {i: range(lo, lo + len(bounds[i]) - 1) for i, lo in first.items()}
+    if super_caps:
+        ends = [(ranges[s][0], ranges[t][0], t) for t in sorted(inner.sources)]
+        ends += [(ranges[t][-1], ranges[d][-1], t) for t in sorted(inner.sinks)]
+        for tail, head, t in ends:
+            if super_caps[t]:
+                tails.append(ids[tail])
+                heads.append(ids[head])
+                caps.append(super_caps[t])
     return ExpandedGraph(
         tuple(vertices), tuple(tails), tuple(heads), tuple(caps),
         ranges[s][0], ranges[d][-1], ranges,

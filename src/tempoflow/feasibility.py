@@ -4,7 +4,7 @@ The verdict comes from one steady-state max flow on the condensed
 expansion of the original network with super terminals attached: the
 instance is feasible iff the flow saturates every super-source edge.  The
 breakpoint sets are the gadget-reduced canonical network's, read straight
-off the one-shot split.  When the flow does not saturate, the terminals
+off the network's live windows.  When the flow does not saturate, the terminals
 whose first (sources) or last (sinks) interval lies on the source side
 of the minimum cut that max flow returns (the vertices its last BFS
 reached in the residual graph) form a violated set: the flow the sources
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .model import INF, DemandVector, OneShotNetwork, TemporalNetwork, to_one_shot
+from .model import INF, DemandVector, TemporalNetwork, to_one_shot
 from .reductions import (
     D_STAR,
     S_STAR,
@@ -58,14 +58,16 @@ class FeasOutcome:
         return f"INFEASIBLE violated={ids} oT={self.o_T} negv={self.neg_v}"
 
 
-def feas(net: TemporalNetwork, v: DemandVector, one_shot: OneShotNetwork) -> FeasOutcome:
+def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
     """Decide feasibility of the demands ``v`` on the temporal network ``net``.
 
-    ``one_shot`` is ``net``'s one-shot split.  The Gamma* sets of the
-    split's gadget-reduced canonical form, read off the split for ``net``'s
-    own nodes (s* and d* are anchors, so they get {0, T}), give the
-    condensed expansion of ``net`` with super terminals; the verdict and,
-    on an infeasible instance, the certificate come from its max flow.
+    The Gamma* sets of the gadget-reduced canonical form of ``net``'s
+    one-shot split, read off ``net``'s live windows for its own nodes (s*
+    and d* are anchors, so they get {0, T}), give the condensed expansion
+    of ``net`` with super terminals; the verdict and, on an infeasible
+    instance, the certificate come from its max flow.  Each edge's pieces
+    are merged once, in ``attach_super_terminals``, and both the window
+    reader and the expansion read them.
 
     Why that expansion is exact, though the structure theorem speaks of
     the canonical network only:
@@ -87,9 +89,13 @@ def feas(net: TemporalNetwork, v: DemandVector, one_shot: OneShotNetwork) -> Fea
        phi(i) in Gamma*(i); by 2 its restriction to the original nodes,
        with s* at 0 and d* at T + 1, is the minimum cut 1 asks for.
     4. ``cten_breakpoints`` enumerates exactly the canonical pin paths
-       from original nodes.  The gadget of edge xy joins x and y only
-       through its t- and t+, and its other inner nodes t2- and t2+ lead
-       only to its anchors s+, s-, s2+ and s2-.  So a simple path crosses
+       from original nodes.  It reads each edge's live windows off its
+       merged pieces by the split's rules, zero pieces dropped and each
+       window clipped to b <= T - tau, and puts the second and later
+       windows through relay nodes keyed by tuples, so a relay never
+       shares a name with a node.  The gadget of one-shot edge xy joins
+       x and y only through its t- and t+, and its other inner nodes t2-
+       and t2+ lead only to its anchors s+, s-, s2+ and s2-.  So a simple path crosses
        each gadget at most once, x-t--t+-y or back, adding +-tau; from
        either side it can end in the gadget's four anchor exits, offset
        by {+-alpha, 0, 0, +-(T - beta)} (plus +-tau from the y side); and
@@ -102,7 +108,7 @@ def feas(net: TemporalNetwork, v: DemandVector, one_shot: OneShotNetwork) -> Fea
     v.check_balanced()
     T = net.horizon
     full = attach_super_terminals(net, v)
-    bps = cten_breakpoints(one_shot, full.nodes)
+    bps = cten_breakpoints(full, full.nodes)
     graph = build_cten(full, bps)
     value, flow = max_flow(graph)
     if value >= v.required():

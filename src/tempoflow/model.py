@@ -410,14 +410,43 @@ def compute_mu(net: TemporalNetwork) -> int:
     )
 
 
-def to_one_shot(net: TemporalNetwork) -> tuple[OneShotNetwork, OneShotTrace]:
-    """Split every edge into one edge per live constant piece.
+def live_windows(pieces: list, horizon: int) -> list[tuple[int, int, int, int | float, int]]:
+    """The live windows ``(k, a, b, u, tau)`` of an edge's merged pieces.
 
-    The first live piece keeps the original endpoints; each further piece
+    k is the piece's index in ``pieces``.  Pieces with zero capacity are
+    dropped, and windows are clipped to b <= T - tau so departures arrive
+    by the horizon (a window left empty is dropped); both are
+    feasibility-preserving.
+    """
+    windows = []
+    for k, (a, b, u, tau) in enumerate(pieces):
+        if u == 0:
+            continue
+        if b > horizon - tau:
+            b = horizon - tau
+        if a <= b:
+            windows.append((k, a, b, u, tau))
+    return windows
+
+
+def relay_name(i: str, j: str, k: int, existing: set[str]) -> str:
+    """The relay node ``to_one_shot`` puts on piece k of edge ij, added to ``existing``.
+
+    It is ``i>j#k``, primed until no name in ``existing`` equals it.
+    """
+    relay = f"{i}>{j}#{k}"
+    while relay in existing:
+        relay += "'"
+    existing.add(relay)
+    return relay
+
+
+def to_one_shot(net: TemporalNetwork) -> tuple[OneShotNetwork, OneShotTrace]:
+    """Split every edge into one edge per live window (``live_windows``).
+
+    The first window keeps the original endpoints; each further window
     goes through a fresh relay node (window edge into the relay, zero-length
-    always-on edge out) so no parallel edges arise.  Pieces with zero
-    capacity are dropped, and windows are clipped so departures arrive by
-    the horizon; both are feasibility-preserving.
+    always-on edge out) so no parallel edges arise.
     """
     T = net.horizon
     nodes = list(net.nodes)
@@ -426,23 +455,13 @@ def to_one_shot(net: TemporalNetwork) -> tuple[OneShotNetwork, OneShotTrace]:
     edge_origin: dict[tuple[str, str], tuple[str, tuple[str, str], int]] = {}
     relay_nodes: dict[str, tuple[str, str]] = {}
     for (i, j), fn in net.edges.items():
-        windows = []
-        for k, (a, b, u, tau) in enumerate(merged_pieces(fn.capacity, fn.travel_time)):
-            if u == 0:
-                continue
-            b = min(b, T - tau)  # a later departure could not arrive in time
-            if a > b:
-                continue
-            windows.append((k, a, b, u, tau))
+        windows = live_windows(merged_pieces(fn.capacity, fn.travel_time), T)
         for n, (k, a, b, u, tau) in enumerate(windows):
             if n == 0:
                 edges[(i, j)] = OneShotEdge(a, b, u, tau)
                 edge_origin[(i, j)] = ("window", (i, j), k)
             else:
-                relay = f"{i}>{j}#{k}"
-                while relay in existing:
-                    relay += "'"
-                existing.add(relay)
+                relay = relay_name(i, j, k, existing)
                 nodes.append(relay)
                 relay_nodes[relay] = (i, j)
                 edges[(i, relay)] = OneShotEdge(a, b, u, tau)

@@ -18,6 +18,11 @@ schedule-exchange argument that makes the reduction feasibility-preserving.
 Collapsing either junction away breaks the per-step rate limit and with it
 the equivalence (a unit could be diverted before its replacement is
 available).
+
+Super terminals s* and d* are one value, ``SuperTerminals``: the network
+and one capacity per terminal.  The expansion turns the capacities into
+arcs in closed form; only the canonical form, which walks edges one by
+one, materializes them as one-shot edges of a second network.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 
 from .model import (
     INF,
+    MAX_INT,
     DemandVector,
     EdgeFn,
     ModelError,
@@ -33,6 +39,8 @@ from .model import (
     PiecewiseConstFn,
     TemporalNetwork,
     check_width,
+    _is_cap,
+    merged_pieces,
 )
 
 S_STAR = "s*"
@@ -56,27 +64,39 @@ def _gadget_names(x: str, y: str) -> dict[str, str]:
     }
 
 
-def check_gadget_reducible(net: OneShotNetwork):
-    """Reject what the gadgets could not represent, INF capacities aside.
+def check_gadget_width(u, horizon: int, x: str, y: str):
+    """Reject a finite capacity u of edge (x, y) whose gadget demand u * (T + 1) overflows.
 
-    A finite capacity u makes a second-stage demand u * (T + 1), which must
-    fit the machine integer range, and no node may already carry a gadget
-    node's name.  Gadget names contain ':' and determine their edge when
-    no node id does, so the names are compared only when one does.
+    The demand must fit the machine integer range; INF capacities pass.
+    The message is built only when the capacity is rejected.
     """
-    T = net.horizon
-    for (x, y), e in net.edges.items():
-        if e.capacity != INF:
-            check_width(e.capacity * (T + 1), f"gadget demand for edge ({x}, {y})")
-    if not any(":" in n for n in net.nodes):
+    if u != INF and u > MAX_INT // (horizon + 1):
+        check_width(u * (horizon + 1), f"gadget demand for edge ({x}, {y})")
+
+
+def check_gadget_names(nodes, edges):
+    """Reject a node, or another edge's gadget, that carries a gadget node's name.
+
+    ``nodes`` and the ``(x, y)`` pairs of ``edges`` are a one-shot
+    network's.  Gadget names contain ':' and determine their edge when no
+    node id does, so the names are compared only when one does.
+    """
+    if not any(":" in n for n in nodes):
         return
-    existing = set(net.nodes)
-    for (x, y) in net.edges:
+    existing = set(nodes)
+    for (x, y) in edges:
         names = set(_gadget_names(x, y).values())
         clash = names & existing
         if clash:
             raise ModelError(f"node ids {sorted(clash)} are reserved for the reduction")
         existing |= names
+
+
+def check_gadget_reducible(net: OneShotNetwork):
+    """Reject what the gadgets could not represent, INF capacities aside."""
+    for (x, y), e in net.edges.items():
+        check_gadget_width(e.capacity, net.horizon, x, y)
+    check_gadget_names(net.nodes, net.edges)
 
 
 def hoppe_tardos_star(
@@ -165,56 +185,96 @@ class CanonicalTemporalNetwork:
         return self.net.horizon
 
 
-def one_shot_edge(active_t: int, cap, zero: PiecewiseConstFn) -> EdgeFn:
-    """A zero-travel-time edge with capacity ``cap`` at ``active_t`` only.
+class SuperTerminals:
+    """A network with super terminals s* and d*, given by one capacity per terminal.
 
-    ``zero`` is the constant-zero function on [0, T], the edge's travel time.
+    s* feeds each source s at most ``caps[s]`` at time 0 and each sink d
+    drains at most ``caps[d]`` into d* at time T, both with travel time 0;
+    INF is allowed.  Its expansion has s* and d* as nodes after the
+    network's own and one arc per terminal with a positive capacity, in
+    closed form (``build_cten``), so no second network is built.
+    ``materialize`` gives the same network with the super edges as edges,
+    for readers that walk edges one by one.  ``pieces`` holds the merged
+    pieces of the network's own edges, which the breakpoint reader and
+    the expansion both read.  It is a plain class, not a dataclass, since
+    generating a frozen dataclass's methods adds to every cold import.
     """
-    T = zero.horizon
-    pieces = [(active_t, active_t, cap)]
-    if active_t > 0:
-        pieces.insert(0, (0, active_t - 1, 0))
-    if active_t < T:
-        pieces.append((active_t + 1, T, 0))
-    return EdgeFn(PiecewiseConstFn(tuple(pieces)), zero)
+
+    __slots__ = ("net", "caps", "pieces")
+    sources = frozenset({S_STAR})
+    sinks = frozenset({D_STAR})
+
+    def __init__(self, net: TemporalNetwork, caps: dict[str, int | float]):
+        if S_STAR in net.nodes or D_STAR in net.nodes:
+            raise ModelError(f"node ids {S_STAR!r}/{D_STAR!r} are reserved")
+        if caps.keys() != net.terminals:
+            raise ModelError(
+                f"need one super-edge capacity per terminal: got {sorted(caps)}, "
+                f"terminals {sorted(net.terminals)}"
+            )
+        for t, cap in caps.items():
+            if not _is_cap(cap):
+                raise ModelError(
+                    f"super-edge capacity {cap!r} of {t} is not a non-negative integer or INF"
+                )
+            check_width(cap, f"super-edge capacity of {t}")
+        self.net, self.caps = net, caps
+        self.pieces = {e: merged_pieces(fn.capacity, fn.travel_time) for e, fn in net.edges.items()}
+
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        return self.net.nodes + (S_STAR, D_STAR)
+
+    @property
+    def horizon(self) -> int:
+        return self.net.horizon
+
+    def materialize(self) -> TemporalNetwork:
+        """The network with an s*-edge into each source and a d*-edge out of each sink.
+
+        Each is a one-shot edge at time 0 (s*) or T (d*), added sources
+        sorted, then sinks sorted.  They share one zero travel-time
+        function, and edges with equal times and capacities are one object
+        (EdgeFn is immutable).
+        """
+        net, T = self.net, self.net.horizon
+        edges = dict(net.edges)
+        zero = PiecewiseConstFn.constant(0, T)
+        built: dict[tuple, EdgeFn] = {}
+
+        def super_edge(t, cap) -> EdgeFn:
+            if (t, cap) not in built:
+                pieces = ((0, t - 1, 0), (t, t, cap), (t + 1, T, 0))
+                built[t, cap] = EdgeFn(
+                    PiecewiseConstFn(tuple(p for p in pieces if p[0] <= p[1])), zero
+                )
+            return built[t, cap]
+
+        for s in sorted(net.sources):
+            edges[(S_STAR, s)] = super_edge(0, self.caps[s])
+        for d in sorted(net.sinks):
+            edges[(d, D_STAR)] = super_edge(T, self.caps[d])
+        return TemporalNetwork(self.nodes, edges, self.sources, self.sinks, T)
 
 
-def with_super_terminals(net: TemporalNetwork, caps: dict[str, int]) -> TemporalNetwork:
-    """Add s* and d* with one-shot edges at times 0 and T respectively.
+def inner_parts(
+    net: TemporalNetwork | SuperTerminals,
+) -> tuple[TemporalNetwork, dict[tuple[str, str], list], dict[str, int | float]]:
+    """The network without super terminals, its edges' merged pieces, and the super caps.
 
-    The s*-edge to a source s has capacity ``caps[s]`` at time 0 only; the
-    d*-edge from a sink d has capacity ``caps[d]`` at time T only.  INF is
-    allowed.  Every terminal needs an entry.  The super edges share one
-    zero travel-time function, and edges with equal times and capacities
-    are one object (EdgeFn is immutable).
+    A plain network has no super caps, and its pieces are merged here.
     """
-    T = net.horizon
-    if S_STAR in net.nodes or D_STAR in net.nodes:
-        raise ModelError(f"node ids {S_STAR!r}/{D_STAR!r} are reserved")
-
-    edges = dict(net.edges)
-    zero = PiecewiseConstFn.constant(0, T)
-    built: dict[tuple, EdgeFn] = {}
-
-    def super_edge(t, cap) -> EdgeFn:
-        if (t, cap) not in built:
-            built[t, cap] = one_shot_edge(t, cap, zero)
-        return built[t, cap]
-
-    for s in sorted(net.sources):
-        edges[(S_STAR, s)] = super_edge(0, caps[s])
-    for d in sorted(net.sinks):
-        edges[(d, D_STAR)] = super_edge(T, caps[d])
-    return TemporalNetwork(
-        net.nodes + (S_STAR, D_STAR),
-        edges,
-        frozenset({S_STAR}),
-        frozenset({D_STAR}),
-        T,
-    )
+    if isinstance(net, SuperTerminals):
+        return net.net, net.pieces, net.caps
+    return net, {e: merged_pieces(fn.capacity, fn.travel_time) for e, fn in net.edges.items()}, {}
 
 
-def attach_super_terminals(net: TemporalNetwork, v: DemandVector) -> TemporalNetwork:
+def with_super_terminals(net: TemporalNetwork, caps: dict[str, int | float]) -> SuperTerminals:
+    """``net`` with super terminals of capacity ``caps[t]`` at each terminal t."""
+    return SuperTerminals(net, caps)
+
+
+def attach_super_terminals(net: TemporalNetwork, v: DemandVector) -> SuperTerminals:
     """Super terminals that supply -v(s) to each source and drain v(d) from each sink.
 
     Demands must be given for terminals only, with their signs.
@@ -223,7 +283,7 @@ def attach_super_terminals(net: TemporalNetwork, v: DemandVector) -> TemporalNet
     return with_super_terminals(net, {t: abs(v.get(t)) for t in net.terminals})
 
 
-def set_super_terminals(net: TemporalNetwork, a: frozenset[str]) -> TemporalNetwork:
+def set_super_terminals(net: TemporalNetwork, a: frozenset[str]) -> SuperTerminals:
     """Super terminals whose maximum flow over time is o_T(A).
 
     The sources in the terminal set A and the sinks outside it get
@@ -304,6 +364,6 @@ def canonical_reduction(net: TemporalNetwork, v: DemandVector) -> CanonicalTempo
     if not net.is_static():
         raise ModelError("canonical reduction requires a static inner network")
     v.check_balanced()
-    full = attach_super_terminals(net, v)
+    full = attach_super_terminals(net, v).materialize()
     ps_plus, ps_minus, pps_minus = classify_roles(full)
     return CanonicalTemporalNetwork(full, S_STAR, D_STAR, ps_plus, ps_minus, pps_minus)

@@ -8,6 +8,7 @@ from tempoflow import (
     canonical_breakpoints,
     canonical_reduction,
     cten_breakpoints,
+    dttn_feasible,
     gamma_enumerate,
     gadget_breakpoints,
     gamma_star,
@@ -35,7 +36,7 @@ def chain_canonical():
     from tempoflow import attach_super_terminals, classify_roles
     from tempoflow.reductions import CanonicalTemporalNetwork, S_STAR, D_STAR
 
-    full = attach_super_terminals(net, v)
+    full = attach_super_terminals(net, v).materialize()
     ps_plus, ps_minus, pps = classify_roles(full)
     return CanonicalTemporalNetwork(full, S_STAR, D_STAR, ps_plus, ps_minus, pps)
 
@@ -103,9 +104,10 @@ def test_enumeration_cap_enforced(monkeypatch):
 
 def test_long_chain_sets_agree():
     """Pin paths thousands of steps long: both searches keep their own stack."""
-    one_shot, _ = to_one_shot(build_chain(1500))
-    canon = canonical_reduction(*hoppe_tardos_star(one_shot, DemandVector({"s": -1, "d": 1})))
-    got = cten_breakpoints(one_shot, ("m0",))
+    net = build_chain(1500)
+    v = DemandVector({"s": -1, "d": 1})
+    canon = canonical_reduction(*hoppe_tardos_star(to_one_shot(net)[0], v))
+    got = cten_breakpoints(net, ("m0",))
     assert got == canonical_breakpoints(canon, ("m0",))
     assert got["m0"] == (0, 2, 4, 5)
 
@@ -122,8 +124,8 @@ def gadget_sets(net, v, nodes):
 
 
 def one_shot_sets(net, v):
-    nodes = attach_super_terminals(net, v).nodes
-    return cten_breakpoints(to_one_shot(net)[0], nodes), nodes
+    full = attach_super_terminals(net, v)
+    return cten_breakpoints(full, full.nodes), full.nodes
 
 
 def test_cten_breakpoints_match_gamma_star(corpus):
@@ -181,3 +183,36 @@ def test_enumeration_cap_agrees_with_gadget_form(corpus, monkeypatch, cap, raise
         assert one_shot == capped(gadget_sets, net, v, nodes)
         hits += one_shot
     assert hits == raises
+
+
+def test_relay_keys_ignore_relay_like_names():
+    """Nodes named like to_one_shot's relays change nothing but the names.
+
+    Edge a -> b has four live windows, so the split puts relays on its
+    pieces 1 to 3, and ``a>b#1`` is primed twice past the nodes that
+    already carry those names.  The verdict path keys its relays by tuple
+    and must agree with the same network under other names, and with the
+    gadget form.
+    """
+    rename = {"a>b#1": "x", "a>b#1'": "y"}
+
+    def build(name):
+        nodes = ("a", "b", name("a>b#1"), name("a>b#1'"), "d")
+        edges = {
+            ("a", "b"): ([(0, 2, 1), (3, 5, 2), (6, 9, 1)], [(0, 4, 1), (5, 9, 2)]),
+            ("a", name("a>b#1")): ([(0, 9, 1)], 1),
+            (name("a>b#1"), name("a>b#1'")): ([(0, 4, 2), (5, 9, 0)], 2),
+            (name("a>b#1'"), "d"): ([(0, 9, 1)], 1),
+            ("b", "d"): ([(0, 9, 1)], 3),
+        }
+        return make_network(nodes, edges, {"a"}, {"d"}, 9)
+
+    net, renamed = build(lambda n: n), build(lambda n: rename.get(n, n))
+    assert "a>b#1''" in to_one_shot(net)[0].nodes
+    v = DemandVector({"a": -20, "d": 20})
+    got, want = dttn_feasible(net, 9, v), dttn_feasible(renamed, 9, v)
+    assert not got.feasible
+    assert (got.feasible, got.violated, got.o_T) == (want.feasible, want.violated, want.o_T)
+    assert {rename.get(i, i): a for i, a in got.breakpoints.items()} == want.breakpoints
+    full = attach_super_terminals(net, v)
+    assert cten_breakpoints(full, full.nodes) == got.breakpoints == gadget_breakpoints(net, v)

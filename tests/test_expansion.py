@@ -6,7 +6,6 @@ from tempoflow import (
     INF,
     ModelError,
     OracleBudgetError,
-    attach_super_terminals,
     build_cten,
     build_ten,
     cten_edge_capacity,
@@ -14,10 +13,11 @@ from tempoflow import (
     max_flow,
     merged_pieces,
 )
+from tempoflow.reductions import with_super_terminals
 from tempoflow.solvers import _at_horizon
 
 from conftest import build_e1, build_fig4, make_network, oracle_ten
-from strategies import balanced_demands, edge_fns, temporal_networks
+from strategies import edge_fns, temporal_networks
 
 
 def brute_capacity(fn, interval, target):
@@ -161,15 +161,24 @@ def test_sweep_edge_cases(case):
 def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
     """The cTEN is the TEN with each (interval, interval) block summed, in order.
 
-    The TEN is the networkx ``oracle_ten``; ``build_ten``'s labelled arcs
-    must equal its edges and capacities.  Blocks are grouped like the arcs
-    of both builders (holdovers per node, then one group per edge) and
-    sorted within a group; blocks inside one interval are dropped.
+    Each terminal's super edge has capacity 0, k or INF, and the horizon
+    may be cut to 0.  The TEN is the networkx ``oracle_ten`` of the
+    materialized super network; ``build_ten``'s labelled arcs must equal
+    its edges and capacities.  Blocks are grouped like the arcs of both
+    builders (holdovers per node, then one group per edge, super edges
+    last) and sorted within a group; blocks inside one interval are
+    dropped.  The closed-form super arcs are also the arcs the
+    materialized super edges sweep into.
     """
-    full = attach_super_terminals(net, data.draw(balanced_demands(net)))
+    if data.draw(st.booleans(), label="horizon 0"):
+        net = _at_horizon(net, 0)
+    cap = st.sampled_from((0, INF)) | st.integers(1, 9)
+    full = with_super_terminals(net, {t: data.draw(cap, label=t) for t in sorted(net.terminals)})
+    flat = full.materialize()
     T = full.horizon
     bps = {i: (0, T, *data.draw(st.sets(st.integers(0, T)))) for i in full.nodes}
-    ten, cten, oracle = build_ten(full), build_cten(full, bps), oracle_ten(full)
+    ten, cten, oracle = build_ten(full), build_cten(full, bps), oracle_ten(flat)
+    assert cten == build_cten(flat, bps)
     oracle_arcs = [(p, q, attrs.get("capacity", INF)) for p, q, attrs in oracle.edges(data=True)]
     ten_arcs = []
     for tail, head, cap in zip(ten.tails, ten.heads, ten.caps):
@@ -177,7 +186,7 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
         ten_arcs.append(((i, t), (j, t2), cap))
     assert sorted(ten_arcs) == sorted(oracle_arcs)
     assert cten.vertices == tuple((i, iv) for i in full.nodes for iv in intervals_of(bps[i], T))
-    blocks: dict = {**{(i, i): {} for i in full.nodes}, **{e: {} for e in full.edges}}
+    blocks: dict = {**{(i, i): {} for i in flat.nodes}, **{e: {} for e in flat.edges}}
     for (i, t), (j, t2), cap in oracle_arcs:
         a, b = cten.vertex_at(i, t), cten.vertex_at(j, t2)
         if a != b:

@@ -14,7 +14,6 @@ from tempoflow import (
     feas,
     gadget_breakpoints,
     max_flow,
-    to_one_shot,
     verify_violated,
 )
 
@@ -23,9 +22,7 @@ from strategies import demand_instances
 
 
 def feas_e1(v):
-    net = build_e1()
-    one_shot, _ = to_one_shot(net)
-    return feas(net, v, one_shot)
+    return feas(build_e1(), v)
 
 
 def fast_capacity(net, v, a):
@@ -57,9 +54,13 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
     import tempoflow.breakpoints as breakpoints_mod
     import tempoflow.expansion as expansion_mod
     import tempoflow.feasibility as feasibility_mod
+    import tempoflow.model as model_mod
     import tempoflow.reductions as reductions_mod
     import tempoflow.solvers as solvers_mod
 
+    modules = (
+        model_mod, reductions_mod, breakpoints_mod, expansion_mod, feasibility_mod, solvers_mod
+    )
     calls = Counter()
     for module, name in (
         (reductions_mod, "hoppe_tardos_star"),
@@ -71,8 +72,10 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
         (feasibility_mod, "cten_breakpoints"),
         (feasibility_mod, "build_cten"),
         (feasibility_mod, "max_flow"),
-        (expansion_mod, "merged_pieces"),
         (breakpoints_mod._PinGraph, "pin_sums"),
+        # Every module that looks these up, so no call goes uncounted.
+        *((m, "merged_pieces") for m in modules if hasattr(m, "merged_pieces")),
+        *((m, "to_one_shot") for m in modules if hasattr(m, "to_one_shot")),
     ):
         original = getattr(module, name)
 
@@ -93,12 +96,14 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
     outcome = dttn_feasible(net, 3, v)
     assert not outcome.feasible
     assert outcome.breakpoints["m"] == (0, 1, 2, 3)
-    # No gadget network and no gadget pin graph on the verdict path.
+    # No gadget network, no gadget pin graph and no one-shot split on the
+    # verdict path; each original edge's pieces are merged once, and the
+    # super terminals have no edges to merge.
     assert calls == {
         "cten_breakpoints": 1,
         "build_cten": 1,
         "max_flow": 1,
-        "merged_pieces": len(attach_super_terminals(net, v).edges),
+        "merged_pieces": len(net.edges),
     }
 
 

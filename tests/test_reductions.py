@@ -80,7 +80,7 @@ def test_gadget_and_super_edges_shared(corpus):
         assert_shared(
             ((fn.capacity(0), fn.travel_time(0)), fn) for fn in reduced.edges.values()
         )
-        full = attach_super_terminals(net, v)
+        full = attach_super_terminals(net, v).materialize()
         assert_shared(
             ((0, -v.get(j)) if i == "s*" else (T, v.get(i)), fn)
             for (i, j), fn in full.edges.items()
@@ -126,7 +126,7 @@ def test_what_the_gadgets_cannot_represent_is_rejected(nodes, edges, message):
 def test_attach_super_terminals_windows():
     net = build_e1()
     v = DemandVector({"s": -2, "d": 2})
-    full = attach_super_terminals(net, v)
+    full = attach_super_terminals(net, v).materialize()
     star = full.edges[("s*", "s")]
     assert star.capacity(0) == 2 and star.capacity(1) == 0
     drain = full.edges[("d", "d*")]
@@ -171,3 +171,29 @@ def test_feasibility_preserved_by_reduction(corpus):
         required2 = sum(x for x in v2.values.values() if x > 0)
         value2, _ = max_flow(build_ten(attach(reduced, v2)))
         assert (direct >= required) == (value2 >= required2)
+
+
+@pytest.mark.parametrize(
+    "caps, message",
+    [
+        ({"s": 1}, "one super-edge capacity per terminal"),
+        ({"s": 1, "d": 1, "x": 1}, "one super-edge capacity per terminal"),
+        ({"s": -1, "d": 1}, "not a non-negative integer or INF"),
+        ({"s": True, "d": 1}, "not a non-negative integer or INF"),
+        ({"s": 1.5, "d": 1}, "not a non-negative integer or INF"),
+        ({"s": 2**63, "d": 1}, "exceeds"),
+    ],
+)
+def test_super_terminal_capacities_validated(caps, message):
+    from tempoflow.reductions import with_super_terminals
+
+    with pytest.raises(ModelError, match=message):
+        with_super_terminals(build_e1(), caps)
+
+
+def test_super_terminal_names_reserved():
+    from tempoflow.reductions import with_super_terminals
+
+    net = make_network(("s*", "d"), {("s*", "d"): ([(0, 3, 1)], 1)}, {"s*"}, {"d"}, 3)
+    with pytest.raises(ModelError, match="reserved"):
+        with_super_terminals(net, {"s*": 1, "d": 1})
