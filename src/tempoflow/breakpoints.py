@@ -20,21 +20,21 @@ boundary), so its set (Gamma*) borrows the union of the in-neighbors' sets.
 
 The verdict needs the sets of the original nodes only, and those are read
 straight off the temporal network (``cten_breakpoints``): each edge's
-live windows come off its merged pieces, split as the one-shot split
-splits them but with no one-shot network built.  Every gadget edge has
-travel time alpha, tau, T - beta or 0, so a pin path crosses the gadget
-of one-shot edge x -> y in one of a few fixed shapes.  It enters at x (or
-y), may leave through one of the gadget's four anchors, and otherwise
-crosses to the other endpoint with plus or minus tau.  Crossing uses the
-gadget's t+ and t-, so a path crosses each gadget at most once and cannot
-leave through the gadget it arrived by.  The gadget form itself, one pin
+stored live windows are the one-shot split's edges, with no one-shot
+network built.  Every gadget edge has travel time alpha, tau, T - beta
+or 0, so a pin path crosses the gadget of one-shot edge x -> y in one of
+a few fixed shapes.  It enters at x (or y), may leave through one of the
+gadget's four anchors, and otherwise crosses to the other endpoint with
+plus or minus tau.  Crossing uses the gadget's t+ and t-, so a path
+crosses each gadget at most once and cannot leave through the gadget it
+arrived by.  The gadget form itself, one pin
 graph per canonical network (``canonical_breakpoints``), stays as the
 independent derivation that certificates and tests check the sets with.
 """
 
 from __future__ import annotations
 
-from .model import INF, MAX_INT, ModelError, TemporalNetwork, live_windows, relay_name
+from .model import INF, MAX_INT, ModelError, TemporalNetwork, relay_name
 from .reductions import (
     D_STAR,
     S_STAR,
@@ -197,21 +197,21 @@ def cten_breakpoints(
     """The gadget form's sets A_i for original nodes, read off the network's windows.
 
     ``nodes`` are nodes of ``net`` or s*/d*, never gadget nodes (so never
-    pseudo-pseudosinks: Gamma* is Gamma).  Each edge's live windows are
-    read off its merged pieces as ``to_one_shot`` splits them
-    (``live_windows``): the first joins the edge's endpoints, and each
-    further one runs to an implicit relay node, keyed by the tuple
-    (i, j, k), whose always-open zero-length edge leads on to j.  A
-    one-shot edge x -> y with window [alpha, beta] and travel time tau is
-    one undirected step of weight plus or minus tau between x and y.  A
-    path at x with partial sums P also reaches the gadget's anchors with
+    pseudo-pseudosinks: Gamma* is Gamma).  Each edge's stored live
+    windows (``inner_parts``) are the edges ``to_one_shot`` splits it
+    into: the first joins the edge's endpoints, and each further one runs
+    to an implicit relay node, keyed by the tuple (i, j, k), whose
+    always-open zero-length edge leads on to j.  A one-shot edge x -> y
+    with window [alpha, beta] and travel time tau is one undirected step
+    of weight plus or minus tau between x and y.  A path at x with
+    partial sums P also reaches the gadget's anchors with
     P + {+-alpha, 0, 0, +-(T - beta)} (through s+, s2-, s2+ and s-: four
     paths), and a path at y with P +- tau + the same offsets.  The sets
     and the counts charged against ``PATH_CAP`` are those of the gadget
     form path for path.  What the gadgets could not represent is rejected,
     INF capacities aside, which no set reads.
     """
-    net, pieces, _ = inner_parts(net)
+    net, windows, _ = inner_parts(net)
     T = net.horizon
     # A finite capacity above this makes a gadget demand u * (T + 1) overflow.
     widest = MAX_INT // (T + 1)
@@ -222,9 +222,8 @@ def cten_breakpoints(
     # (x, y) per one-shot edge, in to_one_shot's order; y is a relay key
     # (i, j, k) for every window of an edge after its first.
     one_shot: list = []
-    for (i, j), edge_pieces in pieces.items():
-        windows = live_windows(edge_pieces, T)
-        for n, (k, a, b, u, tau) in enumerate(windows):
+    for (i, j), edge_windows in windows.items():
+        for n, (k, a, b, u, tau) in enumerate(edge_windows):
             y = j if n == 0 else (i, j, k)
             if u > widest and u != INF:  # rejected: name the edge as to_one_shot would
                 _, named = _relay_named(net.nodes, one_shot + [(i, y)])
@@ -239,7 +238,7 @@ def cten_breakpoints(
                 sides[y] = [(len(one_shot), i, tau, far), (len(one_shot) + 1, j, 0, {0})]
                 sides[j].append((len(one_shot) + 1, y, 0, {0}))
                 one_shot += [(i, y), (y, j)]
-        if windows:
+        if edge_windows:
             tails.add(i)
             heads.add(j)
     if any(":" in n for n in net.nodes):

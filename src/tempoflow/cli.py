@@ -12,9 +12,9 @@ import argparse
 import sys
 import traceback
 
-from .model import INF, ModelError, compute_mu, merged_pieces
+from .model import INF, ModelError, compute_mu
 from .reductions import attach_super_terminals
-from .expansion import OracleBudgetError, build_ten
+from .expansion import OracleBudgetError, build_ten, ten_size
 from .maxflow import max_flow
 from .feasibility import capacity_oT_ten, gadget_breakpoints
 from .netio import InstanceSpec, ParsedInstance, generate_instance, parse_network, serialize_flow, serialize_network
@@ -139,15 +139,8 @@ def _cmd_verify(args) -> int:
 def _cmd_stats(args) -> int:
     parsed = _load(args.input)
     net, v = parsed.network, parsed.demands
-    T = net.horizon
-    cten = dttn_feasible(net, T, v).graph
-    full = attach_super_terminals(net, v).materialize()
-    ten_nodes = len(full.nodes) * (T + 1)
-    ten_arcs = len(full.nodes) * T
-    for fn in full.edges.values():
-        for (a, b, u, tau) in merged_pieces(fn.capacity, fn.travel_time):
-            if u != 0:
-                ten_arcs += max(0, min(b, T - tau) - a + 1)
+    cten = dttn_feasible(net, net.horizon, v).graph
+    ten_nodes, ten_arcs = ten_size(attach_super_terminals(net, v))
     has_inf = any(u == INF for fn in net.edges.values() for _, _, u in fn.capacity.pieces)
     print(f"n {len(net.nodes)}")
     print(f"m {len(net.edges)}")

@@ -2,19 +2,19 @@
 
 The condensed expansion groups each node's time steps into the intervals
 of a per-node breakpoint set; arc capacities are the exact sums of the
-per-step capacities, computed in closed form per constant piece so no
-loop over the horizon ever runs.  Each live piece of an edge is swept
-once: its departures walk the tail's interval starts and the head's
-starts shifted back by the travel time together, and every elementary
-segment between two such starts adds its capacity to one (departure,
-target) interval pair.  Super terminals add no edges to sweep: s* and d*
-are vertices over their own sets, and each terminal with a positive
-capacity adds one arc, from s*'s first vertex to a source's first vertex
-or from a sink's last vertex to d*'s last.  Arcs are stored flat, as
-parallel tail, head and capacity tuples that max flow reads directly.
-The full expansion (one vertex per node and time step) is the condensed
-one over the sets {0, ..., T}; it is the brute-force oracle and is gated
-by an explicit size budget.
+per-step capacities, computed in closed form per live window
+(``live_windows``) so no loop over the horizon ever runs.  Each window
+is swept once: its departures walk the tail's interval starts and the
+head's starts shifted back by the travel time together, and every
+elementary segment between two such starts adds its capacity to one
+(departure, target) interval pair.  Super terminals add no edges to
+sweep: s* and d* are vertices over their own sets, and each terminal
+with a positive capacity adds one arc, from s*'s first vertex to a
+source's first vertex or from a sink's last vertex to d*'s last.  Arcs
+are stored flat, as parallel tail, head and capacity tuples that max
+flow reads directly.  The full expansion (one vertex per node and time
+step) is the condensed one over the sets {0, ..., T}; it is the
+brute-force oracle, gated by a size budget that ``ten_size`` counts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import pairwise
 
-from .model import INF, ModelError, TemporalNetwork
+from .model import INF, ModelError, TemporalNetwork, live_windows
 from .reductions import SuperTerminals, inner_parts
 
 DEFAULT_TEN_BUDGET = 2_000_000
@@ -128,6 +128,20 @@ def _single_terminals(net: TemporalNetwork | SuperTerminals) -> tuple[str, str]:
     return next(iter(net.sources)), next(iter(net.sinks))
 
 
+def ten_size(net: TemporalNetwork | SuperTerminals) -> tuple[int, int]:
+    """The full expansion's vertex and arc counts, without building it.
+
+    |V| (T + 1) vertices, s* and d* included.  Arcs: |V| T holdovers,
+    b - a + 1 per live window (one per departure step), and one per
+    terminal with a positive super capacity.
+    """
+    T = net.horizon
+    _, windows, super_caps = inner_parts(net)
+    n = len(net.nodes)
+    steps = sum(b - a + 1 for edge_windows in windows.values() for _, a, b, _, _ in edge_windows)
+    return n * (T + 1), n * T + steps + sum(1 for cap in super_caps.values() if cap)
+
+
 def build_ten(
     net: TemporalNetwork | SuperTerminals, budget: int = DEFAULT_TEN_BUDGET
 ) -> ExpandedGraph:
@@ -137,39 +151,35 @@ def build_ten(
     the network, which is why it serves as the ground-truth oracle.  It is
     the condensed expansion with every breakpoint set {0, ..., T}.
     """
-    T = net.horizon
-    size = len(net.nodes) * (T + 1)
+    size, _ = ten_size(net)
     if size > budget:
         raise OracleBudgetError(
             f"full expansion needs {size} vertices, over the budget of {budget}"
         )
-    every_step = range(T + 1)
+    every_step = range(net.horizon + 1)
     return build_cten(net, {i: every_step for i in net.nodes})
 
 
-def _edge_sums(pieces: list, tail: list[int], head: list[int], horizon: int) -> dict:
+def _edge_sums(windows: list, tail: list[int], head: list[int]) -> dict:
     """Summed capacities of one edge per (departure, target) interval pair.
 
-    ``pieces`` are the edge's ``merged_pieces``, and ``tail`` and ``head``
+    ``windows`` are the edge's ``live_windows``, and ``tail`` and ``head``
     the ``_bounds`` of its endpoints.  Maps ``(k, m)`` to the exact sum of
     u(t) over the departures t in tail interval k that arrive in head
     interval m, for every pair with a positive sum; keys are inserted with
-    k nondecreasing.  Each live piece [p, q] is first clipped to
-    q <= T - tau, since a later departure would arrive after the horizon.
-    Its departures then walk the tail's starts and the head's starts
-    shifted by -tau together: each elementary segment [t, end) up to the
-    next such start departs in one interval k and arrives in one interval
-    m, and adds u * (end - t) to (k, m).
+    k nondecreasing.  A window [p, q] departs only steps that arrive by
+    the horizon, with u > 0, so it is swept as it is: its departures walk
+    the tail's starts and the head's starts shifted by -tau together, and
+    each elementary segment [t, end) up to the next such start departs in
+    one interval k and arrives in one interval m, and adds u * (end - t)
+    to (k, m).
     """
     sums: dict[tuple[int, int], int | float] = {}
     k = 0
-    for p, q, u, tau in pieces:
-        stop = min(q, horizon - tau) + 1  # first departure past the clipped piece
-        if u == 0 or p >= stop:
-            continue
+    for _, p, q, u, tau in windows:
         k = bisect_right(tail, p, k) - 1
         m = bisect_right(head, p + tau) - 1
-        t = p
+        t, stop = p, q + 1
         while t < stop:
             next_k, next_m = tail[k + 1], head[m + 1] - tau
             end = next_k if next_k < next_m else next_m
@@ -189,12 +199,13 @@ def cten_edge_capacity(pieces: list, interval: Interval, target: Interval) -> in
     """Total capacity of departures in ``interval`` arriving in ``target``.
 
     ``pieces`` are an edge's ``merged_pieces``; this is the sweep of
-    ``build_cten`` over partitions that have the two intervals as blocks.
+    ``build_cten`` over their ``live_windows`` and partitions that have
+    the two intervals as blocks.
     """
     T = pieces[-1][1]
     (a, b), (a2, b2) = interval, target
     tail, head = sorted({0, a, b + 1, T + 1}), sorted({0, a2, b2 + 1, T + 1})
-    return _edge_sums(pieces, tail, head, T).get((tail.index(a), head.index(a2)), 0)
+    return _edge_sums(live_windows(pieces, T), tail, head).get((tail.index(a), head.index(a2)), 0)
 
 
 def build_cten(
@@ -214,7 +225,7 @@ def build_cten(
     """
     T = net.horizon
     s, d = _single_terminals(net)
-    inner, pieces, super_caps = inner_parts(net)
+    inner, windows, super_caps = inner_parts(net)
     bounds = {i: _bounds(breakpoints[i], T) for i in net.nodes}
     # Arc endpoints are read from one list of ids so that all arcs at a
     # vertex share one int object: ints past 256 are not cached, and
@@ -232,9 +243,9 @@ def build_cten(
         tails += ids[lo:hi - 1]
         heads += ids[lo + 1:hi]
     caps: list[int | float] = [INF] * len(tails)
-    for (i, j), edge_pieces in pieces.items():
+    for (i, j), edge_windows in windows.items():
         lo_i, lo_j = first[i], first[j]
-        for (k, m), cap in sorted(_edge_sums(edge_pieces, bounds[i], bounds[j], T).items()):
+        for (k, m), cap in sorted(_edge_sums(edge_windows, bounds[i], bounds[j]).items()):
             tails.append(ids[lo_i + k])
             heads.append(ids[lo_j + m])
             caps.append(cap)

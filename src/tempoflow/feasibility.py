@@ -65,9 +65,9 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
     one-shot split, read off ``net``'s live windows for its own nodes (s*
     and d* are anchors, so they get {0, T}), give the condensed expansion
     of ``net`` with super terminals; the verdict and, on an infeasible
-    instance, the certificate come from its max flow.  Each edge's pieces
-    are merged once, in ``attach_super_terminals``, and both the window
-    reader and the expansion read them.
+    instance, the certificate come from its max flow.  Each edge's live
+    windows are read once, in ``attach_super_terminals``, and both the
+    window reader and the expansion read them.
 
     Why that expansion is exact, though the structure theorem speaks of
     the canonical network only:
@@ -89,9 +89,9 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
        phi(i) in Gamma*(i); by 2 its restriction to the original nodes,
        with s* at 0 and d* at T + 1, is the minimum cut 1 asks for.
     4. ``cten_breakpoints`` enumerates exactly the canonical pin paths
-       from original nodes.  It reads each edge's live windows off its
-       merged pieces by the split's rules, zero pieces dropped and each
-       window clipped to b <= T - tau, and puts the second and later
+       from original nodes.  It reads each edge's stored live windows,
+       the split's edges (``live_windows``: zero pieces dropped and each
+       window clipped to b <= T - tau), and puts the second and later
        windows through relay nodes keyed by tuples, so a relay never
        shares a name with a node.  The gadget of one-shot edge xy joins
        x and y only through its t- and t+, and its other inner nodes t2-
@@ -106,7 +106,6 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
        capacities need no finite stand-in here.
     """
     v.check_balanced()
-    T = net.horizon
     full = attach_super_terminals(net, v)
     bps = cten_breakpoints(full, full.nodes)
     graph = build_cten(full, bps)
@@ -114,12 +113,10 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
     if value >= v.required():
         return FeasOutcome(True, bps, graph, value)
     side = flow.side
-    # A holds the sources whose first interval and the sinks whose last
-    # interval is on the cut's source side.
+    # A holds the sources whose first interval (it holds 0) and the sinks
+    # whose last interval (it holds T) is on the cut's source side.
     a = frozenset(
-        i
-        for i in net.terminals
-        if graph.vertex_at(i, 0 if i in net.sources else T) in side
+        i for i in net.terminals if graph.ranges[i][0 if i in net.sources else -1] in side
     )
     # o_T(A) = |f| - v(A cap sinks) - (-v)(sources \ A), read off the cut `side`:
     # 1. `side` crosses exactly the saturated super edges of the sources outside

@@ -44,7 +44,6 @@ class SteadyFlow:
     """
 
     arc_flows: tuple[int, ...]
-    value: int
     side: frozenset[int] | None = None
 
 
@@ -137,7 +136,7 @@ def max_flow(graph: ExpandedGraph) -> tuple[int, SteadyFlow]:
             cursor[u] += 1
     # The BFS that missed the sink ran to completion: its labels are the side.
     side = frozenset(compress(range(len(level)), map((-1).__lt__, level)))
-    return total, SteadyFlow(tuple(cap[1::2]), total, side)
+    return total, SteadyFlow(tuple(cap[1::2]), side)
 
 
 def residual_reachable(graph: ExpandedGraph, flow: SteadyFlow) -> frozenset[int]:

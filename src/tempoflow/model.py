@@ -182,11 +182,12 @@ class TemporalNetwork:
     def terminals(self) -> frozenset[str]:
         return self.sources | self.sinks
 
-    def in_edges(self, j: str) -> list[tuple[str, str]]:
-        return [e for e in self.edges if e[1] == j]
-
-    def out_edges(self, i: str) -> list[tuple[str, str]]:
-        return [e for e in self.edges if e[0] == i]
+    def windows(self) -> dict[tuple[str, str], list]:
+        """Each edge's ``live_windows``, read off its merged pieces."""
+        return {
+            e: live_windows(merged_pieces(fn.capacity, fn.travel_time), self.horizon)
+            for e, fn in self.edges.items()
+        }
 
     def max_finite_capacity(self) -> int:
         best = 0
@@ -254,9 +255,6 @@ class FlowOverTime:
     """Sparse flow assignment ``(edge, departure time) -> amount``."""
 
     flows: dict[tuple[tuple[str, str], int], int] = field(default_factory=dict)
-
-    def amount(self, edge: tuple[str, str], t: int) -> int:
-        return self.flows.get((edge, t), 0)
 
 
 def net_flow(net: TemporalNetwork, f: FlowOverTime, i: str, t: int) -> int:
@@ -416,7 +414,8 @@ def live_windows(pieces: list, horizon: int) -> list[tuple[int, int, int, int | 
     k is the piece's index in ``pieces``.  Pieces with zero capacity are
     dropped, and windows are clipped to b <= T - tau so departures arrive
     by the horizon (a window left empty is dropped); both are
-    feasibility-preserving.
+    feasibility-preserving.  Every reader of an edge's live departures
+    reads these windows; none restates the rule.
     """
     windows = []
     for k, (a, b, u, tau) in enumerate(pieces):
@@ -454,8 +453,7 @@ def to_one_shot(net: TemporalNetwork) -> tuple[OneShotNetwork, OneShotTrace]:
     edges: dict[tuple[str, str], OneShotEdge] = {}
     edge_origin: dict[tuple[str, str], tuple[str, tuple[str, str], int]] = {}
     relay_nodes: dict[str, tuple[str, str]] = {}
-    for (i, j), fn in net.edges.items():
-        windows = live_windows(merged_pieces(fn.capacity, fn.travel_time), T)
+    for (i, j), windows in net.windows().items():
         for n, (k, a, b, u, tau) in enumerate(windows):
             if n == 0:
                 edges[(i, j)] = OneShotEdge(a, b, u, tau)

@@ -29,7 +29,7 @@ from .model import (
     PiecewiseConstFn,
     TemporalNetwork,
 )
-from .reductions import D_STAR, S_STAR, with_super_terminals
+from .reductions import D_STAR, S_STAR, SuperTerminals
 from .expansion import build_ten
 from .maxflow import max_flow
 
@@ -324,7 +324,7 @@ def _feasible_demands(net: TemporalNetwork, rng: random.Random) -> DemandVector:
     seeds spread the demand across terminals differently.
     """
     caps = {t: rng.randint(0, 3 * net.horizon + 3) for t in sorted(net.sources) + sorted(net.sinks)}
-    graph = build_ten(with_super_terminals(net, caps))
+    graph = build_ten(SuperTerminals(net, caps))
     _, flow = max_flow(graph)
     values = {t: 0 for t in sorted(net.terminals)}
     for ((i, j), _), amount in graph.departures(flow.arc_flows).items():

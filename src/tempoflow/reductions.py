@@ -19,10 +19,12 @@ Collapsing either junction away breaks the per-step rate limit and with it
 the equivalence (a unit could be diverted before its replacement is
 available).
 
-Super terminals s* and d* are one value, ``SuperTerminals``: the network
-and one capacity per terminal.  The expansion turns the capacities into
-arcs in closed form; only the canonical form, which walks edges one by
-one, materializes them as one-shot edges of a second network.
+Super terminals s* and d* are one value, ``SuperTerminals``: the network,
+one capacity per terminal, and each edge's live windows, the one per-edge
+record that the breakpoint reader and the expansion read.  The expansion
+turns the capacities into arcs in closed form; only the canonical form,
+which walks edges one by one, materializes them as one-shot edges of a
+second network.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .model import (
     TemporalNetwork,
     check_width,
     _is_cap,
-    merged_pieces,
 )
 
 S_STAR = "s*"
@@ -194,13 +195,14 @@ class SuperTerminals:
     network's own and one arc per terminal with a positive capacity, in
     closed form (``build_cten``), so no second network is built.
     ``materialize`` gives the same network with the super edges as edges,
-    for readers that walk edges one by one.  ``pieces`` holds the merged
-    pieces of the network's own edges, which the breakpoint reader and
-    the expansion both read.  It is a plain class, not a dataclass, since
-    generating a frozen dataclass's methods adds to every cold import.
+    for readers that walk edges one by one.  ``windows`` holds the live
+    windows of the network's own edges (``TemporalNetwork.windows``),
+    which the breakpoint reader and the expansion both read.  It is a
+    plain class, not a dataclass, since generating a frozen dataclass's
+    methods adds to every cold import.
     """
 
-    __slots__ = ("net", "caps", "pieces")
+    __slots__ = ("net", "caps", "windows")
     sources = frozenset({S_STAR})
     sinks = frozenset({D_STAR})
 
@@ -218,8 +220,7 @@ class SuperTerminals:
                     f"super-edge capacity {cap!r} of {t} is not a non-negative integer or INF"
                 )
             check_width(cap, f"super-edge capacity of {t}")
-        self.net, self.caps = net, caps
-        self.pieces = {e: merged_pieces(fn.capacity, fn.travel_time) for e, fn in net.edges.items()}
+        self.net, self.caps, self.windows = net, caps, net.windows()
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -260,18 +261,13 @@ class SuperTerminals:
 def inner_parts(
     net: TemporalNetwork | SuperTerminals,
 ) -> tuple[TemporalNetwork, dict[tuple[str, str], list], dict[str, int | float]]:
-    """The network without super terminals, its edges' merged pieces, and the super caps.
+    """The network without super terminals, its edges' live windows, and the super caps.
 
-    A plain network has no super caps, and its pieces are merged here.
+    A plain network has no super caps, and its windows are read here.
     """
     if isinstance(net, SuperTerminals):
-        return net.net, net.pieces, net.caps
-    return net, {e: merged_pieces(fn.capacity, fn.travel_time) for e, fn in net.edges.items()}, {}
-
-
-def with_super_terminals(net: TemporalNetwork, caps: dict[str, int | float]) -> SuperTerminals:
-    """``net`` with super terminals of capacity ``caps[t]`` at each terminal t."""
-    return SuperTerminals(net, caps)
+        return net.net, net.windows, net.caps
+    return net, net.windows(), {}
 
 
 def attach_super_terminals(net: TemporalNetwork, v: DemandVector) -> SuperTerminals:
@@ -280,7 +276,7 @@ def attach_super_terminals(net: TemporalNetwork, v: DemandVector) -> SuperTermin
     Demands must be given for terminals only, with their signs.
     """
     v.check_against(net)
-    return with_super_terminals(net, {t: abs(v.get(t)) for t in net.terminals})
+    return SuperTerminals(net, {t: abs(v.get(t)) for t in net.terminals})
 
 
 def set_super_terminals(net: TemporalNetwork, a: frozenset[str]) -> SuperTerminals:
@@ -294,7 +290,7 @@ def set_super_terminals(net: TemporalNetwork, a: frozenset[str]) -> SuperTermina
     extra = a - net.terminals
     if extra:
         raise ModelError(f"not terminals: {sorted(extra)}")
-    return with_super_terminals(
+    return SuperTerminals(
         net, {t: INF if (t in a) == (t in net.sources) else 0 for t in net.terminals}
     )
 

@@ -182,7 +182,7 @@ def pps_settle_neighbor(
     pseudo-pseudosink is no pseudo-pseudosink (its out-edges would reach a
     pseudosink only), so its Gamma* is its Gamma.
     """
-    a, b = sorted(j for (j, _) in canon.net.in_edges(i))
+    a, b = sorted(j for (j, k) in canon.net.edges if k == i)
     return a if len(gammas[a]) <= len(gammas[b]) else b
 
 
@@ -224,10 +224,10 @@ def canonicalize_min_cut(
     for i in sorted(canon.net.nodes):
         if i in (canon.s_star, canon.d_star) or phi[i] in (0, T + 1):
             continue
-        if not canon.net.in_edges(i):
+        if not any(k == i for _, k in canon.net.edges):
             while phi[i] != T + 1:
                 phi = step(_shifted(phi, {i}, +1), f"unfed-node shift of {i}")
-        elif not canon.net.out_edges(i):
+        elif not any(j == i for j, _ in canon.net.edges):
             while phi[i] != 0:
                 phi = step(_shifted(phi, {i}, -1), f"undrained-node shift of {i}")
 
@@ -246,7 +246,7 @@ def canonicalize_min_cut(
     # Pseudo-pseudosinks settle: onto 0 when their pseudosink sits at 0,
     # otherwise onto the designated in-neighbor's value.
     for i in sorted(canon.pps_minus):
-        (out_edge,) = canon.net.out_edges(i)
+        (out_edge,) = [e for e in canon.net.edges if e[0] == i]
         target = 0 if phi[out_edge[1]] == 0 else phi[pps_settle_neighbor(canon, i, allowed)]
         while phi[i] != target:
             delta = +1 if target > phi[i] else -1

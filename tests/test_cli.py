@@ -76,17 +76,39 @@ def test_stats(e1_path, capsys):
     assert "cten-nodes" in out and "ten-nodes" in out
 
 
-def test_stats_compares_expansions_of_one_network(e1_path, capsys):
-    from tempoflow import DemandVector, attach_super_terminals, build_ten
+# Inputs whose stats sizes exercise each part of the live-departure rule.
+STATS_FILES = {
+    "e1": E1_FILE,
+    "horizon 0": "tn 1\nhorizon 0\nnode s source 1\nnode d sink 1\nedge s d\n"
+    "piece 0 0 cap 1 tt 0\n",
+    "zero-demand terminal": "tn 1\nhorizon 4\nnode s source 2\nnode d sink 2\n"
+    "node e sink 0\nedge s d\npiece 0 4 cap 1 tt 1\nedge s e\npiece 0 4 cap 1 tt 1\n",
+    "cap inf": E1_FILE.replace("cap 1", "cap inf"),
+    "tt past the horizon": "tn 1\nhorizon 5\nnode s source 1\nnode d sink 1\nedge s d\n"
+    "piece 0 3 cap 1 tt 3\npiece 4 5 cap 2 tt 4\n",
+    "relay windows": "tn 1\nhorizon 6\nnode s source 3\nnode d sink 3\nedge s d\n"
+    "piece 0 0 cap 1 tt 1\npiece 1 1 cap 0 tt 1\npiece 2 2 cap 2 tt 2\n"
+    "piece 3 4 cap 0 tt 1\npiece 5 6 cap 3 tt 1\n",
+}
 
-    from conftest import build_e1
 
-    assert main(["stats", "-i", e1_path]) == 0
-    sizes = dict(line.split() for line in capsys.readouterr().out.splitlines())
-    ten = build_ten(attach_super_terminals(build_e1(), DemandVector({"s": -2, "d": 2})))
-    assert int(sizes["ten-nodes"]) == len(ten.vertices)
-    assert int(sizes["ten-arcs"]) == len(ten.arcs)
-    assert int(sizes["cten-nodes"]) <= int(sizes["ten-nodes"])
+def test_stats_compares_expansions_of_one_network(tmp_path, corpus, capsys):
+    """Stats sizes equal the built TEN's, on edge cases and corpus texts."""
+    from tempoflow import attach_super_terminals, build_ten, parse_network, serialize_network
+
+    texts = list(STATS_FILES.values())
+    texts += [serialize_network(p.network, p.demands) for p in corpus[::25]]
+    path = tmp_path / "inst.tn"
+    for text in texts:
+        path.write_text(text)
+        assert main(["stats", "-i", str(path)]) == 0
+        sizes = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        parsed = parse_network(text)
+        ten = build_ten(attach_super_terminals(parsed.network, parsed.demands))
+        assert (int(sizes["ten-nodes"]), int(sizes["ten-arcs"])) == (
+            len(ten.vertices), len(ten.arcs)
+        ), text
+        assert int(sizes["cten-nodes"]) <= int(sizes["ten-nodes"])
 
 
 def test_verify_checks_certificate(infeasible_path, capsys):

@@ -13,7 +13,8 @@ from tempoflow import (
     max_flow,
     merged_pieces,
 )
-from tempoflow.reductions import with_super_terminals
+from tempoflow.expansion import ten_size
+from tempoflow.reductions import SuperTerminals
 from tempoflow.solvers import _at_horizon
 
 from conftest import build_e1, build_fig4, make_network, oracle_ten
@@ -168,12 +169,13 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
     builders (holdovers per node, then one group per edge, super edges
     last) and sorted within a group; blocks inside one interval are
     dropped.  The closed-form super arcs are also the arcs the
-    materialized super edges sweep into.
+    materialized super edges sweep into, and ``ten_size`` counts the
+    built TEN's vertices and arcs.
     """
     if data.draw(st.booleans(), label="horizon 0"):
         net = _at_horizon(net, 0)
     cap = st.sampled_from((0, INF)) | st.integers(1, 9)
-    full = with_super_terminals(net, {t: data.draw(cap, label=t) for t in sorted(net.terminals)})
+    full = SuperTerminals(net, {t: data.draw(cap, label=t) for t in sorted(net.terminals)})
     flat = full.materialize()
     T = full.horizon
     bps = {i: (0, T, *data.draw(st.sets(st.integers(0, T)))) for i in full.nodes}
@@ -185,6 +187,7 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
         (i, (t, _)), (j, (t2, _)) = ten.label(tail), ten.label(head)
         ten_arcs.append(((i, t), (j, t2), cap))
     assert sorted(ten_arcs) == sorted(oracle_arcs)
+    assert ten_size(full) == (len(ten.vertices), len(ten.arcs))
     assert cten.vertices == tuple((i, iv) for i in full.nodes for iv in intervals_of(bps[i], T))
     blocks: dict = {**{(i, i): {} for i in flat.nodes}, **{e: {} for e in flat.edges}}
     for (i, t), (j, t2), cap in oracle_arcs:

@@ -75,6 +75,7 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
         (breakpoints_mod._PinGraph, "pin_sums"),
         # Every module that looks these up, so no call goes uncounted.
         *((m, "merged_pieces") for m in modules if hasattr(m, "merged_pieces")),
+        *((m, "live_windows") for m in modules if hasattr(m, "live_windows")),
         *((m, "to_one_shot") for m in modules if hasattr(m, "to_one_shot")),
     ):
         original = getattr(module, name)
@@ -97,13 +98,14 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
     assert not outcome.feasible
     assert outcome.breakpoints["m"] == (0, 1, 2, 3)
     # No gadget network, no gadget pin graph and no one-shot split on the
-    # verdict path; each original edge's pieces are merged once, and the
-    # super terminals have no edges to merge.
+    # verdict path; each original edge's pieces are merged and split into
+    # live windows once, and the super terminals have no edges to merge.
     assert calls == {
         "cten_breakpoints": 1,
         "build_cten": 1,
         "max_flow": 1,
         "merged_pieces": len(net.edges),
+        "live_windows": len(net.edges),
     }
 
 

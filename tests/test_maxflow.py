@@ -49,7 +49,7 @@ def test_zero_flow_is_not_maximum():
     g = build_ten(build_e1())
     assert max_flow(g)[0] > 0
     with pytest.raises(InternalConsistencyError):
-        residual_reachable(g, SteadyFlow((0,) * len(g.arcs), 0))
+        residual_reachable(g, SteadyFlow((0,) * len(g.arcs)))
 
 
 @pytest.mark.parametrize("k", range(3))
@@ -64,7 +64,7 @@ def test_check_rejects_changed_arc(k, delta):
     changed = list(flow.arc_flows)
     changed[k] += delta
     with pytest.raises(InternalConsistencyError):
-        check_max_flow(g, value, SteadyFlow(tuple(changed), value))
+        check_max_flow(g, value, SteadyFlow(tuple(changed)))
 
 
 def test_check_rejects_wrong_side():
@@ -72,7 +72,7 @@ def test_check_rejects_wrong_side():
     value, flow = max_flow(g)
     assert flow.side == {0, 3}
     with pytest.raises(InternalConsistencyError):
-        check_max_flow(g, value, SteadyFlow(flow.arc_flows, value, frozenset({0})))
+        check_max_flow(g, value, SteadyFlow(flow.arc_flows, frozenset({0})))
 
 
 def test_min_cut_certificate_e1():

@@ -150,7 +150,7 @@ def test_project_one_shot_flow_roundtrip():
     f = project_one_shot_flow(net, trace, g)
     v = DemandVector({"s": -3, "d": 3})
     assert validate_flow(net, 6, f, v).ok
-    assert f.amount(("s", "d"), 4) == 2
+    assert f.flows[("s", "d"), 4] == 2
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5))

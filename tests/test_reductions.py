@@ -185,15 +185,15 @@ def test_feasibility_preserved_by_reduction(corpus):
     ],
 )
 def test_super_terminal_capacities_validated(caps, message):
-    from tempoflow.reductions import with_super_terminals
+    from tempoflow.reductions import SuperTerminals
 
     with pytest.raises(ModelError, match=message):
-        with_super_terminals(build_e1(), caps)
+        SuperTerminals(build_e1(), caps)
 
 
 def test_super_terminal_names_reserved():
-    from tempoflow.reductions import with_super_terminals
+    from tempoflow.reductions import SuperTerminals
 
     net = make_network(("s*", "d"), {("s*", "d"): ([(0, 3, 1)], 1)}, {"s*"}, {"d"}, 3)
     with pytest.raises(ModelError, match="reserved"):
-        with_super_terminals(net, {"s*": 1, "d": 1})
+        SuperTerminals(net, {"s*": 1, "d": 1})

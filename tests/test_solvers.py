@@ -132,8 +132,8 @@ def test_max_flow_over_time_bounds_single_pair_demands(net):
 
 def test_extract_flow_e1_unique():
     flow = extract_flow(build_e1(), 3, DemandVector({"s": -2, "d": 2}))
-    assert flow.amount(("s", "d"), 1) == 1
-    assert flow.amount(("s", "d"), 2) == 1
+    assert flow.flows[("s", "d"), 1] == 1
+    assert flow.flows[("s", "d"), 2] == 1
 
 
 def test_extract_flow_infeasible_instance():
