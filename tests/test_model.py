@@ -3,10 +3,15 @@ from hypothesis import strategies as st
 import pytest
 
 from tempoflow import (
+    INF,
+    MAX_INT,
     DemandVector,
+    EdgeFn,
     FlowOverTime,
     ModelError,
+    OverflowRejection,
     PiecewiseConstFn,
+    TemporalNetwork,
     compute_mu,
     merged_pieces,
     net_flow,
@@ -32,6 +37,107 @@ def test_piecewise_rejects_gaps():
 def test_piecewise_rejects_overlap():
     with pytest.raises(ModelError):
         PiecewiseConstFn(((0, 2, 2), (2, 4, 1)))
+
+
+_unit = PiecewiseConstFn.constant(1, 3)
+
+
+def _net(nodes=("s", "d"), edges=(("s", "d"),), sources=("s",), sinks=("d",), horizon=3):
+    """A network with a unit edge on each key of ``edges``, all on [0, 3]."""
+    fns = dict.fromkeys(edges, EdgeFn(_unit, _unit))
+    return TemporalNetwork(tuple(nodes), fns, frozenset(sources), frozenset(sinks), horizon)
+
+# Each rejection of a model constructor: the call, the exception type and message.
+MODEL_REJECTIONS = {
+    "no pieces": (lambda: PiecewiseConstFn(()), ModelError, "piecewise function needs at least one piece"),
+    "non-int start": (
+        lambda: PiecewiseConstFn(((0.0, 1, 1),)), ModelError, "piece endpoints must be integers"
+    ),
+    "non-int end": (
+        lambda: PiecewiseConstFn(((0, 1, 1), (2, 3.0, 1))), ModelError, "piece endpoints must be integers"
+    ),
+    "start > end": (
+        lambda: PiecewiseConstFn(((0, 1, 1), (2, 1, 1))), ModelError, "piece [2, 1] has start > end"
+    ),
+    "first piece not at 0": (lambda: PiecewiseConstFn(((1, 2, 1),)), ModelError, "pieces must start at 0"),
+    "gap": (
+        lambda: PiecewiseConstFn(((0, 1, 2), (3, 4, 1))),
+        ModelError, "pieces must tile the domain: gap/overlap at 1..3",
+    ),
+    "overlap": (
+        lambda: PiecewiseConstFn(((0, 2, 2), (2, 4, 1))),
+        ModelError, "pieces must tile the domain: gap/overlap at 2..2",
+    ),
+    "bool value": (
+        lambda: PiecewiseConstFn(((0, 1, True),)),
+        ModelError, "piece value True is not a non-negative integer or INF",
+    ),
+    "negative value": (
+        lambda: PiecewiseConstFn(((0, 1, 1), (2, 3, -1))),
+        ModelError, "piece value -1 is not a non-negative integer or INF",
+    ),
+    "non-number value": (
+        lambda: PiecewiseConstFn(((0, 1, "2"),)),
+        ModelError, "piece value '2' is not a non-negative integer or INF",
+    ),
+    "value above MAX_INT": (
+        lambda: PiecewiseConstFn(((0, 1, MAX_INT + 1),)),
+        OverflowRejection, f"piece value: {MAX_INT + 1} exceeds machine integer range",
+    ),
+    "bad value before a later gap": (
+        lambda: PiecewiseConstFn(((0, 1, -1), (3, 4, 1))),
+        ModelError, "piece value -1 is not a non-negative integer or INF",
+    ),
+    "domains differ": (
+        lambda: EdgeFn(_unit, PiecewiseConstFn.constant(1, 4)),
+        ModelError, "capacity and travel-time domains differ",
+    ),
+    "INF travel time": (
+        lambda: EdgeFn(_unit, PiecewiseConstFn.constant(INF, 3)),
+        ModelError, "travel times must be non-negative integers",
+    ),
+    "negative travel time": (
+        lambda: EdgeFn(_unit, PiecewiseConstFn(((0, 1, 1), (2, 3, -2)))),
+        ModelError, "piece value -2 is not a non-negative integer or INF",
+    ),
+    "duplicate ids": (lambda: _net(nodes=("s", "d", "s")), ModelError, "duplicate node ids"),
+    "negative horizon": (lambda: _net(edges=(), horizon=-1), ModelError, "horizon must be non-negative"),
+    "source and sink": (
+        lambda: _net(edges=(), sinks=("s", "d")), ModelError, "a node cannot be both source and sink"
+    ),
+    "terminal outside node set": (
+        lambda: _net(edges=(), sinks=("x",)), ModelError, "terminal outside node set"
+    ),
+    "self-loop": (lambda: _net(edges=[("d", "d")]), ModelError, "self-loop at d"),
+    "unknown endpoint": (
+        lambda: _net(edges=[("s", "x")]), ModelError, "edge (s, x) references unknown node"
+    ),
+    "source in-edge": (
+        lambda: _net(nodes=("s", "m", "d"), edges=[("m", "s")]), ModelError, "source s has an in-edge"
+    ),
+    "sink out-edge": (
+        lambda: _net(nodes=("s", "m", "d"), edges=[("d", "m")]), ModelError, "sink d has an out-edge"
+    ),
+    "horizon mismatch": (
+        lambda: _net(horizon=4), ModelError, "edge (s, d) functions not defined on [0, 4]"
+    ),
+    "non-int demand": (
+        lambda: DemandVector({"s": -1.0, "d": 1}), ModelError, "demand of s must be an integer"
+    ),
+    "bool demand": (lambda: DemandVector({"d": True}), ModelError, "demand of d must be an integer"),
+    "demand width": (
+        lambda: DemandVector({"s": -MAX_INT - 1}),
+        OverflowRejection, f"demand of s: {-MAX_INT - 1} exceeds machine integer range",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, exc_type, message", MODEL_REJECTIONS.values(), ids=MODEL_REJECTIONS)
+def test_model_rejections_pinned(build, exc_type, message):
+    with pytest.raises(ModelError) as err:
+        build()
+    assert type(err.value) is exc_type
+    assert str(err.value) == message
 
 
 @given(piecewise_fns())

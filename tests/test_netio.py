@@ -64,7 +64,124 @@ def test_parse_reports_line_and_column():
     bad = E1_FILE.replace("piece 1 2 cap 1 tt 1", "piece 1 2 cap x tt 1")
     with pytest.raises(ParseError) as err:
         parse_network(bad)
-    assert err.value.line_no == 7
+    assert (err.value.line_no, err.value.column) == (7, 15)
+
+
+def _e1(old, new):
+    assert old in E1_FILE, old
+    return E1_FILE.replace(old, new, 1)
+
+
+# One malformed text per raise site of parse_network and _int, with the
+# line, column and message each must report.
+PARSE_ERRORS = {
+    "format tag": ("  tn 2\n" + E1_FILE[5:], 1, 3, "expected format tag 'tn 1'"),
+    "duplicate horizon": (_e1("horizon 3\n", "horizon 3\nhorizon 3\n"), 3, 1, "duplicate horizon line"),
+    "horizon usage": (_e1("horizon 3", "horizon 3 4"), 2, 1, "usage: horizon <T>"),
+    "horizon negative": (_e1("horizon 3", "horizon  -1"), 2, 10, "horizon must be non-negative"),
+    "horizon integer": (_e1("horizon 3", "horizon x"), 2, 9, "horizon must be an integer, got 'x'"),
+    "node usage": (
+        _e1("node d sink 2", "node d"), 4, 1, "usage: node <id> source <n> | sink <n> | internal"
+    ),
+    "duplicate node": (_e1("node d sink 2", "node  s sink 2"), 4, 7, "duplicate node 's'"),
+    "internal demand": (
+        _e1("node d sink 2", "node d sink 2\nnode m internal 3"), 5, 8, "internal nodes take no demand"
+    ),
+    "terminal usage": (
+        _e1("node s source 2", "node s source"), 3, 8, "usage: node <id> source <amount>"
+    ),
+    "amount negative": (_e1("node d sink 2", "node d sink  -2"), 4, 14, "amount must be non-negative"),
+    "amount integer": (
+        _e1("node s source 2", "node s source 2.0"), 3, 15, "amount must be an integer, got '2.0'"
+    ),
+    "node kind": (_e1("node d sink 2", "node d spring 2"), 4, 8, "unknown node kind 'spring'"),
+    "edge usage": (_e1("edge s d", "edge s"), 5, 1, "usage: edge <from> <to>"),
+    "unknown endpoint": (_e1("edge s d", "edge s x # typo"), 5, 8, "unknown node 'x'"),
+    "duplicate edge": (E1_FILE + "edge s d\npiece 0 3 cap 1 tt 1\n", 9, 1, "duplicate edge s -> d"),
+    "piece before edge": (
+        _e1("edge s d\n", "piece 0 3 cap 1 tt 1\nedge s d\n"), 5, 1, "piece line before any edge line"
+    ),
+    "piece usage": (
+        _e1("piece 3 3 cap 0 tt 1", "piece 3 3 cap 0 t 1"),
+        8, 1, "usage: piece <t0> <t1> cap <u|inf> tt <tau>",
+    ),
+    "tab inside a token": (
+        _e1("piece 0 0 cap 0 tt 1", "piece 0 0 cap 0 tt\t1"),
+        6, 1, "usage: piece <t0> <t1> cap <u|inf> tt <tau>",
+    ),
+    "piece start integer": (
+        _e1("piece 3 3", "piece three 3"), 8, 7, "piece start must be an integer, got 'three'"
+    ),
+    "piece end integer": (_e1("piece 3 3", "piece 3 3.5"), 8, 9, "piece end must be an integer, got '3.5'"),
+    "capacity integer": (
+        _e1("piece 1 2 cap 1 tt 1", "piece 1 2 cap x tt 1"), 7, 15, "capacity must be an integer, got 'x'"
+    ),
+    "capacity negative": (_e1("piece 1 2 cap 1", "piece 1 2 cap -1"), 7, 15, "capacity must be non-negative"),
+    "travel time integer": (
+        _e1("piece 3 3 cap 0 tt 1", "piece 3 3 cap 0 tt one"),
+        8, 20, "travel time must be an integer, got 'one'",
+    ),
+    "travel time negative": (
+        _e1("piece 3 3 cap 0 tt 1", "piece 3 3 cap 0 tt -1"), 8, 20, "travel time must be non-negative"
+    ),
+    "unknown keyword": (_e1("edge s d", "edge\ts d"), 5, 1, "unknown keyword 'edge\\ts'"),
+    "empty input": ("# nothing here\n\n", 1, 1, "empty input; expected format tag 'tn 1'"),
+    "missing horizon": ("tn 1\nnode s source 0\n", 3, 1, "missing horizon line"),
+    "edge without pieces": (
+        "tn 1\nhorizon 3\nnode s source 0\nnode d sink 0\nedge s d\n", 5, 1, "edge s -> d has no pieces"
+    ),
+    "start after end": (
+        _e1("piece 1 2", "piece 1 0"), 5, 1, "edge s -> d: piece [1, 0] has start > end"
+    ),
+    "first piece not at 0": (
+        _e1("piece 0 0 cap 0 tt 1\n", ""), 5, 1, "edge s -> d: pieces must start at 0"
+    ),
+    "gap": (
+        _e1("piece 1 2", "piece 2 2"), 5, 1, "edge s -> d: pieces must tile the domain: gap/overlap at 0..2"
+    ),
+    "overlap": (
+        _e1("piece 1 2", "piece 0 2"), 5, 1, "edge s -> d: pieces must tile the domain: gap/overlap at 0..0"
+    ),
+    "capacity overflow": (
+        _e1("piece 1 2 cap 1", f"piece 1 2 cap {2**63}"),
+        5, 1, "edge s -> d: piece value: 9223372036854775808 exceeds machine integer range",
+    ),
+    "travel time overflow": (
+        _e1("piece 1 2 cap 1 tt 1", f"piece 1 2 cap 1 tt {2**63}"),
+        5, 1, "edge s -> d: piece value: 9223372036854775808 exceeds machine integer range",
+    ),
+    "pieces end early": (_e1("piece 3 3 cap 0 tt 1\n", ""), 5, 1, "edge s -> d pieces end at 2, not 3"),
+    "self-loop": (E1_FILE + "edge d d\npiece 0 3 cap 1 tt 1\n", 11, 1, "self-loop at d"),
+    "source in-edge": (
+        _e1("node d sink 2", "node d sink 2\nnode m internal") + "edge m s\npiece 0 3 cap 1 tt 1\n",
+        12, 1, "source s has an in-edge",
+    ),
+    "sink out-edge": (
+        _e1("node d sink 2", "node d sink 2\nnode m internal") + "edge d m\npiece 0 3 cap 1 tt 1\n",
+        12, 1, "sink d has an out-edge",
+    ),
+}
+
+# The same for parse_flow.
+FLOW_ERRORS = {
+    "flow usage": ("flow s d 1 1\n  flows s d 2 1\n", 2, 3, "usage: flow <from> <to> <t> <amount>"),
+    "departure integer": ("flow s d one 1\n", 1, 10, "departure time must be an integer, got 'one'"),
+    "amount integer": ("flow s d 1 1 # ok\nflow s  d 2 1x\n", 2, 13, "amount must be an integer, got '1x'"),
+    "amount negative": ("flow s d 1 -1\n", 1, 12, "amount must be non-negative"),
+}
+
+
+@pytest.mark.parametrize(
+    "parse, text, line_no, column, message",
+    [(parse_network, *case) for case in PARSE_ERRORS.values()]
+    + [(parse_flow, *case) for case in FLOW_ERRORS.values()],
+    ids=[*PARSE_ERRORS, *(f"flow: {name}" for name in FLOW_ERRORS)],
+)
+def test_parse_errors_pinned(parse, text, line_no, column, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line_no, err.value.column) == (line_no, column)
+    assert str(err.value) == f"line {line_no}, column {column}: {message}"
 
 
 def test_overlapping_pieces_name_the_edge():
