@@ -14,7 +14,8 @@ import traceback
 
 from .model import INF, ModelError, compute_mu
 from .reductions import attach_super_terminals
-from .expansion import OracleBudgetError, build_ten, ten_size
+from .breakpoints import cten_breakpoints
+from .expansion import OracleBudgetError, build_cten, build_ten, ten_size
 from .maxflow import max_flow
 from .feasibility import capacity_oT_ten, gadget_breakpoints
 from .netio import InstanceSpec, ParsedInstance, generate_instance, parse_network, serialize_flow, serialize_network
@@ -139,8 +140,9 @@ def _cmd_verify(args) -> int:
 def _cmd_stats(args) -> int:
     parsed = _load(args.input)
     net, v = parsed.network, parsed.demands
-    cten = dttn_feasible(net, net.horizon, v).graph
-    ten_nodes, ten_arcs = ten_size(attach_super_terminals(net, v))
+    full = attach_super_terminals(net, v)
+    cten = build_cten(full, cten_breakpoints(full, full.nodes))
+    ten_nodes, ten_arcs = ten_size(full)
     has_inf = any(u == INF for fn in net.edges.values() for _, _, u in fn.capacity.pieces)
     print(f"n {len(net.nodes)}")
     print(f"m {len(net.edges)}")

@@ -46,6 +46,17 @@ def _is_cap(v) -> bool:
     return v == INF or (isinstance(v, int) and not isinstance(v, bool) and v >= 0)
 
 
+def _tiling_error(start, end, prev_end: int) -> str:
+    """Why a piece ``[start, end]`` after one ending at ``prev_end`` (-1: none) breaks the tiling."""
+    if not (isinstance(start, int) and isinstance(end, int)):
+        return "piece endpoints must be integers"
+    if start > end:
+        return f"piece [{start}, {end}] has start > end"
+    if prev_end < 0:
+        return "pieces must start at 0"
+    return f"pieces must tile the domain: gap/overlap at {prev_end}..{start}"
+
+
 @dataclass(frozen=True)
 class PiecewiseConstFn:
     """A step function on an integer interval [0, T].
@@ -59,19 +70,10 @@ class PiecewiseConstFn:
     def __post_init__(self):
         if not self.pieces:
             raise ModelError("piecewise function needs at least one piece")
-        prev_end = None
+        prev_end = -1
         for start, end, value in self.pieces:
-            if not (isinstance(start, int) and isinstance(end, int)):
-                raise ModelError("piece endpoints must be integers")
-            if start > end:
-                raise ModelError(f"piece [{start}, {end}] has start > end")
-            if prev_end is None:
-                if start != 0:
-                    raise ModelError("pieces must start at 0")
-            elif start != prev_end + 1:
-                raise ModelError(
-                    f"pieces must tile the domain: gap/overlap at {prev_end}..{start}"
-                )
+            if not (isinstance(start, int) and isinstance(end, int) and start == prev_end + 1 <= end):
+                raise ModelError(_tiling_error(start, end, prev_end))
             if not _is_cap(value):
                 raise ModelError(f"piece value {value!r} is not a non-negative integer or INF")
             check_width(value, "piece value")

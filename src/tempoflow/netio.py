@@ -8,11 +8,20 @@ The instance format is line-oriented:
     edge <from> <to>
     piece <t0> <t1> cap <u|inf> tt <tau>
 
-``piece`` lines belong to the most recent ``edge`` line and must tile
-[0, T] exactly.  A source's ``<supply>`` is the (non-negative) amount it
-emits; internally that is the demand value -supply.  Flow files hold
-``flow <from> <to> <t> <amount>`` lines.  Verdicts serialize as
-``FEASIBLE`` or ``INFEASIBLE violated=<ids> oT=<n> negv=<n>``.
+Tokens are separated by single spaces (empty tokens are dropped, and a
+tab stays part of its token); ``#`` starts a comment, and blank lines
+are skipped.  ``piece`` lines belong to the most recent ``edge`` line
+and must tile [0, T] exactly.  A source's ``<supply>`` is the
+(non-negative) amount it emits; internally that is the demand value
+-supply.  A zero travel time and demands that do not sum to 0 are
+accepted with a warning.  Errors are ``ParseError``s reading
+``line L, column C: ...``.  Flow files hold ``flow <from> <to> <t>
+<amount>`` lines.  Verdicts serialize as ``FEASIBLE`` or
+``INFEASIBLE violated=<ids> oT=<n> negv=<n>``.
+
+Parsing is one pass over the lines, linear in the text: each line is
+split once (``_split``), and a token's column is worked out (``_tokens``)
+only when a check fails.
 """
 
 from __future__ import annotations
@@ -52,72 +61,98 @@ class ParsedInstance:
     warnings: tuple[str, ...]
 
 
+def _split(line: str) -> list[str]:
+    """The line's tokens: text before any ``#``, split at single spaces, empties dropped.
+
+    A tab or other whitespace stays part of its token.
+    """
+    toks = line.partition("#")[0].split(" ")
+    return [t for t in toks if t] if "" in toks else toks
+
+
 def _tokens(line: str) -> list[tuple[str, int]]:
-    """(token, 1-based column) pairs, ignoring comments."""
+    """``_split``'s tokens paired with their 1-based columns.
+
+    Only raise sites call this: a line that parses cleanly never has its
+    columns worked out.
+    """
     out = []
     col = 1
-    for part in line.split("#", 1)[0].split(" "):
+    for part in line.partition("#")[0].split(" "):
         if part:
             out.append((part, col))
         col += len(part) + 1
     return out
 
 
-def _int(tok: str, line_no: int, col: int, what: str) -> int:
+def _error(line_no: int, raw: str, k: int, message: str) -> ParseError:
+    """A ``ParseError`` at token k of the raw line."""
+    return ParseError(line_no, _tokens(raw)[k][1], message)
+
+
+def _int(toks: list[str], k: int, what: str, line_no: int, raw: str) -> int:
     try:
-        return int(tok)
+        return int(toks[k])
     except ValueError:
-        raise ParseError(line_no, col, f"{what} must be an integer, got {tok!r}") from None
+        raise _error(line_no, raw, k, f"{what} must be an integer, got {toks[k]!r}") from None
 
 
 def parse_network(text: str) -> ParsedInstance:
-    """Parse the instance format into a network and its demand vector."""
+    """Parse the instance format into a network and its demand vector.
+
+    One pass over the lines: node ids go into a dict (ordered, with O(1)
+    membership), and each piece line is appended to its edge's capacity
+    and travel-time lists, which become the edge's functions once all
+    lines are read.
+    """
     lines = text.splitlines()
     horizon: int | None = None
-    nodes: list[str] = []
+    nodes: dict[str, None] = {}
     sources: set[str] = set()
     sinks: set[str] = set()
     demands: dict[str, int] = {}
-    edge_pieces: dict[tuple[str, str], list[tuple[int, int, int | float, int]]] = {}
-    edge_lines: dict[tuple[str, str], int] = {}
+    # (i, j) -> (line of the edge, capacity triples, travel-time triples)
+    edge_pieces: dict[tuple[str, str], tuple[int, list, list]] = {}
     current: tuple[str, str] | None = None
+    caps: list[tuple[int, int, int | float]] = []
+    tts: list[tuple[int, int, int]] = []
     warnings: list[str] = []
     saw_tag = False
 
     for line_no, raw in enumerate(lines, start=1):
-        toks = _tokens(raw)
+        toks = _split(raw)
         if not toks:
             continue
-        (kw, col0) = toks[0]
+        kw = toks[0]
         if not saw_tag:
-            if [t for t, _ in toks] != FORMAT_TAG.split():
-                raise ParseError(line_no, col0, f"expected format tag {FORMAT_TAG!r}")
+            if toks != FORMAT_TAG.split():
+                raise _error(line_no, raw, 0, f"expected format tag {FORMAT_TAG!r}")
             saw_tag = True
             continue
         if kw == "horizon":
             if horizon is not None:
-                raise ParseError(line_no, col0, "duplicate horizon line")
+                raise _error(line_no, raw, 0, "duplicate horizon line")
             if len(toks) != 2:
-                raise ParseError(line_no, col0, "usage: horizon <T>")
-            horizon = _int(toks[1][0], line_no, toks[1][1], "horizon")
+                raise _error(line_no, raw, 0, "usage: horizon <T>")
+            horizon = _int(toks, 1, "horizon", line_no, raw)
             if horizon < 0:
-                raise ParseError(line_no, toks[1][1], "horizon must be non-negative")
+                raise _error(line_no, raw, 1, "horizon must be non-negative")
         elif kw == "node":
             if len(toks) < 3:
-                raise ParseError(line_no, col0, "usage: node <id> source <n> | sink <n> | internal")
-            name, kind = toks[1][0], toks[2][0]
+                raise _error(line_no, raw, 0, "usage: node <id> source <n> | sink <n> | internal")
+            name, kind = toks[1], toks[2]
             if name in nodes:
-                raise ParseError(line_no, toks[1][1], f"duplicate node {name!r}")
-            nodes.append(name)
+                raise _error(line_no, raw, 1, f"duplicate node {name!r}")
+            nodes[name] = None
             if kind == "internal":
                 if len(toks) != 3:
-                    raise ParseError(line_no, toks[2][1], "internal nodes take no demand")
+                    raise _error(line_no, raw, 2, "internal nodes take no demand")
             elif kind in ("source", "sink"):
                 if len(toks) != 4:
-                    raise ParseError(line_no, toks[2][1], f"usage: node <id> {kind} <amount>")
-                amount = _int(toks[3][0], line_no, toks[3][1], "amount")
+                    raise _error(line_no, raw, 2, f"usage: node <id> {kind} <amount>")
+                amount = _int(toks, 3, "amount", line_no, raw)
                 if amount < 0:
-                    raise ParseError(line_no, toks[3][1], "amount must be non-negative")
+                    raise _error(line_no, raw, 3, "amount must be non-negative")
                 if kind == "source":
                     sources.add(name)
                     demands[name] = -amount
@@ -125,45 +160,45 @@ def parse_network(text: str) -> ParsedInstance:
                     sinks.add(name)
                     demands[name] = amount
             else:
-                raise ParseError(line_no, toks[2][1], f"unknown node kind {kind!r}")
+                raise _error(line_no, raw, 2, f"unknown node kind {kind!r}")
         elif kw == "edge":
             if len(toks) != 3:
-                raise ParseError(line_no, col0, "usage: edge <from> <to>")
-            i, j = toks[1][0], toks[2][0]
-            for name, col in (toks[1], toks[2]):
-                if name not in nodes:
-                    raise ParseError(line_no, col, f"unknown node {name!r}")
+                raise _error(line_no, raw, 0, "usage: edge <from> <to>")
+            i, j = toks[1], toks[2]
+            for k in (1, 2):
+                if toks[k] not in nodes:
+                    raise _error(line_no, raw, k, f"unknown node {toks[k]!r}")
             if (i, j) in edge_pieces:
-                raise ParseError(line_no, col0, f"duplicate edge {i} -> {j}")
+                raise _error(line_no, raw, 0, f"duplicate edge {i} -> {j}")
             current = (i, j)
-            edge_pieces[current] = []
-            edge_lines[current] = line_no
+            caps, tts = [], []
+            edge_pieces[current] = (line_no, caps, tts)
         elif kw == "piece":
             if current is None:
-                raise ParseError(line_no, col0, "piece line before any edge line")
-            if len(toks) != 7 or toks[3][0] != "cap" or toks[5][0] != "tt":
-                raise ParseError(line_no, col0, "usage: piece <t0> <t1> cap <u|inf> tt <tau>")
-            t0 = _int(toks[1][0], line_no, toks[1][1], "piece start")
-            t1 = _int(toks[2][0], line_no, toks[2][1], "piece end")
-            cap_tok, cap_col = toks[4]
+                raise _error(line_no, raw, 0, "piece line before any edge line")
+            if len(toks) != 7 or toks[3] != "cap" or toks[5] != "tt":
+                raise _error(line_no, raw, 0, "usage: piece <t0> <t1> cap <u|inf> tt <tau>")
+            t0 = _int(toks, 1, "piece start", line_no, raw)
+            t1 = _int(toks, 2, "piece end", line_no, raw)
             cap: int | float
-            if cap_tok == "inf":
+            if toks[4] == "inf":
                 cap = INF
             else:
-                cap = _int(cap_tok, line_no, cap_col, "capacity")
+                cap = _int(toks, 4, "capacity", line_no, raw)
                 if cap < 0:
-                    raise ParseError(line_no, cap_col, "capacity must be non-negative")
-            tau = _int(toks[6][0], line_no, toks[6][1], "travel time")
+                    raise _error(line_no, raw, 4, "capacity must be non-negative")
+            tau = _int(toks, 6, "travel time", line_no, raw)
             if tau < 0:
-                raise ParseError(line_no, toks[6][1], "travel time must be non-negative")
+                raise _error(line_no, raw, 6, "travel time must be non-negative")
             if tau == 0:
                 warnings.append(
                     f"line {line_no}: zero travel time on {current[0]} -> {current[1]} "
                     f"(instantaneous traversal)"
                 )
-            edge_pieces[current].append((t0, t1, cap, tau))
+            caps.append((t0, t1, cap))
+            tts.append((t0, t1, tau))
         else:
-            raise ParseError(line_no, col0, f"unknown keyword {kw!r}")
+            raise _error(line_no, raw, 0, f"unknown keyword {kw!r}")
 
     if not saw_tag:
         raise ParseError(1, 1, f"empty input; expected format tag {FORMAT_TAG!r}")
@@ -171,20 +206,19 @@ def parse_network(text: str) -> ParsedInstance:
         raise ParseError(len(lines) + 1, 1, "missing horizon line")
 
     edges: dict[tuple[str, str], EdgeFn] = {}
-    for key, pieces in edge_pieces.items():
-        line_no = edge_lines[key]
-        if not pieces:
-            raise ParseError(line_no, 1, f"edge {key[0]} -> {key[1]} has no pieces")
+    for (i, j), (line_no, caps, tts) in edge_pieces.items():
+        if not caps:
+            raise ParseError(line_no, 1, f"edge {i} -> {j} has no pieces")
         try:
-            caps = PiecewiseConstFn(tuple((a, b, u) for a, b, u, _ in pieces))
-            tts = PiecewiseConstFn(tuple((a, b, tau) for a, b, _, tau in pieces))
+            cap_fn = PiecewiseConstFn(tuple(caps))
+            tt_fn = PiecewiseConstFn(tuple(tts))
         except ModelError as exc:
-            raise ParseError(line_no, 1, f"edge {key[0]} -> {key[1]}: {exc}") from None
-        if caps.horizon != horizon:
+            raise ParseError(line_no, 1, f"edge {i} -> {j}: {exc}") from None
+        if cap_fn.horizon != horizon:
             raise ParseError(
-                line_no, 1, f"edge {key[0]} -> {key[1]} pieces end at {caps.horizon}, not {horizon}"
+                line_no, 1, f"edge {i} -> {j} pieces end at {cap_fn.horizon}, not {horizon}"
             )
-        edges[key] = EdgeFn(caps, tts)
+        edges[(i, j)] = EdgeFn(cap_fn, tt_fn)
 
     try:
         net = TemporalNetwork(tuple(nodes), edges, frozenset(sources), frozenset(sinks), horizon)
@@ -230,17 +264,16 @@ def serialize_flow(f: FlowOverTime) -> str:
 def parse_flow(text: str) -> FlowOverTime:
     flows: dict[tuple[tuple[str, str], int], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
+        toks = _split(raw)
         if not toks:
             continue
-        if toks[0][0] != "flow" or len(toks) != 5:
-            raise ParseError(line_no, toks[0][1], "usage: flow <from> <to> <t> <amount>")
-        i, j = toks[1][0], toks[2][0]
-        t = _int(toks[3][0], line_no, toks[3][1], "departure time")
-        amount = _int(toks[4][0], line_no, toks[4][1], "amount")
+        if toks[0] != "flow" or len(toks) != 5:
+            raise _error(line_no, raw, 0, "usage: flow <from> <to> <t> <amount>")
+        t = _int(toks, 3, "departure time", line_no, raw)
+        amount = _int(toks, 4, "amount", line_no, raw)
         if amount < 0:
-            raise ParseError(line_no, toks[4][1], "amount must be non-negative")
-        key = ((i, j), t)
+            raise _error(line_no, raw, 4, "amount must be non-negative")
+        key = ((toks[1], toks[2]), t)
         flows[key] = flows.get(key, 0) + amount
     return FlowOverTime(flows)
 

@@ -111,6 +111,68 @@ def test_stats_compares_expansions_of_one_network(tmp_path, corpus, capsys):
         assert int(sizes["cten-nodes"]) <= int(sizes["ten-nodes"])
 
 
+UNBALANCED_FILE = (
+    "tn 1\nhorizon 4\nnode s source 2\nnode m internal\nnode d sink 3\n"
+    "edge s m\npiece 0 4 cap 1 tt 1\nedge m d\npiece 0 1 cap 2 tt 1\npiece 2 4 cap 1 tt 2\n"
+)
+
+
+def test_stats_runs_no_verdict(tmp_path, capsys, monkeypatch):
+    """Stats reads both sizes off one super-terminal network: no max flow,
+    one ``live_windows`` call per edge, and demands that do not sum to 0
+    (which a verdict refuses) are reported, not rejected."""
+    from collections import Counter
+
+    import tempoflow.cli as cli_mod
+    import tempoflow.feasibility as feasibility_mod
+    import tempoflow.model as model_mod
+    import tempoflow.netio as netio_mod
+    import tempoflow.solvers as solvers_mod
+
+    from tempoflow import dttn_feasible, parse_network
+
+    # The verdict's cTEN of the balanced texts, taken before counting starts.
+    balanced = [*STATS_FILES.values(), UNBALANCED_FILE.replace("sink 3", "sink 2")]
+    verdict_sizes = []
+    for text in balanced:
+        parsed = parse_network(text)
+        net = parsed.network
+        graph = dttn_feasible(net, net.horizon, parsed.demands).graph
+        verdict_sizes.append((len(graph.vertices), len(graph.arcs)))
+
+    calls = Counter()
+    modules = (cli_mod, feasibility_mod, model_mod, netio_mod, solvers_mod)
+    for module, name in (
+        # Every module that looks these up, so no call goes uncounted.
+        *((m, "max_flow") for m in modules if hasattr(m, "max_flow")),
+        *((m, "live_windows") for m in modules if hasattr(m, "live_windows")),
+    ):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    path = tmp_path / "inst.tn"
+    path.write_text(UNBALANCED_FILE)
+    assert main(["stats", "-i", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "demands sum to 1" in captured.err
+    unbalanced = dict(line.split() for line in captured.out.splitlines())
+    assert calls == Counter(live_windows=2)
+
+    for text, verdict in zip(balanced, verdict_sizes):
+        path.write_text(text)
+        assert main(["stats", "-i", str(path)]) == 0
+        sizes = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert (int(sizes["cten-nodes"]), int(sizes["cten-arcs"])) == verdict, text
+    # The balanced form (sink 2) keeps both super edges positive: same sizes.
+    assert sizes == unbalanced
+    assert calls["max_flow"] == 0
+
+
 def test_verify_checks_certificate(infeasible_path, capsys):
     assert main(["verify", "-i", infeasible_path]) == 1
     out = capsys.readouterr().out

@@ -68,6 +68,10 @@ MODEL_REJECTIONS = {
         lambda: PiecewiseConstFn(((0, 2, 2), (2, 4, 1))),
         ModelError, "pieces must tile the domain: gap/overlap at 2..2",
     ),
+    "gap after a bool end": (
+        lambda: PiecewiseConstFn(((0, True, 1), (3, 4, 1))),
+        ModelError, "pieces must tile the domain: gap/overlap at True..3",
+    ),
     "bool value": (
         lambda: PiecewiseConstFn(((0, 1, True),)),
         ModelError, "piece value True is not a non-negative integer or INF",

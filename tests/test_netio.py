@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempoflow import (
     DemandVector,
@@ -13,7 +14,7 @@ from tempoflow import (
     serialize_network,
 )
 
-from conftest import build_e1
+from conftest import build_chain, build_e1
 from strategies import demand_instances
 
 E1_FILE = """\
@@ -59,6 +60,16 @@ def test_roundtrip_via_serialize():
     assert again.demands == parsed.demands
     assert serialize_network(again.network, again.demands) == text
 
+
+
+def test_roundtrip_at_scale():
+    """A 5,000-node chain comes back equal: node ids are looked up in a
+    set, so the parse stays linear in the text."""
+    net = build_chain(5000)
+    v = DemandVector({"s": -1, "d": 1})
+    parsed = parse_network(serialize_network(net, v))
+    assert parsed.network == net
+    assert parsed.demands == v
 
 def test_parse_reports_line_and_column():
     bad = E1_FILE.replace("piece 1 2 cap 1 tt 1", "piece 1 2 cap x tt 1")
@@ -183,6 +194,18 @@ def test_parse_errors_pinned(parse, text, line_no, column, message):
     assert (err.value.line_no, err.value.column) == (line_no, column)
     assert str(err.value) == f"line {line_no}, column {column}: {message}"
 
+
+
+@given(st.text(alphabet=" \t#ab1-\u00a0", max_size=24))
+def test_columns_belong_to_the_split_tokens(line):
+    """A raise site's column (``_tokens``) is the column of the token the
+    parser read (``_split``)."""
+    from tempoflow.netio import _split, _tokens
+
+    pairs = _tokens(line)
+    assert [tok for tok, _ in pairs] == _split(line)
+    for tok, col in pairs:
+        assert line[col - 1 : col - 1 + len(tok)] == tok
 
 def test_overlapping_pieces_name_the_edge():
     bad = E1_FILE.replace("piece 1 2", "piece 0 2")
