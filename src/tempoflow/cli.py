@@ -13,9 +13,9 @@ import sys
 import traceback
 
 from .model import INF, ModelError, compute_mu
-from .reductions import attach_super_terminals
+from .reductions import SuperTerminals, attach_super_terminals
 from .breakpoints import cten_breakpoints
-from .expansion import OracleBudgetError, build_cten, build_ten, ten_size
+from .expansion import ExpandedGraph, OracleBudgetError, build_cten, build_ten, ten_size
 from .maxflow import max_flow
 from .feasibility import capacity_oT_ten, gadget_breakpoints
 from .netio import InstanceSpec, ParsedInstance, generate_instance, parse_network, serialize_flow, serialize_network
@@ -77,13 +77,18 @@ def _cmd_maxflow(args) -> int:
     return EXIT_OK
 
 
+def _cten(full: SuperTerminals) -> ExpandedGraph:
+    """The condensed expansion a verdict solves, built without running one.
+
+    No max flow runs, so demands that do not sum to 0 are accepted.
+    """
+    return build_cten(full, cten_breakpoints(full, full.nodes))
+
+
 def _cmd_expand(args) -> int:
     parsed = _load(args.input)
-    net, v = parsed.network, parsed.demands
-    if args.mode == "ten":
-        graph = build_ten(attach_super_terminals(net, v))
-    else:
-        graph = dttn_feasible(net, net.horizon, v).graph
+    full = attach_super_terminals(parsed.network, parsed.demands)
+    graph = build_ten(full) if args.mode == "ten" else _cten(full)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(graph.to_dot(args.mode) + "\n")
     print(f"wrote {args.mode} with {len(graph.vertices)} vertices, {len(graph.arcs)} arcs")
@@ -141,7 +146,7 @@ def _cmd_stats(args) -> int:
     parsed = _load(args.input)
     net, v = parsed.network, parsed.demands
     full = attach_super_terminals(net, v)
-    cten = build_cten(full, cten_breakpoints(full, full.nodes))
+    cten = _cten(full)
     ten_nodes, ten_arcs = ten_size(full)
     has_inf = any(u == INF for fn in net.edges.values() for _, _, u in fn.capacity.pieces)
     print(f"n {len(net.nodes)}")

@@ -20,10 +20,9 @@ brute-force oracle, gated by a size budget that ``ten_size`` counts.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import pairwise
 
-from .model import INF, ModelError, TemporalNetwork, live_windows
+from .model import INF, ModelError, TemporalNetwork, Value, live_windows
 from .reductions import SuperTerminals, inner_parts
 
 DEFAULT_TEN_BUDGET = 2_000_000
@@ -64,21 +63,32 @@ def intervals_of(points, horizon: int) -> tuple[Interval, ...]:
     return tuple(_intervals(_bounds(points, horizon)))
 
 
-@dataclass(frozen=True)
-class ExpandedGraph:
+class ExpandedGraph(Value):
     """Steady-state flow graph over (node, interval) vertices.
 
     Arc k runs from ``tails[k]`` to ``heads[k]`` with capacity ``caps[k]``.
     ``ranges[i]`` holds node i's vertex ids, one per interval in time order.
     """
 
-    vertices: tuple[tuple[str, Interval], ...]
-    tails: tuple[int, ...]
-    heads: tuple[int, ...]
-    caps: tuple[int | float, ...]
-    source: int
-    sink: int
-    ranges: dict[str, range] = field(repr=False)
+    __slots__ = ("vertices", "tails", "heads", "caps", "source", "sink", "ranges")
+
+    def __init__(
+        self,
+        vertices: tuple[tuple[str, Interval], ...],
+        tails: tuple[int, ...],
+        heads: tuple[int, ...],
+        caps: tuple[int | float, ...],
+        source: int,
+        sink: int,
+        ranges: dict[str, range],
+    ):
+        self.vertices = vertices
+        self.tails = tails
+        self.heads = heads
+        self.caps = caps
+        self.source = source
+        self.sink = sink
+        self.ranges = ranges
 
     @property
     def arcs(self) -> range:

@@ -19,9 +19,15 @@ sets derived on the gadget form itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .model import INF, DemandVector, TemporalNetwork, to_one_shot
+from .model import (
+    INF,
+    DemandVector,
+    OneShotEdge,
+    OneShotNetwork,
+    TemporalNetwork,
+    Value,
+    to_one_shot,
+)
 from .reductions import (
     D_STAR,
     S_STAR,
@@ -39,17 +45,28 @@ from .maxflow import max_flow
 from .maxflow import residual_reachable  # noqa: F401
 
 
-@dataclass(frozen=True)
-class FeasOutcome:
+class FeasOutcome(Value):
     """Either a saturating condensed-expansion flow or a violated set."""
 
-    feasible: bool
-    breakpoints: dict[str, tuple[int, ...]]
-    graph: ExpandedGraph
-    flow_value: int
-    violated: frozenset[str] | None = None
-    o_T: int | None = None
-    neg_v: int | None = None
+    __slots__ = ("feasible", "breakpoints", "graph", "flow_value", "violated", "o_T", "neg_v")
+
+    def __init__(
+        self,
+        feasible: bool,
+        breakpoints: dict[str, tuple[int, ...]],
+        graph: ExpandedGraph,
+        flow_value: int,
+        violated: frozenset[str] | None = None,
+        o_T: int | None = None,
+        neg_v: int | None = None,
+    ):
+        self.feasible = feasible
+        self.breakpoints = breakpoints
+        self.graph = graph
+        self.flow_value = flow_value
+        self.violated = violated
+        self.o_T = o_T
+        self.neg_v = neg_v
 
     def serialize(self) -> str:
         if self.feasible:
@@ -169,12 +186,15 @@ def gadget_breakpoints(net: TemporalNetwork, v: DemandVector) -> dict[str, Break
     """
     one_shot, _ = to_one_shot(net)
     stand_in = net.max_finite_capacity() + 1
-    finite = replace(
-        one_shot,
-        edges={
-            edge: replace(e, capacity=stand_in) if e.capacity == INF else e
+    finite = OneShotNetwork(
+        one_shot.nodes,
+        {
+            edge: OneShotEdge(e.alpha, e.beta, stand_in, e.travel_time) if e.capacity == INF else e
             for edge, e in one_shot.edges.items()
         },
+        one_shot.sources,
+        one_shot.sinks,
+        one_shot.horizon,
     )
     canon = canonical_reduction(*hoppe_tardos_star(finite, v))
     return canonical_breakpoints(canon, net.nodes + (S_STAR, D_STAR))

@@ -19,11 +19,10 @@ are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress
 from operator import sub
 
-from .model import INF, ModelError
+from .model import INF, ModelError, Value
 from .expansion import ExpandedGraph
 
 
@@ -35,16 +34,18 @@ class InternalConsistencyError(AssertionError):
     """An internal invariant failed; this falsifies the implementation."""
 
 
-@dataclass(frozen=True)
-class SteadyFlow:
+class SteadyFlow(Value):
     """Per-arc flow amounts, indexed like ``graph.arcs``.
 
     ``side`` is the source side of a minimum cut: the vertices that the
     last BFS of ``max_flow`` reached; None for a flow given otherwise.
     """
 
-    arc_flows: tuple[int, ...]
-    side: frozenset[int] | None = None
+    __slots__ = ("arc_flows", "side")
+
+    def __init__(self, arc_flows: tuple[int, ...], side: frozenset[int] | None = None):
+        self.arc_flows = arc_flows
+        self.side = side
 
 
 def _residual(graph: ExpandedGraph, arc_flows) -> tuple[list[list[int]], list[int], list]:

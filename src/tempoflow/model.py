@@ -9,7 +9,6 @@ against ``MAX_INT``; overflow is a hard input-rejection error.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 INF = float("inf")
@@ -39,6 +38,38 @@ def check_width(value, context: str):
     return value
 
 
+class Value:
+    """Base of the package's value types: equality, hash and repr by field.
+
+    A subclass names its fields, in constructor order, in ``__slots__``,
+    and its ``__init__`` runs its checks and sets them.  Two values are
+    equal iff they have the same class and equal fields, and the hash is
+    that of the fields' tuple, so hashing raises ``TypeError`` where a
+    field holds a dict.  Values are immutable by convention only: no
+    ``__setattr__`` guard stops an assignment, since one would route every
+    field store through ``object.__setattr__``, as frozen dataclasses do,
+    in the constructors that the parser and every quickest probe call.
+    Use the constructors to derive a changed copy, so its checks run.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 _piece_start = itemgetter(0)
 
 
@@ -57,27 +88,27 @@ def _tiling_error(start, end, prev_end: int) -> str:
     return f"pieces must tile the domain: gap/overlap at {prev_end}..{start}"
 
 
-@dataclass(frozen=True)
-class PiecewiseConstFn:
+class PiecewiseConstFn(Value):
     """A step function on an integer interval [0, T].
 
     ``pieces`` is a sorted tuple of ``(start, end, value)`` triples with
     closed integer ranges that tile the domain exactly.
     """
 
-    pieces: tuple[tuple[int, int, int | float], ...]
+    __slots__ = ("pieces",)
 
-    def __post_init__(self):
-        if not self.pieces:
+    def __init__(self, pieces: tuple[tuple[int, int, int | float], ...]):
+        if not pieces:
             raise ModelError("piecewise function needs at least one piece")
         prev_end = -1
-        for start, end, value in self.pieces:
+        for start, end, value in pieces:
             if not (isinstance(start, int) and isinstance(end, int) and start == prev_end + 1 <= end):
                 raise ModelError(_tiling_error(start, end, prev_end))
             if not _is_cap(value):
                 raise ModelError(f"piece value {value!r} is not a non-negative integer or INF")
             check_width(value, "piece value")
             prev_end = end
+        self.pieces = pieces
 
     @classmethod
     def constant(cls, value, horizon: int) -> "PiecewiseConstFn":
@@ -128,23 +159,22 @@ def merged_pieces(
     return out
 
 
-@dataclass(frozen=True)
-class EdgeFn:
+class EdgeFn(Value):
     """Capacity and travel time of one directed edge."""
 
-    capacity: PiecewiseConstFn
-    travel_time: PiecewiseConstFn
+    __slots__ = ("capacity", "travel_time")
 
-    def __post_init__(self):
-        if self.capacity.horizon != self.travel_time.horizon:
+    def __init__(self, capacity: PiecewiseConstFn, travel_time: PiecewiseConstFn):
+        if capacity.horizon != travel_time.horizon:
             raise ModelError("capacity and travel-time domains differ")
-        for _, _, tau in self.travel_time.pieces:
+        for _, _, tau in travel_time.pieces:
             if tau == INF or tau < 0:
                 raise ModelError("travel times must be non-negative integers")
+        self.capacity = capacity
+        self.travel_time = travel_time
 
 
-@dataclass(frozen=True)
-class TemporalNetwork:
+class TemporalNetwork(Value):
     """Directed network with piecewise-constant capacities and travel times.
 
     Sources have no in-edges and sinks no out-edges; there are no parallel
@@ -152,33 +182,41 @@ class TemporalNetwork:
     rely on them) but user-facing input validation warns about them.
     """
 
-    nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], EdgeFn]
-    sources: frozenset[str]
-    sinks: frozenset[str]
-    horizon: int
+    __slots__ = ("nodes", "edges", "sources", "sinks", "horizon")
 
-    def __post_init__(self):
-        nodeset = set(self.nodes)
-        if len(nodeset) != len(self.nodes):
+    def __init__(
+        self,
+        nodes: tuple[str, ...],
+        edges: dict[tuple[str, str], EdgeFn],
+        sources: frozenset[str],
+        sinks: frozenset[str],
+        horizon: int,
+    ):
+        nodeset = set(nodes)
+        if len(nodeset) != len(nodes):
             raise ModelError("duplicate node ids")
-        if self.horizon < 0:
+        if horizon < 0:
             raise ModelError("horizon must be non-negative")
-        if self.sources & self.sinks:
+        if sources & sinks:
             raise ModelError("a node cannot be both source and sink")
-        if not (self.sources <= nodeset and self.sinks <= nodeset):
+        if not (sources <= nodeset and sinks <= nodeset):
             raise ModelError("terminal outside node set")
-        for (i, j), fn in self.edges.items():
+        for (i, j), fn in edges.items():
             if i == j:
                 raise ModelError(f"self-loop at {i}")
             if i not in nodeset or j not in nodeset:
                 raise ModelError(f"edge ({i}, {j}) references unknown node")
-            if j in self.sources:
+            if j in sources:
                 raise ModelError(f"source {j} has an in-edge")
-            if i in self.sinks:
+            if i in sinks:
                 raise ModelError(f"sink {i} has an out-edge")
-            if fn.capacity.horizon != self.horizon:
-                raise ModelError(f"edge ({i}, {j}) functions not defined on [0, {self.horizon}]")
+            if fn.capacity.horizon != horizon:
+                raise ModelError(f"edge ({i}, {j}) functions not defined on [0, {horizon}]")
+        self.nodes = nodes
+        self.edges = edges
+        self.sources = sources
+        self.sinks = sinks
+        self.horizon = horizon
 
     @property
     def terminals(self) -> frozenset[str]:
@@ -206,20 +244,20 @@ class TemporalNetwork:
         )
 
 
-@dataclass(frozen=True)
-class DemandVector:
+class DemandVector(Value):
     """Required net flow into each terminal at the horizon.
 
     Sources carry negative values (they emit supply), sinks positive.
     """
 
-    values: dict[str, int]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        for node, v in self.values.items():
+    def __init__(self, values: dict[str, int]):
+        for node, v in values.items():
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ModelError(f"demand of {node} must be an integer")
             check_width(v, f"demand of {node}")
+        self.values = values
 
     def __getitem__(self, node: str) -> int:
         return self.values[node]
@@ -252,11 +290,16 @@ class DemandVector:
                 raise ModelError(f"sink {d} has negative demand")
 
 
-@dataclass(frozen=True)
-class FlowOverTime:
-    """Sparse flow assignment ``(edge, departure time) -> amount``."""
+class FlowOverTime(Value):
+    """Sparse flow assignment ``(edge, departure time) -> amount``.
 
-    flows: dict[tuple[tuple[str, str], int], int] = field(default_factory=dict)
+    Without ``flows``, each flow gets a fresh empty dict.
+    """
+
+    __slots__ = ("flows",)
+
+    def __init__(self, flows: dict[tuple[tuple[str, str], int], int] | None = None):
+        self.flows = {} if flows is None else flows
 
 
 def net_flow(net: TemporalNetwork, f: FlowOverTime, i: str, t: int) -> int:
@@ -277,17 +320,21 @@ def net_flow(net: TemporalNetwork, f: FlowOverTime, i: str, t: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: str
-    location: str
-    time: int | None
-    detail: str
+class Violation(Value):
+    __slots__ = ("condition", "location", "time", "detail")
+
+    def __init__(self, condition: str, location: str, time: int | None, detail: str):
+        self.condition = condition
+        self.location = location
+        self.time = time
+        self.detail = detail
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(Value):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        self.violations = violations
 
     @property
     def ok(self) -> bool:
@@ -360,36 +407,44 @@ def validate_flow(
     return ValidationReport(tuple(out))
 
 
-@dataclass(frozen=True)
-class OneShotEdge:
-    alpha: int
-    beta: int
-    capacity: int | float
-    travel_time: int
+class OneShotEdge(Value):
+    __slots__ = ("alpha", "beta", "capacity", "travel_time")
+
+    def __init__(self, alpha: int, beta: int, capacity: int | float, travel_time: int):
+        self.alpha = alpha
+        self.beta = beta
+        self.capacity = capacity
+        self.travel_time = travel_time
 
 
-@dataclass(frozen=True)
-class OneShotNetwork:
+class OneShotNetwork(Value):
     """Temporal network where each edge is live on one window [alpha, beta]."""
 
-    nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], OneShotEdge]
-    sources: frozenset[str]
-    sinks: frozenset[str]
-    horizon: int
+    __slots__ = ("nodes", "edges", "sources", "sinks", "horizon")
 
-    def __post_init__(self):
-        for (i, j), e in self.edges.items():
-            if not (0 <= e.alpha <= e.beta <= self.horizon):
+    def __init__(
+        self,
+        nodes: tuple[str, ...],
+        edges: dict[tuple[str, str], OneShotEdge],
+        sources: frozenset[str],
+        sinks: frozenset[str],
+        horizon: int,
+    ):
+        for (i, j), e in edges.items():
+            if not (0 <= e.alpha <= e.beta <= horizon):
                 raise ModelError(f"edge ({i}, {j}) window [{e.alpha}, {e.beta}] invalid")
             if not _is_cap(e.capacity) or e.capacity == 0:
                 raise ModelError(f"edge ({i}, {j}) capacity must be positive or INF")
             if not (isinstance(e.travel_time, int) and e.travel_time >= 0):
                 raise ModelError(f"edge ({i}, {j}) travel time must be a non-negative integer")
+        self.nodes = nodes
+        self.edges = edges
+        self.sources = sources
+        self.sinks = sinks
+        self.horizon = horizon
 
 
-@dataclass(frozen=True)
-class OneShotTrace:
+class OneShotTrace(Value):
     """Origin of every one-shot element in the source network.
 
     ``edge_origin`` maps one-shot edges either to ``("window", orig_edge,
@@ -399,8 +454,15 @@ class OneShotTrace:
     nodes to their original edge.
     """
 
-    edge_origin: dict[tuple[str, str], tuple[str, tuple[str, str], int]]
-    relay_nodes: dict[str, tuple[str, str]]
+    __slots__ = ("edge_origin", "relay_nodes")
+
+    def __init__(
+        self,
+        edge_origin: dict[tuple[str, str], tuple[str, tuple[str, str], int]],
+        relay_nodes: dict[str, tuple[str, str]],
+    ):
+        self.edge_origin = edge_origin
+        self.relay_nodes = relay_nodes
 
 
 def compute_mu(net: TemporalNetwork) -> int:

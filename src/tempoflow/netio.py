@@ -10,7 +10,7 @@ The instance format is line-oriented:
 
 Tokens are separated by single spaces (empty tokens are dropped, and a
 tab stays part of its token); ``#`` starts a comment, and blank lines
-are skipped.  ``piece`` lines belong to the most recent ``edge`` line
+are skipped.  An integer is an optional ``-`` followed by ASCII digits.  ``piece`` lines belong to the most recent ``edge`` line
 and must tile [0, T] exactly.  A source's ``<supply>`` is the
 (non-negative) amount it emits; internally that is the demand value
 -supply.  A zero travel time and demands that do not sum to 0 are
@@ -27,7 +27,6 @@ only when a check fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .model import (
     INF,
@@ -37,6 +36,7 @@ from .model import (
     ModelError,
     PiecewiseConstFn,
     TemporalNetwork,
+    Value,
 )
 from .reductions import D_STAR, S_STAR, SuperTerminals
 from .expansion import build_ten
@@ -54,11 +54,13 @@ class ParseError(ModelError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class ParsedInstance:
-    network: TemporalNetwork
-    demands: DemandVector
-    warnings: tuple[str, ...]
+class ParsedInstance(Value):
+    __slots__ = ("network", "demands", "warnings")
+
+    def __init__(self, network: TemporalNetwork, demands: DemandVector, warnings: tuple[str, ...]):
+        self.network = network
+        self.demands = demands
+        self.warnings = warnings
 
 
 def _split(line: str) -> list[str]:
@@ -91,10 +93,15 @@ def _error(line_no: int, raw: str, k: int, message: str) -> ParseError:
 
 
 def _int(toks: list[str], k: int, what: str, line_no: int, raw: str) -> int:
-    try:
-        return int(toks[k])
-    except ValueError:
-        raise _error(line_no, raw, k, f"{what} must be an integer, got {toks[k]!r}") from None
+    """Token k as an integer: an optional ``-`` followed by ASCII digits.
+
+    Python's ``int`` alone would also take ``+3``, ``1_0``, non-ASCII
+    digits and surrounding whitespace such as a trailing tab.
+    """
+    tok = toks[k]
+    if tok.isascii() and (tok.isdigit() or tok[:1] == "-" and tok[1:].isdigit()):
+        return int(tok)
+    raise _error(line_no, raw, k, f"{what} must be an integer, got {tok!r}")
 
 
 def parse_network(text: str) -> ParsedInstance:
@@ -278,8 +285,7 @@ def parse_flow(text: str) -> FlowOverTime:
     return FlowOverTime(flows)
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(Value):
     """Knobs for the random instance generator.
 
     The generated graph is a layered acyclic network: the first nodes are
@@ -289,26 +295,41 @@ class InstanceSpec:
     construction), ``"random"`` (balanced but arbitrary), or ``"zero"``.
     """
 
-    n_nodes: int = 6
-    n_sources: int = 1
-    n_sinks: int = 1
-    n_edges: int = 8
-    horizon: int = 8
-    max_capacity: int = 4
-    max_travel_time: int = 3
-    max_pieces: int = 3
-    demand_mode: str = "feasible"
+    __slots__ = (
+        "n_nodes", "n_sources", "n_sinks", "n_edges", "horizon", "max_capacity",
+        "max_travel_time", "max_pieces", "demand_mode",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        n_nodes: int = 6,
+        n_sources: int = 1,
+        n_sinks: int = 1,
+        n_edges: int = 8,
+        horizon: int = 8,
+        max_capacity: int = 4,
+        max_travel_time: int = 3,
+        max_pieces: int = 3,
+        demand_mode: str = "feasible",
+    ):
+        self.n_nodes = n_nodes
+        self.n_sources = n_sources
+        self.n_sinks = n_sinks
+        self.n_edges = n_edges
+        self.horizon = horizon
+        self.max_capacity = max_capacity
+        self.max_travel_time = max_travel_time
+        self.max_pieces = max_pieces
+        self.demand_mode = demand_mode
         least = {"n_sources": 1, "n_sinks": 1, "n_edges": 0, "horizon": 0, "max_capacity": 0,
                  "max_travel_time": 1, "max_pieces": 1}
         for name, low in least.items():
             if getattr(self, name) < low:
                 raise ModelError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if self.n_sources + self.n_sinks > self.n_nodes:
+        if n_sources + n_sinks > n_nodes:
             raise ModelError("more terminals than nodes")
-        if self.demand_mode not in ("feasible", "random", "zero"):
-            raise ModelError(f"unknown demand mode {self.demand_mode!r}")
+        if demand_mode not in ("feasible", "random", "zero"):
+            raise ModelError(f"unknown demand mode {demand_mode!r}")
 
 
 def _random_piecewise(rng: random.Random, spec: InstanceSpec) -> EdgeFn:

@@ -29,7 +29,6 @@ second network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .model import (
     INF,
@@ -40,6 +39,7 @@ from .model import (
     OneShotNetwork,
     PiecewiseConstFn,
     TemporalNetwork,
+    Value,
     check_width,
     _is_cap,
 )
@@ -166,20 +166,30 @@ def hoppe_tardos_star(
     return reduced, DemandVector(demands)
 
 
-@dataclass(frozen=True)
-class CanonicalTemporalNetwork:
+class CanonicalTemporalNetwork(Value):
     """Single super-source/super-sink network per the canonical shape.
 
     Inner edges are static; the s*-edges are live only at time 0 and the
     d*-edges only at time T, all with travel time 0.
     """
 
-    net: TemporalNetwork
-    s_star: str
-    d_star: str
-    ps_plus: frozenset[str]
-    ps_minus: frozenset[str]
-    pps_minus: frozenset[str]
+    __slots__ = ("net", "s_star", "d_star", "ps_plus", "ps_minus", "pps_minus")
+
+    def __init__(
+        self,
+        net: TemporalNetwork,
+        s_star: str,
+        d_star: str,
+        ps_plus: frozenset[str],
+        ps_minus: frozenset[str],
+        pps_minus: frozenset[str],
+    ):
+        self.net = net
+        self.s_star = s_star
+        self.d_star = d_star
+        self.ps_plus = ps_plus
+        self.ps_minus = ps_minus
+        self.pps_minus = pps_minus
 
     @property
     def horizon(self) -> int:
@@ -197,9 +207,9 @@ class SuperTerminals:
     ``materialize`` gives the same network with the super edges as edges,
     for readers that walk edges one by one.  ``windows`` holds the live
     windows of the network's own edges (``TemporalNetwork.windows``),
-    which the breakpoint reader and the expansion both read.  It is a
-    plain class, not a dataclass, since generating a frozen dataclass's
-    methods adds to every cold import.
+    which the breakpoint reader and the expansion both read.  Unlike
+    the value types (``model.Value``) it has no value equality: it is
+    compared by identity.
     """
 
     __slots__ = ("net", "caps", "windows")

@@ -173,6 +173,59 @@ def test_stats_runs_no_verdict(tmp_path, capsys, monkeypatch):
     assert calls["max_flow"] == 0
 
 
+def test_expand_cten_runs_no_verdict(tmp_path, capsys, monkeypatch):
+    """The cTEN export needs no verdict: demands that do not sum to 0 are
+    exported, not rejected, and no max flow runs."""
+    import tempoflow.cli as cli_mod
+    import tempoflow.feasibility as feasibility_mod
+    import tempoflow.solvers as solvers_mod
+
+    calls = []
+    for module in (cli_mod, feasibility_mod, solvers_mod):
+
+        def counting(*args, _original=module.max_flow):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(module, "max_flow", counting)
+    path, out = tmp_path / "inst.tn", tmp_path / "g.dot"
+    path.write_text(UNBALANCED_FILE)
+    assert main(["expand", "-i", str(path), "--mode", "cten", "-o", str(out)]) == 0
+    assert "demands sum to 1" in capsys.readouterr().err
+    assert out.read_text().startswith("digraph cten {")
+    assert calls == []
+
+
+E1_CTEN_DOT = """\
+digraph cten {
+  "s@[0,2]" -> "s@[3,3]" [label=inf];
+  "d@[0,2]" -> "d@[3,3]" [label=inf];
+  "s*@[0,2]" -> "s*@[3,3]" [label=inf];
+  "d*@[0,2]" -> "d*@[3,3]" [label=inf];
+  "s@[0,2]" -> "d@[0,2]" [label=1];
+  "s@[0,2]" -> "d@[3,3]" [label=1];
+  "s*@[0,2]" -> "s@[0,2]" [label=2];
+  "d@[3,3]" -> "d*@[3,3]" [label=2];
+}
+"""
+
+
+def test_expand_cten_is_the_verdicts_graph(tmp_path, e1_path, capsys):
+    """On balanced texts the exported cTEN is the one a verdict solves, byte for byte."""
+    from tempoflow import dttn_feasible, parse_network
+
+    out = tmp_path / "g.dot"
+    assert main(["expand", "-i", e1_path, "--mode", "cten", "-o", str(out)]) == 0
+    assert out.read_text() == E1_CTEN_DOT
+    path = tmp_path / "inst.tn"
+    for text in [*STATS_FILES.values(), UNBALANCED_FILE.replace("sink 3", "sink 2")]:
+        path.write_text(text)
+        assert main(["expand", "-i", str(path), "--mode", "cten", "-o", str(out)]) == 0
+        parsed = parse_network(text)
+        graph = dttn_feasible(parsed.network, parsed.network.horizon, parsed.demands).graph
+        assert out.read_text() == graph.to_dot("cten") + "\n", text
+
+
 def test_verify_checks_certificate(infeasible_path, capsys):
     assert main(["verify", "-i", infeasible_path]) == 1
     out = capsys.readouterr().out

@@ -120,6 +120,14 @@ PARSE_ERRORS = {
         _e1("piece 0 0 cap 0 tt 1", "piece 0 0 cap 0 tt\t1"),
         6, 1, "usage: piece <t0> <t1> cap <u|inf> tt <tau>",
     ),
+    "plus sign": (_e1("horizon 3", "horizon +3"), 2, 9, "horizon must be an integer, got '+3'"),
+    "non-ASCII digit": (
+        _e1("horizon 3", "horizon \u0663"), 2, 9, "horizon must be an integer, got '\u0663'"
+    ),
+    "digit separator": (
+        _e1("piece 1 2 cap 1", "piece 1 2 cap 1_0"), 7, 15, "capacity must be an integer, got '1_0'"
+    ),
+    "trailing tab": (_e1("horizon 3", "horizon 3\t"), 2, 9, "horizon must be an integer, got '3\\t'"),
     "piece start integer": (
         _e1("piece 3 3", "piece three 3"), 8, 7, "piece start must be an integer, got 'three'"
     ),
