@@ -27,7 +27,10 @@ a few fixed shapes.  It enters at x (or y), may leave through one of the
 gadget's four anchors, and otherwise crosses to the other endpoint with
 plus or minus tau.  Crossing uses the gadget's t+ and t-, so a path
 crosses each gadget at most once and cannot leave through the gadget it
-arrived by.  The gadget form itself, one pin
+arrived by.  What a path adds at a node, and how many gadget paths that
+is, therefore depends only on the node and the edge the path arrived by:
+the search folds each such pair's exits into one offset set, once per
+call, and every start shares it.  The gadget form itself, one pin
 graph per canonical network (``canonical_breakpoints``), stays as the
 independent derivation that certificates and tests check the sets with.
 """
@@ -52,6 +55,10 @@ PATH_CAP = 200_000
 
 class EnumerationCapError(ModelError):
     """Too many simple paths for direct enumeration."""
+
+
+def _over_cap(start) -> EnumerationCapError:
+    return EnumerationCapError(f"more than {PATH_CAP} simple paths from {start}")
 
 
 BreakpointSet = tuple[int, ...]
@@ -103,9 +110,7 @@ class _PinGraph:
                 if nxt in self.anchors:
                     budget -= 1
                     if budget < 0:
-                        raise EnumerationCapError(
-                            f"more than {PATH_CAP} simple paths from {start}"
-                        )
+                        raise _over_cap(start)
                     sums.update(reached)
                 else:
                     on_path.add(nxt)
@@ -206,18 +211,33 @@ def cten_breakpoints(
     of weight plus or minus tau between x and y.  A path at x with
     partial sums P also reaches the gadget's anchors with
     P + {+-alpha, 0, 0, +-(T - beta)} (through s+, s2-, s2+ and s-: four
-    paths), and a path at y with P +- tau + the same offsets.  The sets
-    and the counts charged against ``PATH_CAP`` are those of the gadget
-    form path for path.  What the gadgets could not represent is rejected,
-    INF capacities aside, which no set reads.
+    paths), and a path at y with P +- tau + the same offsets.  Only
+    non-anchor nodes are searched, so only they list their sides: per
+    incident one-shot edge, the five near offsets and the shift (tau at
+    y, 0 at x) that the far end adds with both signs.
+
+    A path that reaches node x by edge e adds, at x, the exits of every
+    other side of x, plus +-tau for each such side whose far end is an
+    anchor.  That offset set and its charge (4 paths per side, 1 more per
+    anchor side) are folded once per (x, e) on first use and shared by
+    every start, so a visit is one sum of the partial sums with the
+    offsets, one charge, and a walk over the non-anchor sides.  The
+    charge of a visit is what the gadget form counts for those sides one
+    at a time, so each start's total against ``PATH_CAP`` is the gadget
+    form's, path for path, and ``EnumerationCapError`` is raised on
+    exactly the same inputs; the sets are the same too.  What the gadgets
+    could not represent is rejected, INF capacities aside, which no set
+    reads.
     """
     net, windows, _ = inner_parts(net)
     T = net.horizon
     # A finite capacity above this makes a gadget demand u * (T + 1) overflow.
     widest = MAX_INT // (T + 1)
     anchors = net.sources | net.sinks | {S_STAR, D_STAR}
-    # Per node, per incident one-shot edge: (edge id, far endpoint, tau, exit offsets).
-    sides: dict = {n: [] for n in net.nodes}
+    # Per non-anchor node, per incident one-shot edge: (edge id, far endpoint,
+    # tau, near exits, shift).  The gadget's exits from this end are the near
+    # exits plus and minus the shift: tau at the edge's head, 0 at its tail.
+    sides: dict = {n: [] for n in net.nodes if n not in anchors}
     heads, tails = set(), set()
     # (x, y) per one-shot edge, in to_one_shot's order; y is a relay key
     # (i, j, k) for every window of an edge after its first.
@@ -228,15 +248,17 @@ def cten_breakpoints(
             if u > widest and u != INF:  # rejected: name the edge as to_one_shot would
                 _, named = _relay_named(net.nodes, one_shot + [(i, y)])
                 check_gadget_width(u, T, *named[-1])
-            near = {a, -a, 0, T - b, b - T}
-            far = {w + s for w in near for s in (tau, -tau)}
-            sides[i].append((len(one_shot), y, tau, near))
+            near = (a, -a, 0, T - b, b - T)
+            if i not in anchors:
+                sides[i].append((len(one_shot), y, tau, near, 0))
             if n == 0:
-                sides[j].append((len(one_shot), i, tau, far))
+                if j not in anchors:
+                    sides[j].append((len(one_shot), i, tau, near, tau))
                 one_shot.append((i, j))
             else:
-                sides[y] = [(len(one_shot), i, tau, far), (len(one_shot) + 1, j, 0, {0})]
-                sides[j].append((len(one_shot) + 1, y, 0, {0}))
+                sides[y] = [(len(one_shot), i, tau, near, tau), (len(one_shot) + 1, j, 0, (0,), 0)]
+                if j not in anchors:
+                    sides[j].append((len(one_shot) + 1, y, 0, (0,), 0))
                 one_shot += [(i, y), (y, j)]
         if edge_windows:
             tails.add(i)
@@ -244,44 +266,60 @@ def cten_breakpoints(
     if any(":" in n for n in net.nodes):
         check_gadget_names(*_relay_named(net.nodes, one_shot))
 
+    # Per (node, edge it arrived by; None at the start): the offsets a visit
+    # adds to the path's partial sums, the paths it charges, and its steps
+    # (edge id, far endpoint, tau) on to non-anchor nodes.
+    folded: dict = {}
+
+    def fold(node, arrived_by) -> tuple[set[int], int, list]:
+        offsets: set[int] = set()
+        paths = 0
+        steps = []
+        for edge, far, tau, near, shift in sides[node]:
+            if edge == arrived_by:  # its t+ and t- are on the path
+                continue
+            paths += 4
+            offsets.update([w + d for w in near for d in (shift, -shift)])
+            if far in anchors:
+                paths += 1
+                offsets.update((tau, -tau))
+            else:
+                steps.append((edge, far, tau))
+        folded[node, arrived_by] = entry = (offsets, paths, steps)
+        return entry
+
     def pin_sums(start: str) -> set[int]:
-        sums: set[int] = set()
-        budget = PATH_CAP
+        offsets, paths, steps = folded.get((start, None)) or fold(start, None)
+        budget = PATH_CAP - paths
+        if budget < 0:
+            raise _over_cap(start)
+        sums = set(offsets)
         on_path = {start}
-
-        def charge(paths: int):
-            nonlocal budget
-            budget -= paths
-            if budget < 0:
-                raise EnumerationCapError(f"more than {PATH_CAP} simple paths from {start}")
-
-        # Per path node: its remaining sides, the path's partial sums and
-        # the edge it arrived by; an explicit stack, as in _PinGraph.pin_sums.
-        stack = [(start, iter(sides[start]), {0}, None)]
+        # Per path node: its untried steps and the path's partial sums; an
+        # explicit stack, as in _PinGraph.pin_sums.
+        stack = [(start, iter(steps), {0})]
         while stack:
-            node, steps, partial, arrived_by = stack[-1]
-            for edge, far, tau, exits in steps:
-                if edge == arrived_by:  # its t+ and t- are on the path
-                    continue
-                charge(4)
-                sums.update(p + w for p in partial for w in exits)
-                if far in on_path:
-                    continue
-                reached = {p + s for p in partial for s in (tau, -tau)}
-                if far in anchors:
-                    charge(1)
-                    sums.update(reached)
-                else:
-                    on_path.add(far)
-                    stack.append((far, iter(sides[far]), reached, edge))
+            node, untried, partial = stack[-1]
+            for edge, far, tau in untried:
+                if far not in on_path:
                     break
             else:
                 stack.pop()
                 on_path.remove(node)
+                continue
+            offsets, paths, steps = folded.get((far, edge)) or fold(far, edge)
+            budget -= paths
+            if budget < 0:
+                raise _over_cap(start)
+            partial = {p + s for p in partial for s in (tau, -tau)}
+            sums.update({p + o for p in partial for o in offsets})
+            on_path.add(far)
+            stack.append((far, iter(steps), partial))
         return sums
 
+    # Anchors and nodes lacking an in- or an out-edge have {0, T}.
+    trivial = tuple(sorted({0, T}))
     return {
-        # Anchors and nodes lacking an in- or an out-edge have {0, T}.
-        i: _clip(set() if i in anchors or i not in heads or i not in tails else pin_sums(i), T)
+        i: _clip(pin_sums(i), T) if i in heads and i in tails and i not in anchors else trivial
         for i in nodes
     }

@@ -70,7 +70,9 @@ def _cmd_maxflow(args) -> int:
         net = _at_horizon(net, args.horizon)
     value, flow = max_flow_over_time(net, net.horizon)
     print(f"maxflow {value}")
-    if flow is None:
+    if value == INF:
+        print("notice: the flow over time is unbounded, so no witness flow exists", file=sys.stderr)
+    elif flow is None:
         print("notice: verdict only, no witness flow at this scale", file=sys.stderr)
     else:
         sys.stdout.write(serialize_flow(flow))

@@ -3,10 +3,13 @@
 Blocking-flow (Dinitz) augmentation over one residual graph, built
 straight from the graph's flat arc tuples: arc k is residual arc 2k
 (forward, capacity minus flow) and 2k + 1 (backward, the flow), so
-``e ^ 1`` is the partner of residual arc e.  Each phase builds a BFS level
-graph, stopping once the sink is labeled, then advances and retreats along
-it with per-vertex arc cursors, reading each residual arc once per cursor
-step.  The BFS that fails to reach the sink ends the algorithm and has
+``e ^ 1`` is the partner of residual arc e.  ``max_flow`` starts from the
+zero flow, whose residual graph takes the capacities as they are (no
+subtraction, so no new float per infinite arc) and 0 on every backward
+arc; ``residual_reachable`` subtracts the flow it is given.  Each phase
+builds a BFS level graph, stopping once the sink is labeled, then
+advances and retreats along it with per-vertex arc cursors, reading each
+residual arc once per cursor step.  The BFS that fails to reach the sink ends the algorithm and has
 labeled exactly the vertices reachable in the final residual graph, so the
 flow carries that source side of a minimum cut; ``residual_reachable``
 recomputes it independently from the arc flows.  Infinite capacities stay
@@ -48,16 +51,23 @@ class SteadyFlow(Value):
         self.side = side
 
 
-def _residual(graph: ExpandedGraph, arc_flows) -> tuple[list[list[int]], list[int], list]:
-    """Residual graph of a flow: per-vertex residual arcs, their heads and capacities."""
+def _residual(graph: ExpandedGraph, arc_flows=None) -> tuple[list[list[int]], list[int], list]:
+    """Residual graph of a flow: per-vertex residual arcs, their heads and capacities.
+
+    With no flow given, the flow is zero: forward arcs keep the graph's
+    capacities as they are and backward arcs have none.
+    """
     tails, heads = graph.tails, graph.heads
     n = 2 * len(tails)
     head = [0] * n
     head[::2] = heads
     head[1::2] = tails
     cap = [0] * n
-    cap[::2] = map(sub, graph.caps, arc_flows)
-    cap[1::2] = arc_flows
+    if arc_flows is None:
+        cap[::2] = graph.caps
+    else:
+        cap[::2] = map(sub, graph.caps, arc_flows)
+        cap[1::2] = arc_flows
     tail = [0] * n  # residual arc e leaves head[e ^ 1]
     tail[::2] = tails
     tail[1::2] = heads
@@ -97,7 +107,7 @@ def max_flow(graph: ExpandedGraph) -> tuple[int, SteadyFlow]:
     source, sink = graph.source, graph.sink
     if source == sink:
         raise ModelError("source and sink coincide")
-    adj, head, cap = _residual(graph, [0] * len(graph.caps))
+    adj, head, cap = _residual(graph)
     total = 0
     while True:
         level = _levels(adj, head, cap, source, sink)

@@ -9,6 +9,7 @@ at oracle scale (the expansion is gated by a size budget).
 from __future__ import annotations
 
 from .model import (
+    INF,
     DemandVector,
     EdgeFn,
     FlowOverTime,
@@ -24,7 +25,7 @@ from .model import to_one_shot  # noqa: F401
 from .reductions import canonical_reduction, hoppe_tardos_star  # noqa: F401
 from .breakpoints import cten_breakpoints
 from .expansion import OracleBudgetError, build_cten, build_ten
-from .maxflow import max_flow
+from .maxflow import UnboundedFlowError, max_flow
 from .feasibility import FeasOutcome, feas
 
 
@@ -113,20 +114,27 @@ def quickest_transshipment(
     return hi, witness
 
 
-def max_flow_over_time(net: TemporalNetwork, horizon: int) -> tuple[int, FlowOverTime | None]:
+def max_flow_over_time(
+    net: TemporalNetwork, horizon: int
+) -> tuple[int | float, FlowOverTime | None]:
     """Largest deliverable amount from the single source to the single sink.
 
     The original nodes' breakpoints are read off the network's live
     windows, as in ``feas`` (the sets do not depend on any capacity).  The answer is
     o_T({s}): one steady-state max flow on the condensed expansion of the
-    network with infinite super edges at both terminals.
+    network with infinite super edges at both terminals.  When INF
+    capacities open a path of unbounded capacity from s to d in time, the
+    answer is ``(INF, None)``: no finite flow is a witness.
     """
     if len(net.sources) != 1 or len(net.sinks) != 1:
         raise ModelError("max flow over time requires a single source and sink")
     _check_horizon(net, horizon)
     (s,), (d,) = net.sources, net.sinks
     full = set_super_terminals(net, frozenset({s}))
-    best, _ = max_flow(build_cten(full, cten_breakpoints(full, full.nodes)))
+    try:
+        best, _ = max_flow(build_cten(full, cten_breakpoints(full, full.nodes)))
+    except UnboundedFlowError:
+        return INF, None
     try:
         witness = extract_flow(net, horizon, DemandVector({s: -best, d: best}))
     except OracleBudgetError:

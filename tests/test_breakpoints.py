@@ -15,6 +15,7 @@ from tempoflow import (
     hoppe_tardos_star,
     to_one_shot,
 )
+from tempoflow.solvers import _at_horizon
 
 from conftest import build_chain, build_e1, make_network
 from strategies import temporal_networks
@@ -161,6 +162,45 @@ def test_one_shot_sets_equal_gadget_sets_with_inf(net):
     assert bps == gadget_breakpoints(net, v)
 
 
+@pytest.mark.parametrize(
+    "net, v",
+    [
+        (build_e1(), DemandVector({"s": -2, "d": 2})),
+        (
+            make_network(
+                ("p", "q", "r"),
+                {("p", "q"): ([(0, 4, 1)], 0), ("q", "r"): ([(0, 4, 2)], [(0, 1, 0), (2, 4, 1)])},
+                {"p"},
+                {"r"},
+                4,
+            ),
+            DemandVector({"p": -1, "r": 1}),
+        ),
+        (
+            make_network(
+                ("s", "a", "b", "d"),
+                {("s", "a"): ([(0, 5, 1)], 0), ("a", "b"): ([(0, 5, 1)], 0), ("s", "d"): ([(0, 5, 1)], 1)},
+                {"s"},
+                {"d"},
+                5,
+            ),
+            DemandVector({"s": -1, "d": 1}),
+        ),
+    ],
+    ids=["e1", "chain", "no-out-edge"],
+)
+def test_sets_at_horizon_zero(net, v):
+    """At T = 0 every set is (0,), not (0, 0), on both readers.
+
+    The chain's zero travel times keep its windows live, so q is searched;
+    and b has an in-edge but no out-edge.
+    """
+    net = _at_horizon(net, 0)
+    bps, nodes = one_shot_sets(net, v)
+    assert bps == gadget_sets(net, v, nodes)
+    assert set(bps.values()) == {(0,)}
+
+
 @pytest.mark.parametrize("cap, raises", [(5, 200), (20, 125), (60, 18)])
 def test_enumeration_cap_agrees_with_gadget_form(corpus, monkeypatch, cap, raises):
     """Both enumerators exceed a small PATH_CAP on the same instances."""
@@ -185,6 +225,62 @@ def test_enumeration_cap_agrees_with_gadget_form(corpus, monkeypatch, cap, raise
     assert hits == raises
 
 
+def relay_key_network(name=lambda n: n):
+    """Edge a -> b with four live windows, beside nodes named like its relays."""
+    nodes = ("a", "b", name("a>b#1"), name("a>b#1'"), "d")
+    edges = {
+        ("a", "b"): ([(0, 2, 1), (3, 5, 2), (6, 9, 1)], [(0, 4, 1), (5, 9, 2)]),
+        ("a", name("a>b#1")): ([(0, 9, 1)], 1),
+        (name("a>b#1"), name("a>b#1'")): ([(0, 4, 2), (5, 9, 0)], 2),
+        (name("a>b#1'"), "d"): ([(0, 9, 1)], 1),
+        ("b", "d"): ([(0, 9, 1)], 3),
+    }
+    return make_network(nodes, edges, {"a"}, {"d"}, 9)
+
+
+# The least PATH_CAP at which each reader finishes, on corpus[::25] and
+# then on the relay-key network: the most anchor-ending gadget paths that
+# the gadget form counts from any one start.
+LEAST_CAPS = (0, 19, 19, 0, 10, 46, 0, 19, 0, 79, 23, 10, 0, 15, 46, 0, 0, 0, 0, 0, 37)
+
+
+def least_cap(monkeypatch, sets, *args) -> int:
+    """The least PATH_CAP at which ``sets(*args)`` raises no EnumerationCapError."""
+    import tempoflow.breakpoints as breakpoints_mod
+
+    def finishes(cap):
+        monkeypatch.setattr(breakpoints_mod, "PATH_CAP", cap)
+        try:
+            sets(*args)
+        except EnumerationCapError:
+            return False
+        return True
+
+    fails, cap = -1, 1  # a cap of ``fails`` raises; ``cap`` is the candidate
+    while not finishes(cap):
+        fails, cap = cap, 2 * cap
+    while cap - fails > 1:
+        mid = (fails + cap) // 2
+        if finishes(mid):
+            cap = mid
+        else:
+            fails = mid
+    return cap
+
+
+def test_path_counts_equal_gadget_form(corpus, monkeypatch):
+    """Both readers charge the same paths: their least finishing caps are equal."""
+    cases = [(p.network, p.demands) for p in corpus[::25]]
+    cases.append((relay_key_network(), DemandVector({"a": -20, "d": 20})))
+    got = []
+    for net, v in cases:
+        nodes = attach_super_terminals(net, v).nodes
+        cap = least_cap(monkeypatch, one_shot_sets, net, v)
+        assert cap == least_cap(monkeypatch, gadget_sets, net, v, nodes)
+        got.append(cap)
+    assert tuple(got) == LEAST_CAPS
+
+
 def test_relay_keys_ignore_relay_like_names():
     """Nodes named like to_one_shot's relays change nothing but the names.
 
@@ -195,19 +291,7 @@ def test_relay_keys_ignore_relay_like_names():
     gadget form.
     """
     rename = {"a>b#1": "x", "a>b#1'": "y"}
-
-    def build(name):
-        nodes = ("a", "b", name("a>b#1"), name("a>b#1'"), "d")
-        edges = {
-            ("a", "b"): ([(0, 2, 1), (3, 5, 2), (6, 9, 1)], [(0, 4, 1), (5, 9, 2)]),
-            ("a", name("a>b#1")): ([(0, 9, 1)], 1),
-            (name("a>b#1"), name("a>b#1'")): ([(0, 4, 2), (5, 9, 0)], 2),
-            (name("a>b#1'"), "d"): ([(0, 9, 1)], 1),
-            ("b", "d"): ([(0, 9, 1)], 3),
-        }
-        return make_network(nodes, edges, {"a"}, {"d"}, 9)
-
-    net, renamed = build(lambda n: n), build(lambda n: rename.get(n, n))
+    net, renamed = relay_key_network(), relay_key_network(lambda n: rename.get(n, n))
     assert "a>b#1''" in to_one_shot(net)[0].nodes
     v = DemandVector({"a": -20, "d": 20})
     got, want = dttn_feasible(net, 9, v), dttn_feasible(renamed, 9, v)

@@ -53,6 +53,15 @@ def test_maxflow(e1_path, capsys):
     assert "maxflow 2" in capsys.readouterr().out
 
 
+def test_maxflow_unbounded(tmp_path, capsys):
+    path = tmp_path / "inf.tn"
+    path.write_text(E1_FILE.replace("cap 1", "cap inf"))
+    assert main(["maxflow", "-i", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "maxflow inf\n"
+    assert captured.err == "notice: the flow over time is unbounded, so no witness flow exists\n"
+
+
 def test_expand_writes_dot(e1_path, tmp_path, capsys):
     out = tmp_path / "g.dot"
     for mode in ("ten", "cten"):

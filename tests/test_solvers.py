@@ -2,6 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from tempoflow import (
+    INF,
     BoundedSearchError,
     DemandVector,
     ModelError,
@@ -15,10 +16,12 @@ from tempoflow import (
     quickest_transshipment,
     validate_flow,
 )
+from tempoflow.netio import parse_network
 from tempoflow.solvers import _at_horizon
 
 from conftest import build_chain, build_e1, make_network
 from strategies import demand_instances, temporal_networks
+from test_netio import E1_FILE
 
 
 def test_e1_feasible_at_three():
@@ -103,6 +106,12 @@ def test_maxflow_zero_capacity():
     value, flow = max_flow_over_time(net, 3)
     assert value == 0
     assert not flow.flows
+
+
+def test_maxflow_unbounded_is_inf():
+    """An INF-capacity window from s to d carries any amount: the answer is INF, with no witness."""
+    net = parse_network(E1_FILE.replace("cap 1", "cap inf")).network
+    assert max_flow_over_time(net, 3) == (INF, None)
 
 
 def test_maxflow_requires_single_terminals():
