@@ -93,7 +93,8 @@ def _cmd_expand(args) -> int:
     graph = build_ten(full) if args.mode == "ten" else _cten(full)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(graph.to_dot(args.mode) + "\n")
-    print(f"wrote {args.mode} with {len(graph.vertices)} vertices, {len(graph.arcs)} arcs")
+    vertices = sum(map(len, graph.ranges.values()))
+    print(f"wrote {args.mode} with {vertices} vertices, {len(graph.arcs)} arcs")
     return EXIT_OK
 
 
@@ -156,7 +157,7 @@ def _cmd_stats(args) -> int:
     print(f"k {len(net.terminals)}")
     print(f"mu {compute_mu(net)}")
     print(f"U {'inf' if has_inf else net.max_finite_capacity()}")
-    print(f"cten-nodes {len(cten.vertices)}")
+    print(f"cten-nodes {sum(map(len, cten.ranges.values()))}")
     print(f"cten-arcs {len(cten.arcs)}")
     print(f"ten-nodes {ten_nodes}")
     print(f"ten-arcs {ten_arcs}")

@@ -12,9 +12,15 @@ sweep: s* and d* are vertices over their own sets, and each terminal
 with a positive capacity adds one arc, from s*'s first vertex to a
 source's first vertex or from a sink's last vertex to d*'s last.  Arcs
 are stored flat, as parallel tail, head and capacity tuples that max
-flow reads directly.  The full expansion (one vertex per node and time
-step) is the condensed one over the sets {0, ..., T}; it is the
-brute-force oracle, gated by a size budget that ``ten_size`` counts.
+flow reads directly.  A graph holds ints only: besides the arcs, each
+node's range of vertex ids and its interval bounds (the starts, then
+T + 1).  Vertex labels (node, (lo, hi)) are derived from the bounds when
+asked for; no solver reads them.  The full expansion (one vertex per
+node and time step) is the condensed one over the sets {0, ..., T}; it
+is the brute-force oracle, gated by a size budget that ``ten_size``
+counts.  It retains about 64 bytes a vertex (a bound and a shared id,
+each an int past the small-int cache) and 24 an arc (three tuple slots);
+storing the labels would add about 112 bytes a vertex.
 """
 
 from __future__ import annotations
@@ -50,9 +56,7 @@ def _bounds(points, horizon: int) -> list[int]:
 
 
 def _intervals(bounds: list[int]) -> list[Interval]:
-    # A singleton interval repeats its start's int object rather than a
-    # fresh ``nxt - 1``: a full expansion holds one per vertex.
-    return [(lo, lo if nxt - lo == 1 else nxt - 1) for lo, nxt in pairwise(bounds)]
+    return [(lo, nxt - 1) for lo, nxt in pairwise(bounds)]
 
 
 def intervals_of(points, horizon: int) -> tuple[Interval, ...]:
@@ -67,14 +71,17 @@ class ExpandedGraph(Value):
     """Steady-state flow graph over (node, interval) vertices.
 
     Arc k runs from ``tails[k]`` to ``heads[k]`` with capacity ``caps[k]``.
-    ``ranges[i]`` holds node i's vertex ids, one per interval in time order.
+    ``ranges[i]`` holds node i's vertex ids, one per interval in time order,
+    and ``bounds[i]`` that node's ``_bounds``: its k-th vertex stands for
+    the interval [bounds[i][k], bounds[i][k + 1] - 1].  Labels are not
+    stored; ``vertices``, ``label`` and the readers below derive them.
     """
 
-    __slots__ = ("vertices", "tails", "heads", "caps", "source", "sink", "ranges")
+    __slots__ = ("bounds", "tails", "heads", "caps", "source", "sink", "ranges")
 
     def __init__(
         self,
-        vertices: tuple[tuple[str, Interval], ...],
+        bounds: dict[str, list[int]],
         tails: tuple[int, ...],
         heads: tuple[int, ...],
         caps: tuple[int | float, ...],
@@ -82,7 +89,7 @@ class ExpandedGraph(Value):
         sink: int,
         ranges: dict[str, range],
     ):
-        self.vertices = vertices
+        self.bounds = bounds
         self.tails = tails
         self.heads = heads
         self.caps = caps
@@ -95,39 +102,49 @@ class ExpandedGraph(Value):
         """The arc ids, indexing ``tails``, ``heads`` and ``caps``."""
         return range(len(self.caps))
 
+    @property
+    def vertices(self) -> tuple[tuple[str, Interval], ...]:
+        """Every vertex's ``(node, interval)`` label, in id order."""
+        return tuple((i, iv) for i in self.ranges for iv in _intervals(self.bounds[i]))
+
     def vertex_at(self, node: str, t: int) -> int:
         """The vertex of ``node`` whose interval contains step t."""
-        ids = self.ranges[node]
-        horizon = self.vertices[ids[-1]][1][1]
+        bounds = self.bounds[node]
+        horizon = bounds[-1] - 1
         if not (0 <= t <= horizon):
             raise ModelError(f"t={t} outside [0, {horizon}]")
-        return bisect_right(self.vertices, t, ids.start, ids.stop, key=lambda lab: lab[1][0]) - 1
+        return self.ranges[node].start + bisect_right(bounds, t) - 1
 
     def label(self, vid: int) -> tuple[str, Interval]:
-        return self.vertices[vid]
+        nodes = list(self.ranges)
+        i = nodes[bisect_right(nodes, vid, key=lambda node: self.ranges[node].start) - 1]
+        k = vid - self.ranges[i].start
+        lo, nxt = self.bounds[i][k:k + 2]
+        return i, (lo, nxt - 1)
 
     def departures(self, arc_flows) -> dict[tuple[tuple[str, str], int], int]:
         """Positive flow of a full expansion per ``((i, j), departure)``; holdovers skipped."""
+        nodes = list(self.ranges)
+        starts = [ids.start for ids in self.ranges.values()]
         out: dict[tuple[tuple[str, str], int], int] = {}
         for tail, head, amount in zip(self.tails, self.heads, arc_flows, strict=True):
             if amount <= 0:
                 continue
-            (i, (t, _)), (j, _) = self.vertices[tail], self.vertices[head]
-            if i != j:
-                out[(i, j), t] = out.get(((i, j), t), 0) + amount
+            k = bisect_right(starts, tail) - 1
+            m = bisect_right(starts, head) - 1
+            if k != m:
+                i = nodes[k]
+                key = (i, nodes[m]), self.bounds[i][tail - starts[k]]
+                out[key] = out.get(key, 0) + amount
         return out
 
     def to_dot(self, name: str) -> str:
         """Graphviz text of the arcs, as the digraph ``name``."""
+        names = [f'"{node}@[{lo},{hi}]"' for node, (lo, hi) in self.vertices]
         lines = [f"digraph {name} {{"]
-
-        def vertex_name(vid: int) -> str:
-            node, (lo, hi) = self.vertices[vid]
-            return f'"{node}@[{lo},{hi}]"'
-
         for tail, head, cap in zip(self.tails, self.heads, self.caps):
             label = "inf" if cap == INF else str(cap)
-            lines.append(f"  {vertex_name(tail)} -> {vertex_name(head)} [label={label}];")
+            lines.append(f"  {names[tail]} -> {names[head]} [label={label}];")
         lines.append("}")
         return "\n".join(lines)
 
@@ -243,13 +260,12 @@ def build_cten(
     # expansion's memory.
     ids = list(range(sum(len(b) - 1 for b in bounds.values())))
     first: dict[str, int] = {}
-    vertices: list[tuple[str, Interval]] = []
     tails: list[int] = []
     heads: list[int] = []
+    hi = 0
     for i in net.nodes:
-        first[i] = lo = len(vertices)
-        vertices += [(i, iv) for iv in _intervals(bounds[i])]
-        hi = len(vertices)
+        first[i] = lo = hi
+        hi = lo + len(bounds[i]) - 1
         tails += ids[lo:hi - 1]
         heads += ids[lo + 1:hi]
     caps: list[int | float] = [INF] * len(tails)
@@ -269,6 +285,6 @@ def build_cten(
                 heads.append(ids[head])
                 caps.append(super_caps[t])
     return ExpandedGraph(
-        tuple(vertices), tuple(tails), tuple(heads), tuple(caps),
+        bounds, tuple(tails), tuple(heads), tuple(caps),
         ranges[s][0], ranges[d][-1], ranges,
     )

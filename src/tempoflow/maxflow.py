@@ -3,16 +3,19 @@
 Blocking-flow (Dinitz) augmentation over one residual graph, built
 straight from the graph's flat arc tuples: arc k is residual arc 2k
 (forward, capacity minus flow) and 2k + 1 (backward, the flow), so
-``e ^ 1`` is the partner of residual arc e.  ``max_flow`` starts from the
-zero flow, whose residual graph takes the capacities as they are (no
-subtraction, so no new float per infinite arc) and 0 on every backward
-arc; ``residual_reachable`` subtracts the flow it is given.  Each phase
-builds a BFS level graph, stopping once the sink is labeled, then
-advances and retreats along it with per-vertex arc cursors, reading each
-residual arc once per cursor step.  The BFS that fails to reach the sink ends the algorithm and has
-labeled exactly the vertices reachable in the final residual graph, so the
-flow carries that source side of a minimum cut; ``residual_reachable``
-recomputes it independently from the arc flows.  Infinite capacities stay
+``e ^ 1`` is the partner of residual arc e.  The vertex count comes from
+the graph's id ranges, and each vertex's residual arcs are listed from
+``tails`` and ``heads`` directly; no vertex label is read.  ``max_flow``
+starts from the zero flow, whose residual graph takes the capacities as
+they are (no subtraction, so no new float per infinite arc) and 0 on
+every backward arc; ``residual_reachable`` subtracts the flow it is
+given.  Each phase builds a BFS level graph, stopping once the sink is
+labeled, then advances and retreats along it with per-vertex arc
+cursors, reading each residual arc once per cursor step.  The BFS that
+fails to reach the sink ends the algorithm and has labeled exactly the
+vertices reachable in the final residual graph, so the flow carries that
+source side of a minimum cut; ``residual_reachable`` recomputes it
+independently from the arc flows.  Infinite capacities stay
 ``float("inf")`` throughout — never a large integer sentinel — so integer
 arithmetic can't overflow; an all-infinite augmenting path is reported as
 unbounded.  Each vertex lists its residual arcs in arc order, so results
@@ -51,6 +54,11 @@ class SteadyFlow(Value):
         self.side = side
 
 
+def _order(graph: ExpandedGraph) -> int:
+    """The graph's vertex count."""
+    return sum(map(len, graph.ranges.values()))
+
+
 def _residual(graph: ExpandedGraph, arc_flows=None) -> tuple[list[list[int]], list[int], list]:
     """Residual graph of a flow: per-vertex residual arcs, their heads and capacities.
 
@@ -68,12 +76,10 @@ def _residual(graph: ExpandedGraph, arc_flows=None) -> tuple[list[list[int]], li
     else:
         cap[::2] = map(sub, graph.caps, arc_flows)
         cap[1::2] = arc_flows
-    tail = [0] * n  # residual arc e leaves head[e ^ 1]
-    tail[::2] = tails
-    tail[1::2] = heads
-    adj: list[list[int]] = [[] for _ in graph.vertices]
-    for e, u in enumerate(tail):
+    adj: list[list[int]] = [[] for _ in range(_order(graph))]
+    for e, u, v in zip(range(0, n, 2), tails, heads):
         adj[u].append(e)
+        adj[v].append(e + 1)
     return adj, head, cap
 
 
@@ -179,7 +185,7 @@ def check_max_flow(graph: ExpandedGraph, value: int, flow: SteadyFlow):
     the source and the sink, the source's net outflow, max-flow/min-cut,
     and that the side the flow carries, if any, is its residual source side.
     """
-    excess = [0] * len(graph.vertices)  # outflow minus inflow
+    excess = [0] * _order(graph)  # outflow minus inflow
     arcs = zip(graph.tails, graph.heads, graph.caps, flow.arc_flows, strict=True)
     for k, (tail, head, cap, f) in enumerate(arcs):
         if not 0 <= f <= cap:

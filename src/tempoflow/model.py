@@ -349,7 +349,9 @@ def validate_flow(
     Conditions: (1) edge capacity at the departure time, (2) departures in
     [0, T] arriving by T, (3) non-negative net flow at non-sources at every
     time, (4) zero net flow at non-terminals at T; plus net flow at every
-    terminal equal to its demand.  Violations are data, not errors.
+    terminal equal to its demand.  Violations are data, not errors: an
+    unknown edge or a departure outside [0, T] is reported; its flow leaves
+    its tail when it departs but never arrives.
     """
     out: list[Violation] = []
     for (edge, t), amount in sorted(f.flows.items()):
@@ -382,28 +384,38 @@ def validate_flow(
                 )
             )
     # Net flow is a step function changing only at departure/arrival events,
-    # so checking those times (plus T) covers all t.
+    # so checking those times (plus T) covers all t.  Each node's changes to
+    # it are sorted once and summed up to each event time in turn; a
+    # departure counts at its tail even where it is itself a violation.
     events: dict[str, set[int]] = {i: {horizon} for i in net.nodes}
+    changes: dict[str, list[tuple[int, int]]] = {i: [] for i in net.nodes}
     for (edge, t), amount in f.flows.items():
-        if amount == 0 or edge not in net.edges or not (0 <= t <= horizon):
+        if amount == 0:
             continue
         tail, head = edge
+        if tail in changes:
+            changes[tail].append((t, -amount))
+        if edge not in net.edges or not (0 <= t <= horizon):
+            continue
         events[tail].add(t)
         arrive = t + net.edges[edge].travel_time(t)
         if arrive <= horizon:
             events[head].add(arrive)
+            changes[head].append((arrive, amount))
     for i in net.nodes:
+        deltas = sorted(changes[i])
+        nf = k = 0
         for t in sorted(events[i]):
-            nf = net_flow(net, f, i, t)
+            while k < len(deltas) and deltas[k][0] <= t:
+                nf += deltas[k][1]
+                k += 1
             if i not in net.sources and nf < 0:
                 out.append(Violation("storage", i, t, f"net flow {nf} < 0"))
-        nf_end = net_flow(net, f, i, horizon)
-        if i not in net.terminals and nf_end != 0:
-            out.append(Violation("conservation", i, horizon, f"net flow {nf_end} != 0"))
-        elif i in net.terminals and nf_end != v.get(i):
-            out.append(
-                Violation("demand", i, horizon, f"net flow {nf_end} != demand {v.get(i)}")
-            )
+        # T is the last event time, so nf is now the net flow at T.
+        if i not in net.terminals and nf != 0:
+            out.append(Violation("conservation", i, horizon, f"net flow {nf} != 0"))
+        elif i in net.terminals and nf != v.get(i):
+            out.append(Violation("demand", i, horizon, f"net flow {nf} != demand {v.get(i)}"))
     return ValidationReport(tuple(out))
 
 

@@ -16,8 +16,12 @@ from tempoflow import (
     InstanceSpec,
     PiecewiseConstFn,
     TemporalNetwork,
+    attach_super_terminals,
+    build_ten,
+    dttn_feasible,
     generate_instance,
 )
+from tempoflow.solvers import _at_horizon
 
 SUPER_SOURCE = ("__oracle_source__", -1)
 SUPER_SINK = ("__oracle_sink__", -1)
@@ -163,6 +167,26 @@ def corpus():
 
     rng = random.Random(20260823)
     return [generate_instance(corpus_spec(rng), seed) for seed in range(500)]
+
+
+def pinned_graphs(corpus, long_corpus) -> list:
+    """``(graph, horizon)`` pairs whose max-flow results and labels tests pin.
+
+    The verdict cTENs of ``corpus[::25]`` and of the long corpus, the full
+    expansions of E1 and (with super terminals) of ``corpus[:5]``, and the
+    full expansion of E1 cut to T = 0.
+    """
+    graphs = [
+        (dttn_feasible(p.network, p.network.horizon, p.demands).graph, p.network.horizon)
+        for p in corpus[::25] + long_corpus
+    ]
+    graphs.append((build_ten(build_e1()), 3))
+    graphs += [
+        (build_ten(attach_super_terminals(p.network, p.demands)), p.network.horizon)
+        for p in corpus[:5]
+    ]
+    graphs.append((build_ten(_at_horizon(build_e1(), 0)), 0))
+    return graphs
 
 
 @pytest.fixture(scope="session")

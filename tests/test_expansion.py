@@ -1,14 +1,21 @@
+import gc
+import hashlib
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tempoflow import (
     INF,
+    InstanceSpec,
     ModelError,
     OracleBudgetError,
+    attach_super_terminals,
     build_cten,
     build_ten,
     cten_edge_capacity,
+    generate_instance,
     intervals_of,
     max_flow,
     merged_pieces,
@@ -17,7 +24,7 @@ from tempoflow.expansion import ten_size
 from tempoflow.reductions import SuperTerminals
 from tempoflow.solvers import _at_horizon
 
-from conftest import build_e1, build_fig4, make_network, oracle_ten
+from conftest import build_e1, build_fig4, make_network, oracle_ten, pinned_graphs
 from strategies import edge_fns, temporal_networks
 
 
@@ -197,3 +204,46 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
             group[a, b] = group.get((a, b), 0) + cap
     expected = [(a, b, cap) for group in blocks.values() for (a, b), cap in sorted(group.items())]
     assert list(zip(cten.tails, cten.heads, cten.caps)) == expected
+
+
+# sha256 of the labels read off ``pinned_graphs``, recorded while the
+# expansion still stored one label per vertex.
+LABELS_DIGEST = "135953f8d38ee01eda40deb0388f107f9def16c00782e749c6ad3329766404ea"
+
+
+def test_graph_labels_pinned(corpus, long_corpus):
+    """``vertices``, ``vertex_at`` at every step, max-flow ``departures`` and DOT text."""
+    digest = hashlib.sha256()
+    for graph, horizon in pinned_graphs(corpus, long_corpus):
+        at = [[graph.vertex_at(i, t) for t in range(horizon + 1)] for i in graph.ranges]
+        departures = graph.departures(max_flow(graph)[1].arc_flows)
+        digest.update(repr((graph.vertices, at, departures, graph.to_dot("pin"))).encode())
+    assert digest.hexdigest() == LABELS_DIGEST
+
+
+# Bytes a 36,008-vertex full expansion may retain: ints only, about 4.37 MiB
+# (8.21 MiB while every vertex stored its (node, (lo, hi)) label).
+TEN_RETAINED_BOUND = 4.6 * 2**20
+
+
+def test_full_expansion_retains_ints_only():
+    """A full expansion retains its arcs and per-node bounds, no vertex labels.
+
+    The network is a benchmark draw (coarse-medium feas draw 0 at seed 7,
+    six nodes on the complete forward DAG) extended to T = 4500.
+    """
+    spec = InstanceSpec(
+        n_nodes=6, n_sources=2, n_sinks=2, n_edges=99, horizon=30, max_capacity=4,
+        max_travel_time=3, max_pieces=1, demand_mode="feasible",
+    )
+    parsed = generate_instance(spec, 3414324715)
+    full = attach_super_terminals(_at_horizon(parsed.network, 4500), parsed.demands)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = build_ten(full)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (sum(map(len, graph.ranges.values())), len(graph.arcs)) == (36_008, 80_995)
+    assert retained < TEN_RETAINED_BOUND

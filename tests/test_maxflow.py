@@ -1,3 +1,5 @@
+import hashlib
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from tempoflow import (
 from tempoflow.expansion import ExpandedGraph
 from tempoflow.model import INF
 
-from conftest import build_e1
+from conftest import build_e1, pinned_graphs
 
 
 def graph_from_arcs(n, arcs, source, sink):
@@ -122,3 +124,17 @@ def test_min_cut_equals_flow(dag) -> None:
     assert flow.side == side
     assert 0 in side and (n - 1) not in side
     assert cut_capacity(g, side) == value
+
+
+# sha256 of the max-flow results on ``pinned_graphs``, recorded before the
+# expansion stopped storing vertex labels.
+MAX_FLOW_DIGEST = "982e71d5de55b9dc13c3c4198a69a492e836517dd1659d7bea4dc03730825598"
+
+
+def test_max_flow_results_pinned(corpus, long_corpus):
+    """Value, arc flows and side of every pinned graph's max flow, as recorded."""
+    digest = hashlib.sha256()
+    for graph, _ in pinned_graphs(corpus, long_corpus):
+        value, flow = max_flow(graph)
+        digest.update(repr((value, flow.arc_flows, sorted(flow.side))).encode())
+    assert digest.hexdigest() == MAX_FLOW_DIGEST

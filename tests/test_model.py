@@ -12,7 +12,10 @@ from tempoflow import (
     OverflowRejection,
     PiecewiseConstFn,
     TemporalNetwork,
+    ValidationReport,
+    Violation,
     compute_mu,
+    extract_flow,
     merged_pieces,
     net_flow,
     project_one_shot_flow,
@@ -204,6 +207,93 @@ def test_validate_flow_late_arrival():
     f = FlowOverTime({(("s", "d"), 3): 1})
     v = DemandVector({"s": -1, "d": 1})
     assert not validate_flow(net, 3, f, v).ok
+
+
+def net_flow_report(net, horizon, f, v):
+    """``validate_flow`` as it was before its one-sweep form: ``net_flow`` at every event."""
+    out = []
+    for (edge, t), amount in sorted(f.flows.items()):
+        if amount == 0:
+            continue
+        where = f"{edge[0]}->{edge[1]}"
+        if edge not in net.edges:
+            out.append(Violation("edge-exists", where, t, "unknown edge"))
+            continue
+        fn = net.edges[edge]
+        if t < 0 or t > horizon:
+            out.append(Violation("horizon", where, t, f"departure {t} outside [0, {horizon}]"))
+            continue
+        if t + fn.travel_time(t) > horizon:
+            arrive = t + fn.travel_time(t)
+            out.append(Violation("horizon", where, t, f"arrival {arrive} after horizon {horizon}"))
+            continue
+        if amount > fn.capacity(t):
+            out.append(Violation("capacity", where, t, f"flow {amount} > capacity {fn.capacity(t)}"))
+    events = {i: {horizon} for i in net.nodes}
+    for (edge, t), amount in f.flows.items():
+        if amount == 0 or edge not in net.edges or not (0 <= t <= horizon):
+            continue
+        events[edge[0]].add(t)
+        arrive = t + net.edges[edge].travel_time(t)
+        if arrive <= horizon:
+            events[edge[1]].add(arrive)
+    for i in net.nodes:
+        for t in sorted(events[i]):
+            nf = net_flow(net, f, i, t)
+            if i not in net.sources and nf < 0:
+                out.append(Violation("storage", i, t, f"net flow {nf} < 0"))
+        nf_end = net_flow(net, f, i, horizon)
+        if i not in net.terminals and nf_end != 0:
+            out.append(Violation("conservation", i, horizon, f"net flow {nf_end} != 0"))
+        elif i in net.terminals and nf_end != v.get(i):
+            out.append(Violation("demand", i, horizon, f"net flow {nf_end} != demand {v.get(i)}"))
+    return ValidationReport(tuple(out))
+
+
+def perturbed(flows: dict, horizon: int) -> list[dict]:
+    """Copies of a witness with one entry's amount raised, one departure
+    shifted either way within [0, T], and one departure added on an unknown
+    edge.  (Before the one-sweep form, a departure outside [0, T] or an
+    unknown edge into a node made ``validate_flow`` raise.)"""
+    copies = []
+    for key in sorted(flows)[::3]:
+        (edge, t), amount = key, flows[key]
+        copies.append({**flows, key: amount + 1})
+        for shift in (-1, 1):
+            if not 0 <= t + shift <= horizon:
+                continue
+            moved = {k: a for k, a in flows.items() if k != key}
+            moved[edge, t + shift] = moved.get((edge, t + shift), 0) + amount
+            copies.append(moved)
+        copies.append({**flows, ((edge[0], "elsewhere"), t): 1})
+    return copies
+
+
+def test_validate_flow_equals_net_flow_reference(corpus):
+    """Reports equal the per-event ``net_flow`` form's, violation for violation."""
+    checked = 0
+    for parsed in corpus[::25]:
+        net, v = parsed.network, parsed.demands
+        try:
+            witness = extract_flow(net, net.horizon, v)
+        except ModelError:
+            continue  # infeasible: no witness
+        for flows in [witness.flows] + perturbed(witness.flows, net.horizon):
+            f = FlowOverTime(flows)
+            report = validate_flow(net, net.horizon, f, v)
+            assert report == net_flow_report(net, net.horizon, f, v)
+            checked += not report.ok
+    assert checked > 50
+
+
+def test_validate_flow_reports_unknown_edge_into_node():
+    """An unknown edge between known nodes is a violation, not a KeyError."""
+    f = FlowOverTime({(("s", "d"), 1): 1, (("s", "d"), 2): 1, (("d", "s"), 0): 1})
+    report = validate_flow(build_e1(), 3, f, DemandVector({"s": -2, "d": 2}))
+    assert report.violations == (
+        Violation("edge-exists", "d->s", 0, "unknown edge"),
+        Violation("demand", "d", 3, "net flow 1 != demand 2"),
+    )
 
 
 def test_to_one_shot_e1():

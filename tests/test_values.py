@@ -37,7 +37,7 @@ NET = TemporalNetwork(("s", "d"), {("s", "d"): EDGE}, frozenset({"s"}), frozense
 DEMANDS = DemandVector({"s": -1, "d": 1})
 VIOLATION = Violation("capacity", "s->d", 0, "flow 2 > capacity 1")
 GRAPH = ExpandedGraph(
-    (("s", (0, 3)), ("d", (0, 3))), (0,), (1,), (1,), 0, 1, {"s": range(0, 1), "d": range(1, 2)}
+    {"s": [0, 4], "d": [0, 4]}, (0,), (1,), (1,), 0, 1, {"s": range(0, 1), "d": range(1, 2)}
 )
 SPEC_DEFAULTS = {
     "n_nodes": 6, "n_sources": 1, "n_sinks": 1, "n_edges": 8, "horizon": 8,
@@ -67,7 +67,7 @@ VALUE_TYPES = {
         {"edge_origin": {("s", "d"): ("window", ("s", "d"), 0)}, "relay_nodes": {}}, {}, False
     ),
     ExpandedGraph: (
-        {"vertices": GRAPH.vertices, "tails": (0,), "heads": (1,), "caps": (1,), "source": 0,
+        {"bounds": GRAPH.bounds, "tails": (0,), "heads": (1,), "caps": (1,), "source": 0,
          "sink": 1, "ranges": GRAPH.ranges},
         {}, False,
     ),
