@@ -16,11 +16,13 @@ flow reads directly.  A graph holds ints only: besides the arcs, each
 node's range of vertex ids and its interval bounds (the starts, then
 T + 1).  Vertex labels (node, (lo, hi)) are derived from the bounds when
 asked for; no solver reads them.  The full expansion (one vertex per
-node and time step) is the condensed one over the sets {0, ..., T}; it
-is the brute-force oracle, gated by a size budget that ``ten_size``
-counts.  It retains about 64 bytes a vertex (a bound and a shared id,
-each an int past the small-int cache) and 24 an arc (three tuple slots);
-storing the labels would add about 112 bytes a vertex.
+time step at each of the network's own nodes) is the condensed one over
+the sets {0, ..., T}, with s* and d* over {0, T} as in every condensed
+expansion; it is the brute-force oracle, gated by a size budget that
+``ten_size`` counts.  It
+retains about 64 bytes a vertex (a bound and a shared id, each an int
+past the small-int cache) and 24 an arc (three tuple slots); storing the
+labels would add about 112 bytes a vertex.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from bisect import bisect_right
 from itertools import pairwise
 
 from .model import INF, ModelError, TemporalNetwork, Value, live_windows
-from .reductions import SuperTerminals, inner_parts
+from .reductions import D_STAR, S_STAR, SuperTerminals, inner_parts
 
 DEFAULT_TEN_BUDGET = 2_000_000
 
@@ -158,33 +160,48 @@ def _single_terminals(net: TemporalNetwork | SuperTerminals) -> tuple[str, str]:
 def ten_size(net: TemporalNetwork | SuperTerminals) -> tuple[int, int]:
     """The full expansion's vertex and arc counts, without building it.
 
-    |V| (T + 1) vertices, s* and d* included.  Arcs: |V| T holdovers,
-    b - a + 1 per live window (one per departure step), and one per
-    terminal with a positive super capacity.
+    n (T + 1) vertices for the network's n own nodes, with n T holdovers;
+    s* and d* add two vertices each over {0, T} (one each when T = 0) and
+    one holdover each when T >= 1.  Besides holdovers, b - a + 1 arcs per
+    live window (one per departure step), and one per terminal with a
+    positive super capacity.
     """
     T = net.horizon
-    _, windows, super_caps = inner_parts(net)
-    n = len(net.nodes)
+    inner, windows, super_caps = inner_parts(net)
+    n = len(inner.nodes)
+    vertices, holdovers = n * (T + 1), n * T
+    if isinstance(net, SuperTerminals):
+        vertices += 4 if T else 2
+        holdovers += 2 if T else 0
     steps = sum(b - a + 1 for edge_windows in windows.values() for _, a, b, _, _ in edge_windows)
-    return n * (T + 1), n * T + steps + sum(1 for cap in super_caps.values() if cap)
+    return vertices, holdovers + steps + sum(1 for cap in super_caps.values() if cap)
 
 
 def build_ten(
     net: TemporalNetwork | SuperTerminals, budget: int = DEFAULT_TEN_BUDGET
 ) -> ExpandedGraph:
-    """Full expansion: vertices V x [0, T], unit-time holdover arcs.
+    """Full expansion: the network's nodes at every step of [0, T], unit-time holdovers.
 
     The max-flow value of this graph equals the maximum flow over time of
     the network, which is why it serves as the ground-truth oracle.  It is
-    the condensed expansion with every breakpoint set {0, ..., T}.
+    the condensed expansion with every breakpoint set {0, ..., T}, except
+    that s* and d* of a ``SuperTerminals`` value keep {0, T}: s* sends
+    only at time 0 and d* receives only at T, so their other steps would
+    carry no flow.  They are numbered last and their holdovers come last,
+    so every other vertex and arc is where a per-step s* and d* would put
+    it, and max flow augments the same paths.  A plain network, a
+    materialized super network included, is per step at every node.
     """
     size, _ = ten_size(net)
     if size > budget:
         raise OracleBudgetError(
             f"full expansion needs {size} vertices, over the budget of {budget}"
         )
-    every_step = range(net.horizon + 1)
-    return build_cten(net, {i: every_step for i in net.nodes})
+    T = net.horizon
+    sets = dict.fromkeys(net.nodes, range(T + 1))
+    if isinstance(net, SuperTerminals):
+        sets[S_STAR] = sets[D_STAR] = (0, T)
+    return build_cten(net, sets)
 
 
 def _edge_sums(windows: list, tail: list[int], head: list[int]) -> dict:

@@ -45,7 +45,9 @@ def dttn_feasible(net: TemporalNetwork, horizon: int, v: DemandVector) -> FeasOu
 
 
 def _at_horizon(net: TemporalNetwork, horizon: int) -> TemporalNetwork:
-    """The same network truncated or extended to a different horizon."""
+    """The same network truncated or extended to a different horizon; itself at its own."""
+    if horizon == net.horizon:
+        return net
     if horizon < 0:
         raise ModelError(f"horizon must be non-negative, got {horizon}")
 

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import tracemalloc
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,17 +12,19 @@ from tempoflow import (
     InstanceSpec,
     ModelError,
     OracleBudgetError,
+    UnboundedFlowError,
     attach_super_terminals,
     build_cten,
     build_ten,
     cten_edge_capacity,
+    extract_flow,
     generate_instance,
     intervals_of,
     max_flow,
     merged_pieces,
 )
 from tempoflow.expansion import ten_size
-from tempoflow.reductions import SuperTerminals
+from tempoflow.reductions import D_STAR, S_STAR, SuperTerminals
 from tempoflow.solvers import _at_horizon
 
 from conftest import build_e1, build_fig4, make_network, oracle_ten, pinned_graphs
@@ -165,19 +168,48 @@ def test_sweep_edge_cases(case):
     assert len(crossing) == n_arcs
 
 
+def check_condensed_terminals(full: SuperTerminals, oracle) -> None:
+    """``build_ten(full)`` is exact with s* and d* over {0, T}.
+
+    It is the cTEN with every step at the network's own nodes and {0, T}
+    at s* and d*, ``ten_size`` counts it, and its max-flow value is that
+    of ``oracle``, the networkx TEN of ``full.materialize()`` (INF when
+    unbounded, 0 when s* or d* has no vertex there).
+    """
+    T, n = full.horizon, len(full.net.nodes)
+    ten = build_ten(full)
+    sets = {**{i: range(T + 1) for i in full.net.nodes}, S_STAR: (0, T), D_STAR: (0, T)}
+    assert ten == build_cten(full, sets)
+    assert ten_size(full) == (len(ten.vertices), len(ten.arcs))
+    assert len(ten.vertices) == (n * (T + 1) + 4 if T else n + 2)
+    try:
+        value, _ = max_flow(ten)
+    except UnboundedFlowError:
+        value = INF
+    source, sink = (S_STAR, 0), (D_STAR, T)
+    expected = 0
+    if source in oracle and sink in oracle:
+        try:
+            expected = nx.maximum_flow_value(oracle, source, sink)
+        except nx.NetworkXUnbounded:
+            expected = INF
+    assert value == expected
+
+
 @given(temporal_networks(inf=True), st.data())
 def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
     """The cTEN is the TEN with each (interval, interval) block summed, in order.
 
     Each terminal's super edge has capacity 0, k or INF, and the horizon
     may be cut to 0.  The TEN is the networkx ``oracle_ten`` of the
-    materialized super network; ``build_ten``'s labelled arcs must equal
-    its edges and capacities.  Blocks are grouped like the arcs of both
-    builders (holdovers per node, then one group per edge, super edges
-    last) and sorted within a group; blocks inside one interval are
-    dropped.  The closed-form super arcs are also the arcs the
-    materialized super edges sweep into, and ``ten_size`` counts the
-    built TEN's vertices and arcs.
+    materialized super network; the labelled arcs of that network's
+    ``build_ten`` (per step at every node) must equal its edges and
+    capacities, and ``check_condensed_terminals`` holds.  Blocks are
+    grouped like the arcs of both builders (holdovers per node, then one
+    group per edge, super edges last) and sorted within a group; blocks
+    inside one interval are dropped.  The closed-form super arcs are also
+    the arcs the materialized super edges sweep into, and ``ten_size``
+    counts the built TENs' vertices and arcs.
     """
     if data.draw(st.booleans(), label="horizon 0"):
         net = _at_horizon(net, 0)
@@ -186,7 +218,7 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
     flat = full.materialize()
     T = full.horizon
     bps = {i: (0, T, *data.draw(st.sets(st.integers(0, T)))) for i in full.nodes}
-    ten, cten, oracle = build_ten(full), build_cten(full, bps), oracle_ten(flat)
+    ten, cten, oracle = build_ten(flat), build_cten(full, bps), oracle_ten(flat)
     assert cten == build_cten(flat, bps)
     oracle_arcs = [(p, q, attrs.get("capacity", INF)) for p, q, attrs in oracle.edges(data=True)]
     ten_arcs = []
@@ -194,7 +226,8 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
         (i, (t, _)), (j, (t2, _)) = ten.label(tail), ten.label(head)
         ten_arcs.append(((i, t), (j, t2), cap))
     assert sorted(ten_arcs) == sorted(oracle_arcs)
-    assert ten_size(full) == (len(ten.vertices), len(ten.arcs))
+    assert ten_size(flat) == (len(ten.vertices), len(ten.arcs))
+    check_condensed_terminals(full, oracle)
     assert cten.vertices == tuple((i, iv) for i in full.nodes for iv in intervals_of(bps[i], T))
     blocks: dict = {**{(i, i): {} for i in flat.nodes}, **{e: {} for e in flat.edges}}
     for (i, t), (j, t2), cap in oracle_arcs:
@@ -206,9 +239,29 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
     assert list(zip(cten.tails, cten.heads, cten.caps)) == expected
 
 
-# sha256 of the labels read off ``pinned_graphs``, recorded while the
-# expansion still stored one label per vertex.
-LABELS_DIGEST = "135953f8d38ee01eda40deb0388f107f9def16c00782e749c6ad3329766404ea"
+@pytest.mark.parametrize("horizon", [0, 1])
+def test_condensed_terminals_at_small_horizons(horizon):
+    """At T = 1, {0, T} is every step; at T = 0, s* and d* have one vertex each."""
+    net = make_network(["s", "d"], {("s", "d"): ([(0, 1, 2)], 1)}, ["s"], ["d"], 1)
+    full = SuperTerminals(_at_horizon(net, horizon), {"s": 3, "d": INF})
+    check_condensed_terminals(full, oracle_ten(full.materialize()))
+    ten = build_ten(full)
+    assert [len(ten.ranges[i]) for i in (S_STAR, D_STAR)] == [horizon + 1] * 2
+    assert max_flow(ten)[0] == 2 * horizon
+
+
+def test_materialized_super_terminals_stay_per_step():
+    """A materialized network's s* and d* are ordinary nodes: T + 1 vertices each."""
+    full = SuperTerminals(build_e1(), {"s": 2, "d": INF})
+    per_step, condensed = build_ten(full.materialize()), build_ten(full)
+    assert [len(per_step.ranges[i]) for i in (S_STAR, D_STAR)] == [4, 4]
+    assert [len(condensed.ranges[i]) for i in (S_STAR, D_STAR)] == [2, 2]
+    assert max_flow(per_step)[0] == max_flow(condensed)[0] == 2
+
+
+# sha256 of the labels read off ``pinned_graphs``, recorded once s* and d*
+# of the full expansion kept {0, T}, after ``TERMINAL_FREE_DIGEST`` held.
+LABELS_DIGEST = "c8226e0c0969db4dd342656132c9e70507ff6213ef5c42cf1bbd190d03f87fe6"
 
 
 def test_graph_labels_pinned(corpus, long_corpus):
@@ -221,16 +274,62 @@ def test_graph_labels_pinned(corpus, long_corpus):
     assert digest.hexdigest() == LABELS_DIGEST
 
 
-# Bytes a 36,008-vertex full expansion may retain: ints only, about 4.37 MiB
-# (8.21 MiB while every vertex stored its (node, (lo, hi)) label).
-TEN_RETAINED_BOUND = 4.6 * 2**20
+# sha256 of the flows of ``pinned_graphs`` and of the ``extract_flow``
+# witnesses of ``corpus[:40]``, read apart from how many vertices s* and d*
+# have; recorded while the full expansion gave them one vertex per step.
+TERMINAL_FREE_DIGEST = "70cbd5f1b3f4585f55663055b4914e9c2798b4e94b8a97957b8fe8fd416e0c9a"
+
+
+def test_flows_do_not_depend_on_super_terminal_vertices(corpus, long_corpus):
+    """Max flows and witnesses read the same however s* and d* are expanded.
+
+    Each arc's flow is keyed by its labels, with s* read at 0 and d* at T,
+    and s*/d* holdovers are skipped; the side keeps the network's own
+    vertices and s*'s first.  Departures and witnesses are compared whole.
+    """
+    terminals = (S_STAR, D_STAR)
+    digest = hashlib.sha256()
+    for graph, horizon in pinned_graphs(corpus, long_corpus):
+        value, flow = max_flow(graph)
+
+        def key(vid):
+            node, interval = graph.label(vid)
+            return (node, {S_STAR: 0, D_STAR: horizon}.get(node, interval))
+
+        arcs = [
+            (key(tail), key(head), amount)
+            for tail, head, amount in zip(graph.tails, graph.heads, flow.arc_flows)
+            if not graph.label(tail)[0] == graph.label(head)[0] in terminals
+        ]
+        first = graph.ranges[S_STAR].start if S_STAR in graph.ranges else None
+        side = sorted(
+            vid for vid in flow.side if vid == first or graph.label(vid)[0] not in terminals
+        )
+        digest.update(repr((value, arcs, graph.departures(flow.arc_flows), side)).encode())
+    for p in corpus[:40]:
+        try:
+            witness = sorted(extract_flow(p.network, p.network.horizon, p.demands).flows.items())
+        except ModelError as err:
+            witness = str(err)
+        digest.update(repr(witness).encode())
+    assert digest.hexdigest() == TERMINAL_FREE_DIGEST
+
+
+# Bytes the 27,010-vertex full expansion below may retain: ints only, about
+# 3.56 MiB (4.37 MiB while s* and d* had one vertex per step, 8.21 MiB while
+# every vertex also stored its (node, (lo, hi)) label).
+TEN_RETAINED_BOUND = 3.8 * 2**20
+# Peak bytes while max flow runs on it, the graph included: about 14.89 MiB
+# (17.92 MiB with per-step s* and d*).
+TEN_MAX_FLOW_PEAK_BOUND = 15.5 * 2**20
 
 
 def test_full_expansion_retains_ints_only():
     """A full expansion retains its arcs and per-node bounds, no vertex labels.
 
     The network is a benchmark draw (coarse-medium feas draw 0 at seed 7,
-    six nodes on the complete forward DAG) extended to T = 4500.
+    six nodes on the complete forward DAG) extended to T = 4500; s* and d*
+    have two vertices each.  Max flow on it stays under its peak bound.
     """
     spec = InstanceSpec(
         n_nodes=6, n_sources=2, n_sinks=2, n_edges=99, horizon=30, max_capacity=4,
@@ -243,7 +342,12 @@ def test_full_expansion_retains_ints_only():
     try:
         graph = build_ten(full)
         retained, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        value, _ = max_flow(graph)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (sum(map(len, graph.ranges.values())), len(graph.arcs)) == (36_008, 80_995)
+    assert (sum(map(len, graph.ranges.values())), len(graph.arcs)) == (27_010, 71_997)
+    assert value == 95
     assert retained < TEN_RETAINED_BOUND
+    assert peak < TEN_MAX_FLOW_PEAK_BOUND

@@ -126,9 +126,10 @@ def test_min_cut_equals_flow(dag) -> None:
     assert cut_capacity(g, side) == value
 
 
-# sha256 of the max-flow results on ``pinned_graphs``, recorded before the
-# expansion stopped storing vertex labels.
-MAX_FLOW_DIGEST = "982e71d5de55b9dc13c3c4198a69a492e836517dd1659d7bea4dc03730825598"
+# sha256 of the max-flow results on ``pinned_graphs``, recorded once s* and
+# d* of the full expansion kept {0, T}; the flows themselves are pinned apart
+# from s* and d* by ``test_expansion.TERMINAL_FREE_DIGEST``.
+MAX_FLOW_DIGEST = "b66f3e969bbfe8d08837702f98c3e15b143beb5add8ce93a2fc3683304f495f6"
 
 
 def test_max_flow_results_pinned(corpus, long_corpus):
