@@ -37,15 +37,13 @@ independent derivation that certificates and tests check the sets with.
 
 from __future__ import annotations
 
-from .model import INF, MAX_INT, ModelError, TemporalNetwork, relay_name
+from .model import ModelError, TemporalNetwork
 from .reductions import (
     D_STAR,
     S_STAR,
     CanonicalTemporalNetwork,
     StructuralError,
     SuperTerminals,
-    check_gadget_names,
-    check_gadget_width,
     inner_parts,
 )
 
@@ -186,16 +184,6 @@ def canonical_breakpoints(
     }
 
 
-def _relay_named(nodes: tuple[str, ...], one_shot: list) -> tuple[tuple[str, ...], list]:
-    """The one-shot nodes and edges, each relay key (i, j, k) named as ``to_one_shot`` names it."""
-    existing = set(nodes)
-    names: dict[tuple, str] = {}
-    for _, y in one_shot:
-        if isinstance(y, tuple) and y not in names:
-            names[y] = relay_name(*y, existing)
-    return nodes + tuple(names.values()), [(names.get(x, x), names.get(y, y)) for x, y in one_shot]
-
-
 def cten_breakpoints(
     net: TemporalNetwork | SuperTerminals, nodes: tuple[str, ...]
 ) -> dict[str, BreakpointSet]:
@@ -224,47 +212,41 @@ def cten_breakpoints(
     offsets, one charge, and a walk over the non-anchor sides.  The
     charge of a visit is what the gadget form counts for those sides one
     at a time, so each start's total against ``PATH_CAP`` is the gadget
-    form's, path for path, and ``EnumerationCapError`` is raised on
-    exactly the same inputs; the sets are the same too.  What the gadgets
-    could not represent is rejected, INF capacities aside, which no set
-    reads.
+    form's, path for path: wherever the gadget form can be built,
+    ``EnumerationCapError`` is raised on exactly the same inputs and the
+    sets are the same.  No capacity and no node name enters a set, so
+    every network is read, those the gadget form cannot represent
+    (``check_gadget_reducible``) included.
     """
     net, windows, _ = inner_parts(net)
     T = net.horizon
-    # A finite capacity above this makes a gadget demand u * (T + 1) overflow.
-    widest = MAX_INT // (T + 1)
     anchors = net.sources | net.sinks | {S_STAR, D_STAR}
     # Per non-anchor node, per incident one-shot edge: (edge id, far endpoint,
     # tau, near exits, shift).  The gadget's exits from this end are the near
     # exits plus and minus the shift: tau at the edge's head, 0 at its tail.
     sides: dict = {n: [] for n in net.nodes if n not in anchors}
     heads, tails = set(), set()
-    # (x, y) per one-shot edge, in to_one_shot's order; y is a relay key
-    # (i, j, k) for every window of an edge after its first.
-    one_shot: list = []
+    # One-shot edge ids, counted in to_one_shot's order.  The far end y is a
+    # relay key (i, j, k) for every window of an edge after its first.
+    eid = 0
     for (i, j), edge_windows in windows.items():
-        for n, (k, a, b, u, tau) in enumerate(edge_windows):
+        for n, (k, a, b, _, tau) in enumerate(edge_windows):
             y = j if n == 0 else (i, j, k)
-            if u > widest and u != INF:  # rejected: name the edge as to_one_shot would
-                _, named = _relay_named(net.nodes, one_shot + [(i, y)])
-                check_gadget_width(u, T, *named[-1])
             near = (a, -a, 0, T - b, b - T)
             if i not in anchors:
-                sides[i].append((len(one_shot), y, tau, near, 0))
+                sides[i].append((eid, y, tau, near, 0))
             if n == 0:
                 if j not in anchors:
-                    sides[j].append((len(one_shot), i, tau, near, tau))
-                one_shot.append((i, j))
+                    sides[j].append((eid, i, tau, near, tau))
+                eid += 1
             else:
-                sides[y] = [(len(one_shot), i, tau, near, tau), (len(one_shot) + 1, j, 0, (0,), 0)]
+                sides[y] = [(eid, i, tau, near, tau), (eid + 1, j, 0, (0,), 0)]
                 if j not in anchors:
-                    sides[j].append((len(one_shot) + 1, y, 0, (0,), 0))
-                one_shot += [(i, y), (y, j)]
+                    sides[j].append((eid + 1, y, 0, (0,), 0))
+                eid += 2
         if edge_windows:
             tails.add(i)
             heads.add(j)
-    if any(":" in n for n in net.nodes):
-        check_gadget_names(*_relay_named(net.nodes, one_shot))
 
     # Per (node, edge it arrived by; None at the start): the offsets a visit
     # adds to the path's partial sums, the paths it charges, and its steps

@@ -76,7 +76,7 @@ class ExpandedGraph(Value):
     ``ranges[i]`` holds node i's vertex ids, one per interval in time order,
     and ``bounds[i]`` that node's ``_bounds``: its k-th vertex stands for
     the interval [bounds[i][k], bounds[i][k + 1] - 1].  Labels are not
-    stored; ``vertices``, ``label`` and the readers below derive them.
+    stored; ``vertices`` and the readers below derive them.
     """
 
     __slots__ = ("bounds", "tails", "heads", "caps", "source", "sink", "ranges")
@@ -116,13 +116,6 @@ class ExpandedGraph(Value):
         if not (0 <= t <= horizon):
             raise ModelError(f"t={t} outside [0, {horizon}]")
         return self.ranges[node].start + bisect_right(bounds, t) - 1
-
-    def label(self, vid: int) -> tuple[str, Interval]:
-        nodes = list(self.ranges)
-        i = nodes[bisect_right(nodes, vid, key=lambda node: self.ranges[node].start) - 1]
-        k = vid - self.ranges[i].start
-        lo, nxt = self.bounds[i][k:k + 2]
-        return i, (lo, nxt - 1)
 
     def departures(self, arc_flows) -> dict[tuple[tuple[str, str], int], int]:
         """Positive flow of a full expansion per ``((i, j), departure)``; holdovers skipped."""

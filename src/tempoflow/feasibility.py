@@ -183,6 +183,8 @@ def gadget_breakpoints(net: TemporalNetwork, v: DemandVector) -> dict[str, Break
     gadget-reduced and the sets are read off its canonical form's pin
     graph.  Each INF capacity becomes one more than the largest finite
     one; the sets read no capacity, and the gadget demands stay finite.
+    A network the gadget form cannot represent is rejected
+    (``check_gadget_reducible``), though its verdict is exact.
     """
     one_shot, _ = to_one_shot(net)
     stand_in = net.max_finite_capacity() + 1

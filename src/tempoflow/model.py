@@ -2,8 +2,11 @@
 
 Times are integers throughout.  Capacities, travel times, and demands are
 integers, with ``INF`` as a distinguished capacity value that absorbs under
-addition.  All arithmetic that could grow with the horizon is width-checked
-against ``MAX_INT``; overflow is a hard input-rejection error.
+addition.  Inputs (piece values, demands, super-edge capacities) are
+width-checked against ``MAX_INT``; an input past it is a hard rejection.
+Sums derived from them, such as expansion capacities and flow values, are
+exact Python integers.  Only the gadget form rejects a derived quantity,
+its demand u * (T + 1) (``reductions.check_gadget_reducible``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ class DomainError(ModelError):
 
 
 class OverflowRejection(ModelError):
-    """A derived quantity would not fit the machine integer range."""
+    """An input, or a gadget demand u * (T + 1), would not fit the machine integer range."""
 
 
 def check_width(value, context: str):
@@ -504,24 +507,13 @@ def live_windows(pieces: list, horizon: int) -> list[tuple[int, int, int, int | 
     return windows
 
 
-def relay_name(i: str, j: str, k: int, existing: set[str]) -> str:
-    """The relay node ``to_one_shot`` puts on piece k of edge ij, added to ``existing``.
-
-    It is ``i>j#k``, primed until no name in ``existing`` equals it.
-    """
-    relay = f"{i}>{j}#{k}"
-    while relay in existing:
-        relay += "'"
-    existing.add(relay)
-    return relay
-
-
 def to_one_shot(net: TemporalNetwork) -> tuple[OneShotNetwork, OneShotTrace]:
     """Split every edge into one edge per live window (``live_windows``).
 
     The first window keeps the original endpoints; each further window
     goes through a fresh relay node (window edge into the relay, zero-length
-    always-on edge out) so no parallel edges arise.
+    always-on edge out) so no parallel edges arise.  The relay on piece k
+    of edge ij is ``i>j#k``, primed until no node carries its name.
     """
     T = net.horizon
     nodes = list(net.nodes)
@@ -535,7 +527,10 @@ def to_one_shot(net: TemporalNetwork) -> tuple[OneShotNetwork, OneShotTrace]:
                 edges[(i, j)] = OneShotEdge(a, b, u, tau)
                 edge_origin[(i, j)] = ("window", (i, j), k)
             else:
-                relay = relay_name(i, j, k, existing)
+                relay = f"{i}>{j}#{k}"
+                while relay in existing:
+                    relay += "'"
+                existing.add(relay)
                 nodes.append(relay)
                 relay_nodes[relay] = (i, j)
                 edges[(i, relay)] = OneShotEdge(a, b, u, tau)

@@ -65,39 +65,29 @@ def _gadget_names(x: str, y: str) -> dict[str, str]:
     }
 
 
-def check_gadget_width(u, horizon: int, x: str, y: str):
-    """Reject a finite capacity u of edge (x, y) whose gadget demand u * (T + 1) overflows.
+def check_gadget_reducible(net: OneShotNetwork):
+    """Reject what the gadgets could not represent, INF capacities aside.
 
-    The demand must fit the machine integer range; INF capacities pass.
-    The message is built only when the capacity is rejected.
+    A finite capacity u of edge (x, y) is rejected when its gadget demand
+    u * (T + 1) exceeds the machine integer range; the message is built
+    only then.  A node, or another edge's gadget, that carries a gadget
+    node's name is rejected too.  Gadget names contain ':' and determine
+    their edge when no node id does, so the names are compared only when
+    one does.
     """
-    if u != INF and u > MAX_INT // (horizon + 1):
-        check_width(u * (horizon + 1), f"gadget demand for edge ({x}, {y})")
-
-
-def check_gadget_names(nodes, edges):
-    """Reject a node, or another edge's gadget, that carries a gadget node's name.
-
-    ``nodes`` and the ``(x, y)`` pairs of ``edges`` are a one-shot
-    network's.  Gadget names contain ':' and determine their edge when no
-    node id does, so the names are compared only when one does.
-    """
-    if not any(":" in n for n in nodes):
+    T = net.horizon
+    for (x, y), e in net.edges.items():
+        if e.capacity != INF and e.capacity > MAX_INT // (T + 1):
+            check_width(e.capacity * (T + 1), f"gadget demand for edge ({x}, {y})")
+    if not any(":" in n for n in net.nodes):
         return
-    existing = set(nodes)
-    for (x, y) in edges:
+    existing = set(net.nodes)
+    for (x, y) in net.edges:
         names = set(_gadget_names(x, y).values())
         clash = names & existing
         if clash:
             raise ModelError(f"node ids {sorted(clash)} are reserved for the reduction")
         existing |= names
-
-
-def check_gadget_reducible(net: OneShotNetwork):
-    """Reject what the gadgets could not represent, INF capacities aside."""
-    for (x, y), e in net.edges.items():
-        check_gadget_width(e.capacity, net.horizon, x, y)
-    check_gadget_names(net.nodes, net.edges)
 
 
 def hoppe_tardos_star(

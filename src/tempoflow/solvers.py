@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .model import (
     INF,
+    MAX_INT,
     DemandVector,
     EdgeFn,
     FlowOverTime,
@@ -126,7 +127,9 @@ def max_flow_over_time(
     o_T({s}): one steady-state max flow on the condensed expansion of the
     network with infinite super edges at both terminals.  When INF
     capacities open a path of unbounded capacity from s to d in time, the
-    answer is ``(INF, None)``: no finite flow is a witness.
+    answer is ``(INF, None)``: no finite flow is a witness.  A value past
+    the machine integer range is exact but no demand vector holds it, so
+    its witness is skipped, as past the full expansion's budget.
     """
     if len(net.sources) != 1 or len(net.sinks) != 1:
         raise ModelError("max flow over time requires a single source and sink")
@@ -137,6 +140,8 @@ def max_flow_over_time(
         best, _ = max_flow(build_cten(full, cten_breakpoints(full, full.nodes)))
     except UnboundedFlowError:
         return INF, None
+    if best > MAX_INT:
+        return best, None
     try:
         witness = extract_flow(net, horizon, DemandVector({s: -best, d: best}))
     except OracleBudgetError:

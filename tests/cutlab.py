@@ -57,18 +57,19 @@ def min_cut_times(graph: ExpandedGraph, flow: SteadyFlow, horizon: int) -> CutFu
     is the cut time, with T + 1 when no copy is reachable.
     """
     side = residual_reachable(graph, flow)
+    labels = graph.vertices
     first: dict[str, int] = {}
     for vid in side:
-        node, (t, t2) = graph.label(vid)
+        node, (t, t2) = labels[vid]
         if t != t2:
             raise ModelError("min_cut_times requires a full expansion")
         if node not in first or t < first[node]:
             first[node] = t
     values = {}
-    for node, _ in {lab[0]: None for lab in graph.vertices}.items():
+    for node, _ in {lab[0]: None for lab in labels}.items():
         values[node] = first.get(node, horizon + 1)
     for vid in side:
-        node, (t, _) = graph.label(vid)
+        node, (t, _) = labels[vid]
         if t > values[node] and graph.vertex_at(node, values[node]) not in side:
             raise InternalConsistencyError(f"residual side of {node} is not upward-closed")
     return CutFunction(values, horizon)
@@ -81,8 +82,9 @@ def cut_cost(graph: ExpandedGraph, phi: CutFunction) -> int | float:
     Holdover arcs can never cross (they would need t + 1 < phi(i) <= t).
     """
     total: int | float = 0
+    labels = graph.vertices
     for tail, head, cap in zip(graph.tails, graph.heads, graph.caps):
-        (i, (t, _)), (j, (t2, _)) = graph.label(tail), graph.label(head)
+        (i, (t, _)), (j, (t2, _)) = labels[tail], labels[head]
         if t >= phi[i] and t2 < phi[j]:
             if i == j:
                 raise InternalConsistencyError(f"holdover arc of {i} crosses the cut")

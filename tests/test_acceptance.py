@@ -198,9 +198,10 @@ def diversify_min_cut(ten, values, movable, horizon, rng, steps):
     residual-derived cut (mostly boundary values) never exhibits.  Cost
     changes are evaluated on the arcs incident to the moved node only.
     """
+    labels = ten.vertices
     incident = {}
     for arc in zip(ten.tails, ten.heads, ten.caps):
-        (i, _), (j, _) = ten.label(arc[0]), ten.label(arc[1])
+        (i, _), (j, _) = labels[arc[0]], labels[arc[1]]
         incident.setdefault(i, []).append(arc)
         if j != i:
             incident.setdefault(j, []).append(arc)
@@ -208,7 +209,7 @@ def diversify_min_cut(ten, values, movable, horizon, rng, steps):
     def local_cost(vals, node):
         total = 0
         for tail, head, cap in incident.get(node, ()):
-            (i, (t, _)), (j, (t2, _)) = ten.label(tail), ten.label(head)
+            (i, (t, _)), (j, (t2, _)) = labels[tail], labels[head]
             if t >= vals[i] and t2 < vals[j]:
                 total += cap
         return total

@@ -265,6 +265,49 @@ def test_verify_reports_breakpoint_mismatch(e1_path, capsys, monkeypatch):
     assert "MISMATCH" in captured.err and "agreement" not in captured.out
 
 
+# Node t-:s:d carries the name that the gadget of edge s -> d gives its t- node.
+GADGET_NAMED_FILE = """\
+tn 1
+horizon 3
+node s source {0}
+node t-:s:d internal
+node d sink {0}
+edge s d
+piece 0 3 cap 1 tt 1
+"""
+
+
+@pytest.mark.parametrize("demand, code", [(1, 0), (4, 1)])
+def test_verify_without_the_gadget_form(tmp_path, capsys, demand, code):
+    """The breakpoint sets are not cross-checked; the verdict and o_T still are."""
+    path = tmp_path / "named.tn"
+    path.write_text(GADGET_NAMED_FILE.format(demand))
+    assert main(["verify", "-i", str(path)]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == (
+        "breakpoints: not cross-checked, the gadget form cannot represent this network "
+        "(node ids ['t-:s:d'] are reserved for the reduction)"
+    )
+    assert out[-1] == "agreement: yes"
+    assert ("oT:        fast-path 3, oracle 3" in out) == (code == 1)
+    assert main(["feas", "-i", str(path)]) == code
+    assert main(["maxflow", "-i", str(path)]) == 0
+    assert "maxflow 3" in capsys.readouterr().out.splitlines()
+
+
+def test_maxflow_past_the_demand_range(tmp_path, capsys):
+    """10**19 is exact but fits no demand vector: the value, the notice and exit 0."""
+    path = tmp_path / "wide.tn"
+    path.write_text(
+        "tn 1\nhorizon 1000000\nnode s source 1\nnode d sink 1\n"
+        "edge s d\npiece 0 1000000 cap 10000000000000 tt 1\n"
+    )
+    assert main(["maxflow", "-i", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "maxflow 10000000000000000000\n"
+    assert "notice: verdict only" in captured.err and "error" not in captured.err
+
+
 def test_feas_accepts_infinite_capacity(tmp_path, capsys):
     path = tmp_path / "inf.tn"
     path.write_text(E1_FILE.replace("cap 1", "cap inf"))

@@ -47,7 +47,7 @@ def test_interval_partition_convention():
     net = build_fig4()
     graph = build_cten(net, {i: (0, 1, 4) for i in net.nodes})
     first = graph.ranges["b"].start
-    assert graph.label(graph.vertex_at("b", 2)) == ("b", (1, 3))
+    assert graph.vertices[graph.vertex_at("b", 2)] == ("b", (1, 3))
     assert [graph.vertex_at("b", t) - first for t in (0, 1, 3, 4)] == [0, 1, 1, 2]
     assert intervals_of((0,), 0) == ((0, 0),)
     flat = _at_horizon(build_e1(), 0)
@@ -65,10 +65,11 @@ def test_interval_partition_requires_bounds():
 
 def test_e1_ten_arcs_and_value():
     graph = build_ten(build_e1())
+    labels = graph.vertices
     crossing = [
-        (graph.label(tail), graph.label(head), cap)
+        (labels[tail], labels[head], cap)
         for tail, head, cap in zip(graph.tails, graph.heads, graph.caps)
-        if graph.label(tail)[0] != graph.label(head)[0]
+        if labels[tail][0] != labels[head][0]
     ]
     assert crossing == [
         (("s", (1, 1)), ("d", (2, 2)), 1),
@@ -159,10 +160,11 @@ def test_sweep_edge_cases(case):
         if i != j:
             key = graph.vertex_at(i, t), graph.vertex_at(j, t2)
             blocks[key] = blocks.get(key, 0) + attrs["capacity"]
+    labels = graph.vertices
     crossing = [
         ((tail, head), cap)
         for tail, head, cap in zip(graph.tails, graph.heads, graph.caps)
-        if graph.label(tail)[0] != graph.label(head)[0]
+        if labels[tail][0] != labels[head][0]
     ]
     assert crossing == sorted(blocks.items()) == sorted(brute.items())
     assert len(crossing) == n_arcs
@@ -222,8 +224,9 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
     assert cten == build_cten(flat, bps)
     oracle_arcs = [(p, q, attrs.get("capacity", INF)) for p, q, attrs in oracle.edges(data=True)]
     ten_arcs = []
+    labels = ten.vertices
     for tail, head, cap in zip(ten.tails, ten.heads, ten.caps):
-        (i, (t, _)), (j, (t2, _)) = ten.label(tail), ten.label(head)
+        (i, (t, _)), (j, (t2, _)) = labels[tail], labels[head]
         ten_arcs.append(((i, t), (j, t2), cap))
     assert sorted(ten_arcs) == sorted(oracle_arcs)
     assert ten_size(flat) == (len(ten.vertices), len(ten.arcs))
@@ -291,19 +294,20 @@ def test_flows_do_not_depend_on_super_terminal_vertices(corpus, long_corpus):
     digest = hashlib.sha256()
     for graph, horizon in pinned_graphs(corpus, long_corpus):
         value, flow = max_flow(graph)
+        labels = graph.vertices
 
         def key(vid):
-            node, interval = graph.label(vid)
+            node, interval = labels[vid]
             return (node, {S_STAR: 0, D_STAR: horizon}.get(node, interval))
 
         arcs = [
             (key(tail), key(head), amount)
             for tail, head, amount in zip(graph.tails, graph.heads, flow.arc_flows)
-            if not graph.label(tail)[0] == graph.label(head)[0] in terminals
+            if not labels[tail][0] == labels[head][0] in terminals
         ]
         first = graph.ranges[S_STAR].start if S_STAR in graph.ranges else None
         side = sorted(
-            vid for vid in flow.side if vid == first or graph.label(vid)[0] not in terminals
+            vid for vid in flow.side if vid == first or labels[vid][0] not in terminals
         )
         digest.update(repr((value, arcs, graph.departures(flow.arc_flows), side)).encode())
     for p in corpus[:40]:

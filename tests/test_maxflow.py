@@ -82,7 +82,8 @@ def test_min_cut_certificate_e1():
     value, flow = max_flow(g)
     side = residual_reachable(g, flow)
     assert cut_capacity(g, side) == value == 2
-    assert all(g.label(vid)[0] != "d" for vid in side)
+    labels = g.vertices
+    assert all(labels[vid][0] != "d" for vid in side)
 
 
 @st.composite

@@ -5,12 +5,18 @@ from tempoflow import (
     ModelError,
     StructuralError,
     attach_super_terminals,
+    build_ten,
     canonical_reduction,
+    capacity_oT_ten,
     classify_roles,
+    dttn_feasible,
     hoppe_tardos_star,
+    max_flow,
+    max_flow_over_time,
     to_one_shot,
+    validate_flow,
 )
-from tempoflow.model import INF
+from tempoflow.model import INF, MAX_INT
 
 from conftest import build_e1, make_network
 
@@ -108,19 +114,22 @@ def test_gadget_and_super_edges_shared(corpus):
     ],
 )
 def test_what_the_gadgets_cannot_represent_is_rejected(nodes, edges, message):
-    """The verdict path builds no gadgets but rejects what they could not represent."""
-    from tempoflow import dttn_feasible, max_flow_over_time
-
-    net = make_network(nodes, edges, {nodes[0]}, {nodes[-1]}, 3)
-    v = DemandVector({nodes[0]: -1, nodes[-1]: 1})
+    """The gadget form rejects what it could not represent; the verdict answers as the TEN does."""
+    s, d = nodes[0], nodes[-1]
+    net = make_network(nodes, edges, {s}, {d}, 3)
+    v = DemandVector({s: -1, d: 1})
     one_shot, _ = to_one_shot(net)
-    for call in (
-        lambda: hoppe_tardos_star(one_shot, v),
-        lambda: dttn_feasible(net, 3, v),
-        lambda: max_flow_over_time(net, 3),
-    ):
-        with pytest.raises(ModelError, match=message):
-            call()
+    with pytest.raises(ModelError, match=message):
+        hoppe_tardos_star(one_shot, v)
+    ten_value, _ = max_flow(build_ten(attach_super_terminals(net, v)))
+    outcome = dttn_feasible(net, 3, v)
+    assert outcome.feasible == (ten_value >= 1) and outcome.flow_value == ten_value
+    value, witness = max_flow_over_time(net, 3)
+    assert value == capacity_oT_ten(net, frozenset({s}))
+    # 3 * 2**62 fits no demand vector, so that case has no witness.
+    assert (witness is None) == (value > MAX_INT)
+    if witness is not None:
+        assert validate_flow(net, 3, witness, DemandVector({s: -value, d: value})).ok
 
 
 def test_attach_super_terminals_windows():

@@ -3,17 +3,21 @@ from hypothesis import assume, given, settings
 
 from tempoflow import (
     INF,
+    MAX_INT,
     BoundedSearchError,
     DemandVector,
     ModelError,
+    OverflowRejection,
     attach_super_terminals,
     build_ten,
     capacity_oT_ten,
     dttn_feasible,
     extract_flow,
+    hoppe_tardos_star,
     max_flow,
     max_flow_over_time,
     quickest_transshipment,
+    to_one_shot,
     validate_flow,
 )
 from tempoflow.netio import parse_network
@@ -124,6 +128,32 @@ def test_maxflow_requires_single_terminals():
     )
     with pytest.raises(ModelError):
         max_flow_over_time(net, 3)
+
+
+def test_verdict_exact_where_the_gadget_demand_overflows():
+    """u * T fits the machine integer range and u * (T + 1) does not: o_T({s}) is u * T.
+
+    The gadget form rejects the edge; the verdict reads no capacity into
+    its sets and computes in Python integers.  No max flow over time is
+    asked for: its value fits the demand range, so it would build a
+    witness expansion of about 1.8M vertices.
+    """
+    u, T = 10**13, 922_337
+    assert u * T <= MAX_INT < u * (T + 1)
+    net = make_network(("s", "d"), {("s", "d"): ([(0, T, u)], 1)}, {"s"}, {"d"}, T)
+    v = DemandVector({"s": -MAX_INT, "d": MAX_INT})
+    with pytest.raises(OverflowRejection):
+        hoppe_tardos_star(to_one_shot(net)[0], v)
+    outcome = dttn_feasible(net, T, v)
+    assert outcome.serialize() == f"INFEASIBLE violated=s oT={u * T} negv={MAX_INT}"
+
+
+def test_large_horizon_and_capacity_answered_exactly():
+    """T = 10**6 and u = 10**13: u * T = 10**19 leaves the demand range, so no witness."""
+    u, T = 10**13, 10**6
+    net = make_network(("s", "d"), {("s", "d"): ([(0, T, u)], 1)}, {"s"}, {"d"}, T)
+    assert dttn_feasible(net, T, DemandVector({"s": -(2**62), "d": 2**62})).feasible
+    assert max_flow_over_time(net, T) == (u * T, None) == (10**19, None)
 
 
 @settings(max_examples=60, deadline=None)
