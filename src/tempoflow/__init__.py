@@ -15,7 +15,6 @@ from .model import (
     ModelError,
     OneShotEdge,
     OneShotNetwork,
-    OneShotTrace,
     OverflowRejection,
     PiecewiseConstFn,
     TemporalNetwork,
@@ -24,7 +23,6 @@ from .model import (
     compute_mu,
     merged_pieces,
     net_flow,
-    project_one_shot_flow,
     to_one_shot,
     validate_flow,
 )

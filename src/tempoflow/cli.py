@@ -66,7 +66,7 @@ def _cmd_quickest(args) -> int:
 def _cmd_maxflow(args) -> int:
     parsed = _load(args.input)
     net = parsed.network
-    if args.horizon is not None and args.horizon != net.horizon:
+    if args.horizon is not None:
         net = _at_horizon(net, args.horizon)
     value, flow = max_flow_over_time(net, net.horizon)
     print(f"maxflow {value}")

@@ -20,7 +20,6 @@ sets derived on the gadget form itself.
 from __future__ import annotations
 
 from .model import (
-    INF,
     DemandVector,
     OneShotEdge,
     OneShotNetwork,
@@ -119,8 +118,9 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
        the gadget it arrived by is used up, its t+ and t- being on the
        path.  A gadget whose far endpoint is on the path still offers
        its exits.  Original nodes are never pseudo-pseudosinks, so their
-       Gamma* is their Gamma.  No capacity enters a sum, so INF
-       capacities need no finite stand-in here.
+       Gamma* is their Gamma.  No capacity enters a sum or one of their
+       roles, so the sets are the same at every capacity, INF included;
+       ``gadget_breakpoints`` derives them with every capacity 1.
     """
     v.check_balanced()
     full = attach_super_terminals(net, v)
@@ -181,24 +181,23 @@ def gadget_breakpoints(net: TemporalNetwork, v: DemandVector) -> dict[str, Break
 
     An independent derivation of ``cten_breakpoints``: the one-shot split is
     gadget-reduced and the sets are read off its canonical form's pin
-    graph.  Each INF capacity becomes one more than the largest finite
-    one; the sets read no capacity, and the gadget demands stay finite.
-    A network the gadget form cannot represent is rejected
+    graph.  The sets read travel times, topology and roles, never a
+    capacity: the one role test that compares capacities, the
+    pseudo-pseudosink test, compares edges of one gadget, which all carry
+    its edge's u.  So every one-shot edge enters the gadget form with
+    capacity 1, and an INF or wide capacity needs no stand-in.  A network
+    whose node ids clash with the gadget names is rejected
     (``check_gadget_reducible``), though its verdict is exact.
     """
     one_shot, _ = to_one_shot(net)
-    stand_in = net.max_finite_capacity() + 1
-    finite = OneShotNetwork(
+    unit = OneShotNetwork(
         one_shot.nodes,
-        {
-            edge: OneShotEdge(e.alpha, e.beta, stand_in, e.travel_time) if e.capacity == INF else e
-            for edge, e in one_shot.edges.items()
-        },
+        {e: OneShotEdge(w.alpha, w.beta, 1, w.travel_time) for e, w in one_shot.edges.items()},
         one_shot.sources,
         one_shot.sinks,
         one_shot.horizon,
     )
-    canon = canonical_reduction(*hoppe_tardos_star(finite, v))
+    canon = canonical_reduction(*hoppe_tardos_star(unit, v))
     return canonical_breakpoints(canon, net.nodes + (S_STAR, D_STAR))
 
 

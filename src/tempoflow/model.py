@@ -459,27 +459,6 @@ class OneShotNetwork(Value):
         self.horizon = horizon
 
 
-class OneShotTrace(Value):
-    """Origin of every one-shot element in the source network.
-
-    ``edge_origin`` maps one-shot edges either to ``("window", orig_edge,
-    piece_index)`` (the edge carrying an active window of the original
-    edge) or to ``("relay", orig_edge, piece_index)`` (the zero-length
-    always-on edge out of a relay node).  ``relay_nodes`` maps inserted
-    nodes to their original edge.
-    """
-
-    __slots__ = ("edge_origin", "relay_nodes")
-
-    def __init__(
-        self,
-        edge_origin: dict[tuple[str, str], tuple[str, tuple[str, str], int]],
-        relay_nodes: dict[str, tuple[str, str]],
-    ):
-        self.edge_origin = edge_origin
-        self.relay_nodes = relay_nodes
-
-
 def compute_mu(net: TemporalNetwork) -> int:
     """Total number of pieces on which capacity and travel time are both constant."""
     return sum(
@@ -507,54 +486,31 @@ def live_windows(pieces: list, horizon: int) -> list[tuple[int, int, int, int | 
     return windows
 
 
-def to_one_shot(net: TemporalNetwork) -> tuple[OneShotNetwork, OneShotTrace]:
+def to_one_shot(net: TemporalNetwork) -> tuple[OneShotNetwork, dict[str, tuple[str, str]]]:
     """Split every edge into one edge per live window (``live_windows``).
 
     The first window keeps the original endpoints; each further window
     goes through a fresh relay node (window edge into the relay, zero-length
     always-on edge out) so no parallel edges arise.  The relay on piece k
     of edge ij is ``i>j#k``, primed until no node carries its name.
+    Returns the split and its relays, each mapped to its original edge.
     """
     T = net.horizon
     nodes = list(net.nodes)
     existing = set(nodes)
     edges: dict[tuple[str, str], OneShotEdge] = {}
-    edge_origin: dict[tuple[str, str], tuple[str, tuple[str, str], int]] = {}
-    relay_nodes: dict[str, tuple[str, str]] = {}
+    relays: dict[str, tuple[str, str]] = {}
     for (i, j), windows in net.windows().items():
         for n, (k, a, b, u, tau) in enumerate(windows):
             if n == 0:
                 edges[(i, j)] = OneShotEdge(a, b, u, tau)
-                edge_origin[(i, j)] = ("window", (i, j), k)
             else:
                 relay = f"{i}>{j}#{k}"
                 while relay in existing:
                     relay += "'"
                 existing.add(relay)
                 nodes.append(relay)
-                relay_nodes[relay] = (i, j)
+                relays[relay] = (i, j)
                 edges[(i, relay)] = OneShotEdge(a, b, u, tau)
-                edge_origin[(i, relay)] = ("window", (i, j), k)
                 edges[(relay, j)] = OneShotEdge(0, T, u, 0)
-                edge_origin[(relay, j)] = ("relay", (i, j), k)
-    one_shot = OneShotNetwork(tuple(nodes), edges, net.sources, net.sinks, T)
-    return one_shot, OneShotTrace(edge_origin, relay_nodes)
-
-
-def project_one_shot_flow(
-    net: TemporalNetwork, trace: OneShotTrace, f: FlowOverTime
-) -> FlowOverTime:
-    """Map a flow on the one-shot network back onto the original network.
-
-    A window edge carries the original departure; the relay leg only models
-    storage already available at the head node, so its flow is dropped.
-    """
-    flows: dict[tuple[tuple[str, str], int], int] = {}
-    for (edge, t), amount in f.flows.items():
-        if amount == 0:
-            continue
-        kind, orig, _ = trace.edge_origin[edge]
-        if kind == "window":
-            key = (orig, t)
-            flows[key] = flows.get(key, 0) + amount
-    return FlowOverTime(flows)
+    return OneShotNetwork(tuple(nodes), edges, net.sources, net.sinks, T), relays

@@ -2,8 +2,13 @@ import pytest
 from hypothesis import given, settings
 
 from tempoflow import (
+    INF,
+    MAX_INT,
     DemandVector,
+    EdgeFn,
     EnumerationCapError,
+    PiecewiseConstFn,
+    TemporalNetwork,
     attach_super_terminals,
     canonical_breakpoints,
     canonical_reduction,
@@ -138,7 +143,10 @@ def test_cten_breakpoints_match_gamma_star(corpus):
     for k, parsed in enumerate(corpus):
         net, v = parsed.network, parsed.demands
         bps, nodes = one_shot_sets(net, v)
-        assert bps == gadget_sets(net, v, nodes)
+        reference = gadget_sets(net, v, nodes)
+        assert bps == reference
+        # The reference reads no capacity: at unit capacities it is the same.
+        assert gadget_breakpoints(net, v) == reference
         if k < 100:
             canon = canonical_reduction(*hoppe_tardos_star(to_one_shot(net)[0], v))
             every = canon.net.nodes
@@ -156,10 +164,30 @@ def test_one_shot_sets_equal_gadget_sets(net):
 @settings(max_examples=80, deadline=None)
 @given(temporal_networks(inf=True))
 def test_one_shot_sets_equal_gadget_sets_with_inf(net):
-    """INF capacities: the reference swaps in a finite stand-in, the verdict path none."""
+    """INF capacities, and a copy whose positive finite pieces are MAX_INT.
+
+    The reference sets are derived at unit capacities, so neither needs a
+    stand-in, though the copy's gadget demands u * (T + 1) overflow.
+    """
     v = DemandVector({})
-    bps, _ = one_shot_sets(net, v)
-    assert bps == gadget_breakpoints(net, v)
+    wide = TemporalNetwork(
+        net.nodes,
+        {
+            e: EdgeFn(
+                PiecewiseConstFn(
+                    tuple((a, b, MAX_INT if 0 < u < INF else u) for a, b, u in fn.capacity.pieces)
+                ),
+                fn.travel_time,
+            )
+            for e, fn in net.edges.items()
+        },
+        net.sources,
+        net.sinks,
+        net.horizon,
+    )
+    for copy in (net, wide):
+        bps, _ = one_shot_sets(copy, v)
+        assert bps == gadget_breakpoints(copy, v)
 
 
 @pytest.mark.parametrize(

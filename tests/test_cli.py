@@ -250,10 +250,34 @@ def test_verify_reports_certificate_mismatch(infeasible_path, capsys, monkeypatc
     assert "MISMATCH" in captured.err and "agreement" not in captured.out
 
 
-def test_verify_checks_breakpoints(e1_path, capsys):
-    assert main(["verify", "-i", e1_path]) == 0
-    out = capsys.readouterr().out
-    assert "breakpoints: agree" in out and "agreement: yes" in out
+# s -> m carries u = 2**62, so its gadget demand u * (T + 1) is past 2**63 - 1.
+WIDE_FILE = """\
+tn 1
+horizon 3
+node s source 5
+node m internal
+node d sink 5
+edge s m
+piece 0 3 cap 4611686018427387904 tt 1
+edge m d
+piece 0 3 cap 1 tt 1
+"""
+
+
+def test_verify_checks_breakpoints(tmp_path, capsys):
+    """The sets are cross-checked also where a gadget demand would overflow."""
+    from tempoflow import dttn_feasible, parse_network, verify_violated
+
+    for name, text, code in (("e1", E1_FILE, 0), ("wide", WIDE_FILE, 1)):
+        path = tmp_path / f"{name}.tn"
+        path.write_text(text)
+        assert main(["verify", "-i", str(path)]) == code
+        out = capsys.readouterr().out
+        assert "breakpoints: agree" in out and "agreement: yes" in out
+    assert "oT:        fast-path 2, oracle 2" in out
+    parsed = parse_network(WIDE_FILE)
+    net, v = parsed.network, parsed.demands
+    assert verify_violated(net, v, dttn_feasible(net, net.horizon, v).violated)
 
 
 def test_verify_reports_breakpoint_mismatch(e1_path, capsys, monkeypatch):

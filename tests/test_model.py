@@ -18,7 +18,6 @@ from tempoflow import (
     extract_flow,
     merged_pieces,
     net_flow,
-    project_one_shot_flow,
     to_one_shot,
     validate_flow,
 )
@@ -297,11 +296,11 @@ def test_validate_flow_reports_unknown_edge_into_node():
 
 
 def test_to_one_shot_e1():
-    one_shot, trace = to_one_shot(build_e1())
+    one_shot, relays = to_one_shot(build_e1())
     assert set(one_shot.edges) == {("s", "d")}
     e = one_shot.edges[("s", "d")]
     assert (e.alpha, e.beta, e.capacity, e.travel_time) == (1, 2, 1, 1)
-    assert not trace.relay_nodes
+    assert not relays
 
 
 def test_to_one_shot_relays_later_pieces():
@@ -314,10 +313,11 @@ def test_to_one_shot_relays_later_pieces():
         {"d"},
         6,
     )
-    one_shot, trace = to_one_shot(net)
+    one_shot, relays = to_one_shot(net)
     assert len(one_shot.edges) == 3  # window, relay window, relay exit
-    assert len(trace.relay_nodes) == 1
-    relay = next(iter(trace.relay_nodes))
+    assert len(relays) == 1
+    relay = next(iter(relays))
+    assert relays[relay] == ("s", "d")
     exit_edge = one_shot.edges[(relay, "d")]
     assert (exit_edge.alpha, exit_edge.beta, exit_edge.travel_time) == (0, 6, 0)
 
@@ -330,27 +330,6 @@ def test_to_one_shot_clips_to_horizon():
     )
     one_shot, _ = to_one_shot(net)
     assert one_shot.edges[("s", "d")].beta == 2  # departures after 2 miss T=5
-
-
-def test_project_one_shot_flow_roundtrip():
-    from conftest import make_network
-
-    net = make_network(
-        ("s", "d"),
-        {("s", "d"): ([(0, 1, 1), (2, 3, 0), (4, 6, 2)], 1)},
-        {"s"},
-        {"d"},
-        6,
-    )
-    one_shot, trace = to_one_shot(net)
-    relay = next(iter(trace.relay_nodes))
-    g = FlowOverTime(
-        {(("s", "d"), 1): 1, (("s", relay), 4): 2, ((relay, "d"), 4): 2}
-    )
-    f = project_one_shot_flow(net, trace, g)
-    v = DemandVector({"s": -3, "d": 3})
-    assert validate_flow(net, 6, f, v).ok
-    assert f.flows[("s", "d"), 4] == 2
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5))

@@ -22,7 +22,6 @@ from tempoflow import (
     InstanceSpec,
     OneShotEdge,
     OneShotNetwork,
-    OneShotTrace,
     ParsedInstance,
     PiecewiseConstFn,
     SteadyFlow,
@@ -62,9 +61,6 @@ VALUE_TYPES = {
         {"nodes": ("s", "d"), "edges": {("s", "d"): OneShotEdge(0, 2, 1, 1)},
          "sources": frozenset({"s"}), "sinks": frozenset({"d"}), "horizon": 3},
         {}, False,
-    ),
-    OneShotTrace: (
-        {"edge_origin": {("s", "d"): ("window", ("s", "d"), 0)}, "relay_nodes": {}}, {}, False
     ),
     ExpandedGraph: (
         {"bounds": GRAPH.bounds, "tails": (0,), "heads": (1,), "caps": (1,), "source": 0,
