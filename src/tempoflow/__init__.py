@@ -22,7 +22,6 @@ from .model import (
     Violation,
     compute_mu,
     merged_pieces,
-    net_flow,
     to_one_shot,
     validate_flow,
 )
@@ -38,7 +37,6 @@ from .breakpoints import (
     EnumerationCapError,
     canonical_breakpoints,
     cten_breakpoints,
-    gamma_enumerate,
     gamma_star,
 )
 from .expansion import (
@@ -47,15 +45,11 @@ from .expansion import (
     OracleBudgetError,
     build_cten,
     build_ten,
-    cten_edge_capacity,
-    intervals_of,
 )
 from .maxflow import (
     InternalConsistencyError,
     SteadyFlow,
     UnboundedFlowError,
-    check_max_flow,
-    cut_capacity,
     max_flow,
     residual_reachable,
 )
@@ -65,7 +59,6 @@ from .feasibility import (
     capacity_oT_ten,
     feas,
     gadget_breakpoints,
-    verify_violated,
 )
 from .solvers import (
     BoundedSearchError,

@@ -70,7 +70,7 @@ class _PinGraph:
         self.pps = canon.pps_minus
         self.gammas: dict[str, BreakpointSet] = {}
         # Nodes that settle on a boundary value in some minimum cut.
-        self.anchors = frozenset({canon.s_star, canon.d_star}) | canon.ps_plus | canon.ps_minus
+        self.anchors = frozenset({S_STAR, D_STAR}) | canon.ps_plus | canon.ps_minus
         tau = {e: fn.travel_time.pieces[0][2] for e, fn in canon.net.edges.items()}
         self.into: dict[str, list[str]] = {n: [] for n in canon.net.nodes}
         # Undirected: (neighbor, signed travel times of the edge and of its
@@ -137,11 +137,6 @@ class _PinGraph:
         if len(preds) != 2:
             raise StructuralError(f"pseudo-pseudosink {i} has {len(preds)} in-neighbors")
         return tuple(sorted(set(self.gamma(preds[0])) | set(self.gamma(preds[1]))))
-
-
-def gamma_enumerate(canon: CanonicalTemporalNetwork, i: str) -> BreakpointSet:
-    """Gamma(i): clamped signed pin-path sums from both boundary values."""
-    return _PinGraph(canon).gamma(i)
 
 
 def gamma_star(

@@ -156,12 +156,12 @@ def _cmd_stats(args) -> int:
     full = attach_super_terminals(net, v)
     cten = _cten(full)
     ten_nodes, ten_arcs = ten_size(full)
-    has_inf = any(u == INF for fn in net.edges.values() for _, _, u in fn.capacity.pieces)
+    top = max((u for fn in net.edges.values() for _, _, u in fn.capacity.pieces), default=0)
     print(f"n {len(net.nodes)}")
     print(f"m {len(net.edges)}")
     print(f"k {len(net.terminals)}")
     print(f"mu {compute_mu(net)}")
-    print(f"U {'inf' if has_inf else net.max_finite_capacity()}")
+    print(f"U {'inf' if top == INF else top}")
     print(f"cten-nodes {sum(map(len, cten.ranges.values()))}")
     print(f"cten-arcs {len(cten.arcs)}")
     print(f"ten-nodes {ten_nodes}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import pairwise
 
-from .model import INF, ModelError, TemporalNetwork, Value, live_windows
+from .model import INF, ModelError, TemporalNetwork, Value
 from .reductions import D_STAR, S_STAR, SuperTerminals, inner_parts
 
 DEFAULT_TEN_BUDGET = 2_000_000
@@ -59,14 +59,6 @@ def _bounds(points, horizon: int) -> list[int]:
 
 def _intervals(bounds: list[int]) -> list[Interval]:
     return [(lo, nxt - 1) for lo, nxt in pairwise(bounds)]
-
-
-def intervals_of(points, horizon: int) -> tuple[Interval, ...]:
-    """Closed integer intervals covering [0, T] induced by a breakpoint set.
-
-    The points are exactly the intervals' first steps.
-    """
-    return tuple(_intervals(_bounds(points, horizon)))
 
 
 class ExpandedGraph(Value):
@@ -108,14 +100,6 @@ class ExpandedGraph(Value):
     def vertices(self) -> tuple[tuple[str, Interval], ...]:
         """Every vertex's ``(node, interval)`` label, in id order."""
         return tuple((i, iv) for i in self.ranges for iv in _intervals(self.bounds[i]))
-
-    def vertex_at(self, node: str, t: int) -> int:
-        """The vertex of ``node`` whose interval contains step t."""
-        bounds = self.bounds[node]
-        horizon = bounds[-1] - 1
-        if not (0 <= t <= horizon):
-            raise ModelError(f"t={t} outside [0, {horizon}]")
-        return self.ranges[node].start + bisect_right(bounds, t) - 1
 
     def departures(self, arc_flows) -> dict[tuple[tuple[str, str], int], int]:
         """Positive flow of a full expansion per ``((i, j), departure)``; holdovers skipped."""
@@ -230,19 +214,6 @@ def _edge_sums(windows: list, tail: list[int], head: list[int]) -> dict:
                 m += 1
             t = end
     return sums
-
-
-def cten_edge_capacity(pieces: list, interval: Interval, target: Interval) -> int | float:
-    """Total capacity of departures in ``interval`` arriving in ``target``.
-
-    ``pieces`` are an edge's ``merged_pieces``; this is the sweep of
-    ``build_cten`` over their ``live_windows`` and partitions that have
-    the two intervals as blocks.
-    """
-    T = pieces[-1][1]
-    (a, b), (a2, b2) = interval, target
-    tail, head = sorted({0, a, b + 1, T + 1}), sorted({0, a2, b2 + 1, T + 1})
-    return _edge_sums(live_windows(pieces, T), tail, head).get((tail.index(a), head.index(a2)), 0)
 
 
 def build_cten(

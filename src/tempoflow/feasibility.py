@@ -13,8 +13,9 @@ short of the set's net demand.  That flow, o_T, is read off the same
 cut, so a verdict builds one graph and runs one max flow.  For checking,
 ``capacity_oT`` recomputes it by a second one on
 ``set_super_terminals(net, A)``, whose super edges are open at A's
-sources and the sinks outside A, and ``verify_violated`` does so over
-sets derived on the gadget form itself.
+sources and the sinks outside A; over the sets ``gadget_breakpoints``
+derives on the gadget form itself, it checks a certificate independently
+of the verdict.
 """
 
 from __future__ import annotations
@@ -199,13 +200,3 @@ def gadget_breakpoints(net: TemporalNetwork, v: DemandVector) -> dict[str, Break
     )
     canon = canonical_reduction(*hoppe_tardos_star(unit, v))
     return canonical_breakpoints(canon, net.nodes + (S_STAR, D_STAR))
-
-
-def verify_violated(net: TemporalNetwork, v: DemandVector, a: frozenset[str]) -> bool:
-    """True iff A certifies infeasibility: its capacity is below -v(A).
-
-    Recomputes the original nodes' breakpoints on the gadget form, so
-    independently of the verdict that reported A and of its enumerator,
-    and solves the restricted condensed expansion of ``net``.
-    """
-    return capacity_oT(net, gadget_breakpoints(net, v), a) < -v.total(a)

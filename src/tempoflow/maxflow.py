@@ -167,41 +167,3 @@ def residual_reachable(graph: ExpandedGraph, flow: SteadyFlow) -> frozenset[int]
     if level[graph.sink] >= 0:
         raise InternalConsistencyError("sink reachable in residual graph: flow not maximum")
     return frozenset(u for u, lv in enumerate(level) if lv >= 0)
-
-
-def cut_capacity(graph: ExpandedGraph, side: frozenset[int]) -> int | float:
-    """Total capacity of arcs leaving the given source-side vertex set."""
-    return sum(
-        cap
-        for tail, head, cap in zip(graph.tails, graph.heads, graph.caps)
-        if tail in side and head not in side
-    )
-
-
-def check_max_flow(graph: ExpandedGraph, value: int, flow: SteadyFlow):
-    """Assert that ``flow`` is a flow of ``value`` with an equal cut (used by test builds).
-
-    Checks capacity bounds on every arc, conservation at every vertex but
-    the source and the sink, the source's net outflow, max-flow/min-cut,
-    and that the side the flow carries, if any, is its residual source side.
-    """
-    excess = [0] * _order(graph)  # outflow minus inflow
-    arcs = zip(graph.tails, graph.heads, graph.caps, flow.arc_flows, strict=True)
-    for k, (tail, head, cap, f) in enumerate(arcs):
-        if not 0 <= f <= cap:
-            raise InternalConsistencyError(f"arc {k} carries {f} of capacity {cap}")
-        excess[tail] += f
-        excess[head] -= f
-    for u, x in enumerate(excess):
-        if x != 0 and u not in (graph.source, graph.sink):
-            raise InternalConsistencyError(f"flow not conserved at vertex {u}: excess {x}")
-    if excess[graph.source] != value:
-        raise InternalConsistencyError(
-            f"source sends {excess[graph.source]}, not the flow value {value}"
-        )
-    side = residual_reachable(graph, flow)
-    cut = cut_capacity(graph, side)
-    if cut != value:
-        raise InternalConsistencyError(f"flow value {value} != min-cut certificate {cut}")
-    if flow.side is not None and flow.side != side:
-        raise InternalConsistencyError("the flow's source side is not its residual source side")

@@ -232,14 +232,6 @@ class TemporalNetwork(Value):
             for e, fn in self.edges.items()
         }
 
-    def max_finite_capacity(self) -> int:
-        best = 0
-        for fn in self.edges.values():
-            for _, _, u in fn.capacity.pieces:
-                if u != INF:
-                    best = max(best, u)
-        return best
-
     def is_static(self) -> bool:
         return all(
             fn.capacity.is_constant() and fn.travel_time.is_constant()
@@ -305,24 +297,6 @@ class FlowOverTime(Value):
         self.flows = {} if flows is None else flows
 
 
-def net_flow(net: TemporalNetwork, f: FlowOverTime, i: str, t: int) -> int:
-    """Arrivals into ``i`` by time ``t`` minus departures from ``i`` by ``t``.
-
-    A departure on edge ji at time t' counts as arrived once
-    t' + travel_time(t') <= t.
-    """
-    total = 0
-    for (edge, t0), amount in f.flows.items():
-        if amount == 0:
-            continue
-        tail, head = edge
-        if head == i and t0 + net.edges[edge].travel_time(t0) <= t:
-            total += amount
-        if tail == i and t0 <= t:
-            total -= amount
-    return total
-
-
 class Violation(Value):
     __slots__ = ("condition", "location", "time", "detail")
 
@@ -344,18 +318,18 @@ class ValidationReport(Value):
         return not self.violations
 
 
-def validate_flow(
-    net: TemporalNetwork, horizon: int, f: FlowOverTime, v: DemandVector
-) -> ValidationReport:
+def validate_flow(net: TemporalNetwork, f: FlowOverTime, v: DemandVector) -> ValidationReport:
     """Check a flow against the flow-over-time conditions and the demands.
 
-    Conditions: (1) edge capacity at the departure time, (2) departures in
-    [0, T] arriving by T, (3) non-negative net flow at non-sources at every
-    time, (4) zero net flow at non-terminals at T; plus net flow at every
-    terminal equal to its demand.  Violations are data, not errors: an
-    unknown edge or a departure outside [0, T] is reported; its flow leaves
-    its tail when it departs but never arrives.
+    T is the network's horizon.  Conditions: (1) 0 <= flow <= edge
+    capacity at the departure time, (2) departures in [0, T] arriving by T,
+    (3) non-negative net flow at non-sources at every time, (4) zero net
+    flow at non-terminals at T; plus net flow at every terminal equal to
+    its demand.  Violations are data, not errors: an unknown edge or a
+    departure outside [0, T] is reported; its flow leaves its tail when it
+    departs but never arrives.
     """
+    horizon = net.horizon
     out: list[Violation] = []
     for (edge, t), amount in sorted(f.flows.items()):
         if amount == 0:
@@ -380,12 +354,9 @@ def validate_flow(
             )
             continue
         cap = fn.capacity(t)
-        if amount > cap:
-            out.append(
-                Violation(
-                    "capacity", f"{edge[0]}->{edge[1]}", t, f"flow {amount} > capacity {cap}"
-                )
-            )
+        if not 0 <= amount <= cap:
+            bound = "< 0" if amount < 0 else f"> capacity {cap}"
+            out.append(Violation("capacity", f"{edge[0]}->{edge[1]}", t, f"flow {amount} {bound}"))
     # Net flow is a step function changing only at departure/arrival events,
     # so checking those times (plus T) covers all t.  Each node's changes to
     # it are sorted once and summed up to each event time in turn; a

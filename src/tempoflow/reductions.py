@@ -159,24 +159,21 @@ def hoppe_tardos_star(
 class CanonicalTemporalNetwork(Value):
     """Single super-source/super-sink network per the canonical shape.
 
-    Inner edges are static; the s*-edges are live only at time 0 and the
-    d*-edges only at time T, all with travel time 0.
+    The super terminals are ``S_STAR`` and ``D_STAR``.  Inner edges are
+    static; the s*-edges are live only at time 0 and the d*-edges only at
+    time T, all with travel time 0.
     """
 
-    __slots__ = ("net", "s_star", "d_star", "ps_plus", "ps_minus", "pps_minus")
+    __slots__ = ("net", "ps_plus", "ps_minus", "pps_minus")
 
     def __init__(
         self,
         net: TemporalNetwork,
-        s_star: str,
-        d_star: str,
         ps_plus: frozenset[str],
         ps_minus: frozenset[str],
         pps_minus: frozenset[str],
     ):
         self.net = net
-        self.s_star = s_star
-        self.d_star = d_star
         self.ps_plus = ps_plus
         self.ps_minus = ps_minus
         self.pps_minus = pps_minus
@@ -295,9 +292,7 @@ def set_super_terminals(net: TemporalNetwork, a: frozenset[str]) -> SuperTermina
     )
 
 
-def classify_roles(
-    net: TemporalNetwork, s_star: str = S_STAR, d_star: str = D_STAR
-) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+def classify_roles(net: TemporalNetwork) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     """Compute pseudosources, pseudosinks, and pseudo-pseudosinks from topology.
 
     Structural conditions are enforced: a pseudosource has no in-edge other
@@ -314,13 +309,13 @@ def classify_roles(
 
     ps_plus, ps_minus = set(), set()
     for (i, j) in net.edges:
-        if i == s_star:
-            others = [e for e in in_edges[j] if e[0] != s_star]
+        if i == S_STAR:
+            others = [e for e in in_edges[j] if e[0] != S_STAR]
             if others:
                 raise StructuralError(f"pseudosource {j} has extra in-edge {others[0]}")
             ps_plus.add(j)
-        if j == d_star:
-            others = [e for e in out_edges[i] if e[1] != d_star]
+        if j == D_STAR:
+            others = [e for e in out_edges[i] if e[1] != D_STAR]
             if others:
                 raise StructuralError(f"pseudosink {i} has extra out-edge {others[0]}")
             ps_minus.add(i)
@@ -335,7 +330,7 @@ def classify_roles(
 
     pps_minus = set()
     for i in net.nodes:
-        if i in ps_plus or i in ps_minus or i in (s_star, d_star):
+        if i in ps_plus or i in ps_minus or i in (S_STAR, D_STAR):
             continue
         if len(out_edges[i]) != 1 or len(in_edges[i]) != 2:
             continue
@@ -362,4 +357,4 @@ def canonical_reduction(net: TemporalNetwork, v: DemandVector) -> CanonicalTempo
     v.check_balanced()
     full = attach_super_terminals(net, v).materialize()
     ps_plus, ps_minus, pps_minus = classify_roles(full)
-    return CanonicalTemporalNetwork(full, S_STAR, D_STAR, ps_plus, ps_minus, pps_minus)
+    return CanonicalTemporalNetwork(full, ps_plus, ps_minus, pps_minus)

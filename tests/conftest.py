@@ -2,10 +2,14 @@
 
 The oracle here builds a full time expansion directly from the network
 semantics using networkx, deliberately sharing no code with the package's
-own expansion module, so agreement between the two is meaningful.
+own expansion module, so agreement between the two is meaningful.  The
+readers and checks of expanded graphs that only tests use live here too:
+``vertex_at``, ``cten_capacity``, ``cut_capacity`` and ``check_max_flow``.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import networkx as nx
 import pytest
@@ -13,13 +17,19 @@ import pytest
 from tempoflow import (
     DemandVector,
     EdgeFn,
+    ExpandedGraph,
     InstanceSpec,
+    InternalConsistencyError,
+    ModelError,
     PiecewiseConstFn,
+    SteadyFlow,
     TemporalNetwork,
     attach_super_terminals,
+    build_cten,
     build_ten,
     dttn_feasible,
     generate_instance,
+    residual_reachable,
 )
 from tempoflow.solvers import _at_horizon
 
@@ -206,3 +216,72 @@ def e1():
 @pytest.fixture
 def fig4():
     return build_fig4()
+
+
+def vertex_at(graph: ExpandedGraph, node: str, t: int) -> int:
+    """The vertex of ``node`` whose interval contains step t."""
+    bounds = graph.bounds[node]
+    horizon = bounds[-1] - 1
+    if not (0 <= t <= horizon):
+        raise ModelError(f"t={t} outside [0, {horizon}]")
+    return graph.ranges[node].start + bisect_right(bounds, t) - 1
+
+
+def cten_capacity(fn: EdgeFn, interval, target) -> int | float:
+    """Capacity of the departures in ``interval`` that arrive in ``target``, from ``build_cten``.
+
+    The edge is x -> y of a two-node network whose sets start intervals at
+    both ends of ``interval`` (x) and of ``target`` (y).  0 and T are forced
+    in, so an interval [a, T] with a < T spans two vertices: the arcs from
+    every x vertex inside ``interval`` to every y vertex inside ``target``
+    are summed.
+    """
+    T = fn.capacity.horizon
+    (a, b), (a2, b2) = interval, target
+    net = TemporalNetwork(("x", "y"), {("x", "y"): fn}, frozenset({"x"}), frozenset({"y"}), T)
+    graph = build_cten(net, {"x": {0, a, b + 1, T} - {T + 1}, "y": {0, a2, b2 + 1, T} - {T + 1}})
+    labels = graph.vertices
+    return sum(
+        cap
+        for tail, head, cap in zip(graph.tails, graph.heads, graph.caps)
+        if labels[tail][0] == "x" and labels[head][0] == "y"
+        and a <= labels[tail][1][0] <= b and a2 <= labels[head][1][0] <= b2
+    )
+
+
+def cut_capacity(graph: ExpandedGraph, side: frozenset[int]) -> int | float:
+    """Total capacity of arcs leaving the given source-side vertex set."""
+    return sum(
+        cap
+        for tail, head, cap in zip(graph.tails, graph.heads, graph.caps)
+        if tail in side and head not in side
+    )
+
+
+def check_max_flow(graph: ExpandedGraph, value: int, flow: SteadyFlow):
+    """Assert that ``flow`` is a flow of ``value`` with an equal cut.
+
+    Checks capacity bounds on every arc, conservation at every vertex but
+    the source and the sink, the source's net outflow, max-flow/min-cut,
+    and that the side the flow carries, if any, is its residual source side.
+    """
+    excess = [0] * sum(map(len, graph.ranges.values()))  # outflow minus inflow
+    arcs = zip(graph.tails, graph.heads, graph.caps, flow.arc_flows, strict=True)
+    for k, (tail, head, cap, f) in enumerate(arcs):
+        if not 0 <= f <= cap:
+            raise InternalConsistencyError(f"arc {k} carries {f} of capacity {cap}")
+        excess[tail] += f
+        excess[head] -= f
+    for u, x in enumerate(excess):
+        if x != 0 and u not in (graph.source, graph.sink):
+            raise InternalConsistencyError(f"flow not conserved at vertex {u}: excess {x}")
+    if excess[graph.source] != value:
+        raise InternalConsistencyError(
+            f"source sends {excess[graph.source]}, not the flow value {value}"
+        )
+    side = residual_reachable(graph, flow)
+    cut = cut_capacity(graph, side)
+    if cut != value:
+        raise InternalConsistencyError(f"flow value {value} != min-cut certificate {cut}")
+    if flow.side is not None and flow.side != side:
+        raise InternalConsistencyError("the flow's source side is not its residual source side")

@@ -28,6 +28,9 @@ from tempoflow import (
     gamma_star,
     residual_reachable,
 )
+from tempoflow.reductions import D_STAR, S_STAR
+
+from conftest import vertex_at
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ def min_cut_times(graph: ExpandedGraph, flow: SteadyFlow, horizon: int) -> CutFu
         values[node] = first.get(node, horizon + 1)
     for vid in side:
         node, (t, _) = labels[vid]
-        if t > values[node] and graph.vertex_at(node, values[node]) not in side:
+        if t > values[node] and vertex_at(graph, node, values[node]) not in side:
             raise InternalConsistencyError(f"residual side of {node} is not upward-closed")
     return CutFunction(values, horizon)
 
@@ -224,7 +227,7 @@ def canonicalize_min_cut(
     # so raising it never costs more; dually a node with no out-edges can
     # always drop.  Either way it reaches the boundary at equal cost.
     for i in sorted(canon.net.nodes):
-        if i in (canon.s_star, canon.d_star) or phi[i] in (0, T + 1):
+        if i in (S_STAR, D_STAR) or phi[i] in (0, T + 1):
             continue
         if not any(k == i for _, k in canon.net.edges):
             while phi[i] != T + 1:

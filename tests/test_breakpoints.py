@@ -14,7 +14,6 @@ from tempoflow import (
     canonical_reduction,
     cten_breakpoints,
     dttn_feasible,
-    gamma_enumerate,
     gadget_breakpoints,
     gamma_star,
     hoppe_tardos_star,
@@ -40,16 +39,21 @@ def chain_canonical():
     )
     v = DemandVector({"p": -1, "r": 1})
     from tempoflow import attach_super_terminals, classify_roles
-    from tempoflow.reductions import CanonicalTemporalNetwork, S_STAR, D_STAR
+    from tempoflow.reductions import CanonicalTemporalNetwork
 
     full = attach_super_terminals(net, v).materialize()
-    ps_plus, ps_minus, pps = classify_roles(full)
-    return CanonicalTemporalNetwork(full, S_STAR, D_STAR, ps_plus, ps_minus, pps)
+    return CanonicalTemporalNetwork(full, *classify_roles(full))
+
+
+def gamma(canon, i):
+    """Gamma(i): Gamma* of a node that is no pseudo-pseudosink."""
+    assert i not in canon.pps_minus
+    return gamma_star(canon, (i,))[i]
 
 
 def test_chain_gamma_interior_node():
     canon = chain_canonical()
-    got = gamma_enumerate(canon, "q")
+    got = gamma(canon, "q")
     # the boundary-offset sums 0 +- 2 and 11 +- 3 must all survive clamping
     assert {0, 2, 8, 11} <= set(got)
     assert got == (0, 2, 3, 8, 9, 11)
@@ -57,8 +61,8 @@ def test_chain_gamma_interior_node():
 
 def test_chain_gamma_terminals_trivial():
     canon = chain_canonical()
-    assert gamma_enumerate(canon, "p") == (0, 11)
-    assert gamma_enumerate(canon, "r") == (0, 11)
+    assert gamma(canon, "p") == (0, 11)
+    assert gamma(canon, "r") == (0, 11)
 
 
 def test_breakpoints_replace_top_with_horizon():
@@ -69,8 +73,10 @@ def test_breakpoints_replace_top_with_horizon():
 
 
 def test_gamma_star_defaults_to_gamma():
+    """Without pseudo-pseudosinks Gamma* is Gamma: q keeps its pin-path sums."""
     canon = chain_canonical()
-    assert gamma_star(canon, ("q",))["q"] == gamma_enumerate(canon, "q")
+    assert not canon.pps_minus
+    assert gamma_star(canon, canon.net.nodes)["q"] == (0, 2, 3, 8, 9, 11)
 
 
 def test_gamma_star_pps_unions_in_neighbors():
@@ -80,7 +86,7 @@ def test_gamma_star_pps_unions_in_neighbors():
     canon = canonical_reduction(reduced, v2)
     (pps,) = sorted(canon.pps_minus)
     preds = sorted(e[0] for e in canon.net.edges if e[1] == pps)
-    union = set(gamma_enumerate(canon, preds[0])) | set(gamma_enumerate(canon, preds[1]))
+    union = set(gamma(canon, preds[0])) | set(gamma(canon, preds[1]))
     assert set(gamma_star(canon, (pps,))[pps]) == union
 
 
@@ -105,7 +111,7 @@ def test_enumeration_cap_enforced(monkeypatch):
     canon = chain_canonical()
     monkeypatch.setattr(breakpoints_mod, "PATH_CAP", 0)
     with pytest.raises(EnumerationCapError):
-        gamma_enumerate(canon, "q")
+        gamma(canon, "q")
 
 
 def test_long_chain_sets_agree():

@@ -266,7 +266,7 @@ piece 0 3 cap 1 tt 1
 
 def test_verify_checks_breakpoints(tmp_path, capsys):
     """The sets are cross-checked also where a gadget demand would overflow."""
-    from tempoflow import dttn_feasible, parse_network, verify_violated
+    from tempoflow import capacity_oT, dttn_feasible, gadget_breakpoints, parse_network
 
     for name, text, code in (("e1", E1_FILE, 0), ("wide", WIDE_FILE, 1)):
         path = tmp_path / f"{name}.tn"
@@ -277,7 +277,8 @@ def test_verify_checks_breakpoints(tmp_path, capsys):
     assert "oT:        fast-path 2, oracle 2" in out
     parsed = parse_network(WIDE_FILE)
     net, v = parsed.network, parsed.demands
-    assert verify_violated(net, v, dttn_feasible(net, net.horizon, v).violated)
+    a = dttn_feasible(net, net.horizon, v).violated
+    assert capacity_oT(net, gadget_breakpoints(net, v), a) < -v.total(a)
 
 
 def test_verify_reports_breakpoint_mismatch(e1_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from tempoflow import (
     max_flow,
     to_one_shot,
 )
+from tempoflow.reductions import D_STAR, S_STAR
 
 from conftest import build_e1, build_fig4
 from cutlab import (
@@ -53,7 +54,7 @@ def test_forbidden_set_formula():
     T = canon.horizon
     phi = CutFunction({n: 1 for n in canon.net.nodes}, T)
     for i in canon.net.nodes:
-        if i in (canon.s_star, canon.d_star):
+        if i in (S_STAR, D_STAR):
             continue
         got = forbidden_set(canon, phi, frozenset({i}), i)
         expected = {0, T + 1}
@@ -80,8 +81,8 @@ def test_min_cut_times_threshold_shape():
     ten = build_ten(canon.net)
     value, flow = max_flow(ten)
     phi = min_cut_times(ten, flow, canon.horizon)
-    assert phi[canon.s_star] == 0
-    assert phi[canon.d_star] == canon.horizon + 1
+    assert phi[S_STAR] == 0
+    assert phi[D_STAR] == canon.horizon + 1
     assert cut_cost(ten, phi) == value
 
 

@@ -16,18 +16,17 @@ from tempoflow import (
     attach_super_terminals,
     build_cten,
     build_ten,
-    cten_edge_capacity,
     extract_flow,
     generate_instance,
-    intervals_of,
     max_flow,
-    merged_pieces,
 )
 from tempoflow.expansion import ten_size
 from tempoflow.reductions import D_STAR, S_STAR, SuperTerminals
 from tempoflow.solvers import _at_horizon
 
-from conftest import build_e1, build_fig4, make_network, oracle_ten, pinned_graphs
+from conftest import (
+    build_e1, build_fig4, cten_capacity, make_network, oracle_ten, pinned_graphs, vertex_at,
+)
 from strategies import edge_fns, temporal_networks
 
 
@@ -42,25 +41,32 @@ def brute_capacity(fn, interval, target):
     return total
 
 
+def intervals(graph, node):
+    """The intervals of ``node``'s vertices in ``graph``, in id order."""
+    return [iv for i, iv in graph.vertices if i == node]
+
+
 def test_interval_partition_convention():
-    assert intervals_of((0, 1, 4), 4) == ((0, 0), (1, 3), (4, 4))
     net = build_fig4()
     graph = build_cten(net, {i: (0, 1, 4) for i in net.nodes})
+    assert intervals(graph, "b") == [(0, 0), (1, 3), (4, 4)]
     first = graph.ranges["b"].start
-    assert graph.vertices[graph.vertex_at("b", 2)] == ("b", (1, 3))
-    assert [graph.vertex_at("b", t) - first for t in (0, 1, 3, 4)] == [0, 1, 1, 2]
-    assert intervals_of((0,), 0) == ((0, 0),)
+    assert graph.vertices[vertex_at(graph, "b", 2)] == ("b", (1, 3))
+    assert [vertex_at(graph, "b", t) - first for t in (0, 1, 3, 4)] == [0, 1, 1, 2]
     flat = _at_horizon(build_e1(), 0)
     point = build_cten(flat, {i: (0,) for i in flat.nodes})
-    assert point.vertex_at("d", 0) - point.ranges["d"].start == 0
+    assert intervals(point, "d") == [(0, 0)]
+    assert vertex_at(point, "d", 0) - point.ranges["d"].start == 0
     for t in (-1, 5):
         with pytest.raises(ModelError):
-            graph.vertex_at("b", t)
+            vertex_at(graph, "b", t)
 
 
 def test_interval_partition_requires_bounds():
-    with pytest.raises(ModelError):
-        intervals_of((1, 4), 4)
+    net = build_fig4()
+    for points in ((1, 4), (0, 1)):
+        with pytest.raises(ModelError, match="breakpoint set must contain 0 and 4"):
+            build_cten(net, {i: points for i in net.nodes})
 
 
 def test_e1_ten_arcs_and_value():
@@ -114,10 +120,7 @@ def test_cten_edge_capacity_matches_brute_force(fn, data) -> None:
     b = data.draw(st.integers(a, T))
     a2 = data.draw(st.integers(0, T))
     b2 = data.draw(st.integers(a2, T))
-    pieces = merged_pieces(fn.capacity, fn.travel_time)
-    assert cten_edge_capacity(pieces, (a, b), (a2, b2)) == brute_capacity(
-        fn, (a, b), (a2, b2)
-    )
+    assert cten_capacity(fn, (a, b), (a2, b2)) == brute_capacity(fn, (a, b), (a2, b2))
 
 
 # name: (T, capacity pieces, travel-time pieces, tail points, head points,
@@ -146,19 +149,17 @@ def test_sweep_edge_cases(case):
     T, caps, tts, tail_points, head_points, n_arcs = SWEEP_CASES[case]
     net = make_network(["x", "y"], {("x", "y"): (caps, tts)}, ["x"], ["y"], T)
     fn = net.edges["x", "y"]
-    pieces = merged_pieces(fn.capacity, fn.travel_time)
     graph = build_cten(net, {"x": tail_points, "y": head_points})
     brute = {}
-    for iv in intervals_of(tail_points, T):
-        for iv2 in intervals_of(head_points, T):
+    for iv in intervals(graph, "x"):
+        for iv2 in intervals(graph, "y"):
             cap = brute_capacity(fn, iv, iv2)
-            assert cten_edge_capacity(pieces, iv, iv2) == cap
             if cap:
-                brute[graph.vertex_at("x", iv[0]), graph.vertex_at("y", iv2[0])] = cap
+                brute[vertex_at(graph, "x", iv[0]), vertex_at(graph, "y", iv2[0])] = cap
     blocks = {}
     for (i, t), (j, t2), attrs in oracle_ten(net).edges(data=True):
         if i != j:
-            key = graph.vertex_at(i, t), graph.vertex_at(j, t2)
+            key = vertex_at(graph, i, t), vertex_at(graph, j, t2)
             blocks[key] = blocks.get(key, 0) + attrs["capacity"]
     labels = graph.vertices
     crossing = [
@@ -231,10 +232,14 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
     assert sorted(ten_arcs) == sorted(oracle_arcs)
     assert ten_size(flat) == (len(ten.vertices), len(ten.arcs))
     check_condensed_terminals(full, oracle)
-    assert cten.vertices == tuple((i, iv) for i in full.nodes for iv in intervals_of(bps[i], T))
+    cten_labels = []
+    for i in full.nodes:
+        starts = sorted(set(bps[i]))
+        cten_labels += [(i, (lo, nxt - 1)) for lo, nxt in zip(starts, starts[1:] + [T + 1])]
+    assert cten.vertices == tuple(cten_labels)
     blocks: dict = {**{(i, i): {} for i in flat.nodes}, **{e: {} for e in flat.edges}}
     for (i, t), (j, t2), cap in oracle_arcs:
-        a, b = cten.vertex_at(i, t), cten.vertex_at(j, t2)
+        a, b = vertex_at(cten, i, t), vertex_at(cten, j, t2)
         if a != b:
             group = blocks[i, j]
             group[a, b] = group.get((a, b), 0) + cap
@@ -271,7 +276,7 @@ def test_graph_labels_pinned(corpus, long_corpus):
     """``vertices``, ``vertex_at`` at every step, max-flow ``departures`` and DOT text."""
     digest = hashlib.sha256()
     for graph, horizon in pinned_graphs(corpus, long_corpus):
-        at = [[graph.vertex_at(i, t) for t in range(horizon + 1)] for i in graph.ranges]
+        at = [[vertex_at(graph, i, t) for t in range(horizon + 1)] for i in graph.ranges]
         departures = graph.departures(max_flow(graph)[1].arc_flows)
         digest.update(repr((graph.vertices, at, departures, graph.to_dot("pin"))).encode())
     assert digest.hexdigest() == LABELS_DIGEST

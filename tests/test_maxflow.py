@@ -10,15 +10,13 @@ from tempoflow import (
     SteadyFlow,
     UnboundedFlowError,
     build_ten,
-    check_max_flow,
-    cut_capacity,
     max_flow,
     residual_reachable,
 )
 from tempoflow.expansion import ExpandedGraph
 from tempoflow.model import INF
 
-from conftest import build_e1, pinned_graphs
+from conftest import build_e1, check_max_flow, cut_capacity, pinned_graphs
 
 
 def graph_from_arcs(n, arcs, source, sink):

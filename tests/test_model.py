@@ -17,7 +17,6 @@ from tempoflow import (
     compute_mu,
     extract_flow,
     merged_pieces,
-    net_flow,
     to_one_shot,
     validate_flow,
 )
@@ -177,6 +176,24 @@ def test_source_with_in_edge_rejected():
         )
 
 
+def net_flow(net: TemporalNetwork, f: FlowOverTime, i: str, t: int) -> int:
+    """Arrivals into ``i`` by time ``t`` minus departures from ``i`` by ``t``.
+
+    A departure on edge ji at time t' counts as arrived once
+    t' + travel_time(t') <= t.
+    """
+    total = 0
+    for (edge, t0), amount in f.flows.items():
+        if amount == 0:
+            continue
+        tail, head = edge
+        if head == i and t0 + net.edges[edge].travel_time(t0) <= t:
+            total += amount
+        if tail == i and t0 <= t:
+            total -= amount
+    return total
+
+
 def test_net_flow_e1():
     net = build_e1()
     f = FlowOverTime({(("s", "d"), 1): 1, (("s", "d"), 2): 1})
@@ -188,16 +205,34 @@ def test_validate_flow_accepts_e1_flow():
     net = build_e1()
     f = FlowOverTime({(("s", "d"), 1): 1, (("s", "d"), 2): 1})
     v = DemandVector({"s": -2, "d": 2})
-    assert validate_flow(net, 3, f, v).ok
+    assert validate_flow(net, f, v).ok
 
 
 def test_validate_flow_capacity_violation():
     net = build_e1()
     f = FlowOverTime({(("s", "d"), 0): 1})
     v = DemandVector({"s": -1, "d": 1})
-    report = validate_flow(net, 3, f, v)
+    report = validate_flow(net, f, v)
     assert not report.ok
     assert any(v_.condition == "capacity" for v_ in report.violations)
+
+
+def test_validate_flow_negative_amount():
+    """Condition (1) is 0 <= f <= u: a negative amount is a capacity violation."""
+    f = FlowOverTime({(("s", "d"), 1): 1, (("s", "d"), 2): -1})
+    report = validate_flow(build_e1(), f, DemandVector({"s": 0, "d": 0}))
+    assert report.violations == (Violation("capacity", "s->d", 2, "flow -1 < 0"),)
+
+
+def test_validate_flow_departure_past_horizon():
+    """T is the network's own: a departure after it is reported, not raised."""
+    f = FlowOverTime({(("s", "d"), 4): 1})
+    report = validate_flow(build_e1(), f, DemandVector({"s": -1, "d": 1}))
+    assert report.violations == (
+        Violation("horizon", "s->d", 4, "departure 4 outside [0, 3]"),
+        Violation("demand", "s", 3, "net flow 0 != demand -1"),
+        Violation("demand", "d", 3, "net flow 0 != demand 1"),
+    )
 
 
 def test_validate_flow_late_arrival():
@@ -205,7 +240,7 @@ def test_validate_flow_late_arrival():
     # departing at t = 3 would arrive at 4 > T; also violates capacity there
     f = FlowOverTime({(("s", "d"), 3): 1})
     v = DemandVector({"s": -1, "d": 1})
-    assert not validate_flow(net, 3, f, v).ok
+    assert not validate_flow(net, f, v).ok
 
 
 def net_flow_report(net, horizon, f, v):
@@ -279,7 +314,7 @@ def test_validate_flow_equals_net_flow_reference(corpus):
             continue  # infeasible: no witness
         for flows in [witness.flows] + perturbed(witness.flows, net.horizon):
             f = FlowOverTime(flows)
-            report = validate_flow(net, net.horizon, f, v)
+            report = validate_flow(net, f, v)
             assert report == net_flow_report(net, net.horizon, f, v)
             checked += not report.ok
     assert checked > 50
@@ -288,7 +323,7 @@ def test_validate_flow_equals_net_flow_reference(corpus):
 def test_validate_flow_reports_unknown_edge_into_node():
     """An unknown edge between known nodes is a violation, not a KeyError."""
     f = FlowOverTime({(("s", "d"), 1): 1, (("s", "d"), 2): 1, (("d", "s"), 0): 1})
-    report = validate_flow(build_e1(), 3, f, DemandVector({"s": -2, "d": 2}))
+    report = validate_flow(build_e1(), f, DemandVector({"s": -2, "d": 2}))
     assert report.violations == (
         Violation("edge-exists", "d->s", 0, "unknown edge"),
         Violation("demand", "d", 3, "net flow 1 != demand 2"),

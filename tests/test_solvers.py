@@ -66,7 +66,7 @@ def test_quickest_e1_one_unit():
 def test_quickest_e1_two_units():
     t_star, flow = quickest_transshipment(build_e1(), DemandVector({"s": -2, "d": 2}), 64)
     assert t_star == 3
-    assert validate_flow(_at_horizon(build_e1(), 3), 3, flow, DemandVector({"s": -2, "d": 2})).ok
+    assert validate_flow(_at_horizon(build_e1(), 3), flow, DemandVector({"s": -2, "d": 2})).ok
 
 
 def test_quickest_zero_demand():
@@ -82,7 +82,7 @@ def test_quickest_zero_horizon():
     assert dttn_feasible(_at_horizon(net, 0), 0, v).feasible
     t_star, flow = quickest_transshipment(net, v, 64)
     assert t_star == 0
-    assert validate_flow(_at_horizon(net, 0), 0, flow, v).ok
+    assert validate_flow(_at_horizon(net, 0), flow, v).ok
 
 
 def test_quickest_cap_exhausted():
@@ -96,7 +96,7 @@ def test_maxflow_e1():
     value, flow = max_flow_over_time(build_e1(), 3)
     assert value == 2
     assert flow is not None
-    assert validate_flow(build_e1(), 3, flow, DemandVector({"s": -2, "d": 2})).ok
+    assert validate_flow(build_e1(), flow, DemandVector({"s": -2, "d": 2})).ok
 
 
 def test_maxflow_static_edge():

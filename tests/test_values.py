@@ -76,7 +76,7 @@ VALUE_TYPES = {
     ParsedInstance: ({"network": NET, "demands": DEMANDS, "warnings": ("w",)}, {}, False),
     InstanceSpec: ({**SPEC_DEFAULTS, "n_nodes": 7, "demand_mode": "zero"}, SPEC_DEFAULTS, True),
     CanonicalTemporalNetwork: (
-        {"net": NET, "s_star": "s", "d_star": "d", "ps_plus": frozenset(),
+        {"net": NET, "ps_plus": frozenset(),
          "ps_minus": frozenset({"s"}), "pps_minus": frozenset()},
         {}, False,
     ),
