@@ -17,6 +17,10 @@ the condensed expansion has size linear in the number of constant pieces
 and independent of the horizon.  For a pseudo-pseudosink the settling
 moves land its cut time on one of its two in-neighbors' values (or the
 boundary), so its set (Gamma*) borrows the union of the in-neighbors' sets.
+The expansion reads A_i = Gamma*(i) within [0, T] and nothing more: 0 is
+in every Gamma*(i), and a cut time of T + 1 needs no interval start.  So
+anchors and nodes lacking an in- or an out-edge, whose Gamma is
+{0, T + 1}, get the one point 0: one vertex over [0, T].
 
 The verdict needs the sets of the original nodes only, and those are read
 straight off the temporal network (``cten_breakpoints``): each edge's
@@ -154,35 +158,35 @@ def gamma_star(
 
 
 def _clip(sums: set[int], horizon: int) -> BreakpointSet:
-    """A_i from the pin sums of Gamma(i): both boundary offsets within [0, T], plus 0 and T.
+    """A_i = Gamma(i) within [0, T], from Gamma(i)'s pin sums: 0 and both boundary offsets.
 
     T + 1 is dropped: a cut time of T + 1 puts the node entirely on the
-    sink side, which the partition can already express.
+    sink side, which the partition can already express.  T is kept only
+    when a sum puts it in Gamma(i).
     """
     T = horizon
     kept = {t for t in sums if 0 <= t <= T} | {T + 1 + t for t in sums if -T - 1 <= t < 0}
-    return tuple(sorted({0, T} | kept))
+    return tuple(sorted({0} | kept))
 
 
 def canonical_breakpoints(
     canon: CanonicalTemporalNetwork, nodes: tuple[str, ...]
 ) -> dict[str, BreakpointSet]:
-    """Sets A_i = (Gamma*(i) within [0, T]) with 0 and T forced in, for ``nodes``.
+    """Sets A_i = Gamma*(i) within [0, T] for ``nodes``; each holds 0, as Gamma*(i) does.
 
     Enumerated on the gadget form; every node in ``nodes`` must be a node
     of ``canon``.
     """
     T = canon.horizon
-    return {
-        i: tuple(sorted({0, T} | {t for t in g if t <= T}))
-        for i, g in gamma_star(canon, nodes).items()
-    }
+    return {i: tuple(t for t in g if t <= T) for i, g in gamma_star(canon, nodes).items()}
 
 
 def cten_breakpoints(
     net: TemporalNetwork | SuperTerminals, nodes: tuple[str, ...]
 ) -> dict[str, BreakpointSet]:
-    """The gadget form's sets A_i for original nodes, read off the network's windows.
+    """The gadget form's sets A_i = Gamma*(i) within [0, T] for original nodes.
+
+    They are read off the network's windows, with no gadget form built.
 
     ``nodes`` are nodes of ``net`` or s*/d*, never gadget nodes (so never
     pseudo-pseudosinks: Gamma* is Gamma).  Each edge's stored live
@@ -294,8 +298,8 @@ def cten_breakpoints(
             stack.append((far, iter(steps), partial))
         return sums
 
-    # Anchors and nodes lacking an in- or an out-edge have {0, T}.
-    trivial = tuple(sorted({0, T}))
+    # Anchors and nodes lacking an in- or an out-edge have Gamma = {0, T + 1}.
+    trivial = (0,)
     return {
         i: _clip(pin_sums(i), T) if i in heads and i in tails and i not in anchors else trivial
         for i in nodes

@@ -1,7 +1,8 @@
 """Time-expanded networks as steady-state graphs over (node, interval) vertices.
 
 The condensed expansion groups each node's time steps into the intervals
-of a per-node breakpoint set; arc capacities are the exact sums of the
+of a per-node breakpoint set (0 and any further starts within [0, T]; the
+last interval ends at T); arc capacities are the exact sums of the
 per-step capacities, computed in closed form per live window
 (``live_windows``) so no loop over the horizon ever runs.  Each window
 is swept once: its departures walk the tail's interval starts and the
@@ -17,12 +18,12 @@ node's range of vertex ids and its interval bounds (the starts, then
 T + 1).  Vertex labels (node, (lo, hi)) are derived from the bounds when
 asked for; no solver reads them.  The full expansion (one vertex per
 time step at each of the network's own nodes) is the condensed one over
-the sets {0, ..., T}, with s* and d* over {0, T} as in every condensed
-expansion; it is the brute-force oracle, gated by a size budget that
-``ten_size`` counts.  It
-retains about 64 bytes a vertex (a bound and a shared id, each an int
-past the small-int cache) and 24 an arc (three tuple slots); storing the
-labels would add about 112 bytes a vertex.
+the sets {0, ..., T}, with s* and d* over {0}, one vertex each, as in
+every condensed expansion; it is the brute-force oracle, gated by a size
+budget that ``ten_size`` counts.  It retains about 64 bytes a vertex (a
+bound and a shared id, each an int past the small-int cache) and 24 an
+arc (three tuple slots); storing the labels would add about 112 bytes a
+vertex.
 """
 
 from __future__ import annotations
@@ -47,12 +48,14 @@ def _bounds(points, horizon: int) -> list[int]:
     """A breakpoint set's interval starts followed by T + 1.
 
     Interval k is [bounds[k], bounds[k + 1] - 1], so breakpoints
-    a_1 < ... < a_p (with a_1 = 0, a_p = T) induce the intervals
-    [a_j, a_{j+1} - 1] plus the final singleton [T, T].
+    0 = a_1 < ... < a_p <= T induce the intervals [a_j, a_{j+1} - 1],
+    the last being [a_p, T].
     """
     pts = sorted(set(points))
-    if not pts or pts[0] != 0 or pts[-1] != horizon:
-        raise ModelError(f"breakpoint set must contain 0 and {horizon}: {tuple(pts)}")
+    if not pts or pts[0] != 0 or pts[-1] > horizon:
+        raise ModelError(
+            f"breakpoint set must contain 0 and lie within [0, {horizon}]: {tuple(pts)}"
+        )
     pts.append(horizon + 1)
     return pts
 
@@ -67,8 +70,9 @@ class ExpandedGraph(Value):
     Arc k runs from ``tails[k]`` to ``heads[k]`` with capacity ``caps[k]``.
     ``ranges[i]`` holds node i's vertex ids, one per interval in time order,
     and ``bounds[i]`` that node's ``_bounds``: its k-th vertex stands for
-    the interval [bounds[i][k], bounds[i][k + 1] - 1].  Labels are not
-    stored; ``vertices`` and the readers below derive them.
+    the interval [bounds[i][k], bounds[i][k + 1] - 1], and its last ends
+    at T.  Labels are not stored; ``vertices`` and the readers below
+    derive them.
     """
 
     __slots__ = ("bounds", "tails", "heads", "caps", "source", "sink", "ranges")
@@ -138,18 +142,16 @@ def ten_size(net: TemporalNetwork | SuperTerminals) -> tuple[int, int]:
     """The full expansion's vertex and arc counts, without building it.
 
     n (T + 1) vertices for the network's n own nodes, with n T holdovers;
-    s* and d* add two vertices each over {0, T} (one each when T = 0) and
-    one holdover each when T >= 1.  Besides holdovers, b - a + 1 arcs per
-    live window (one per departure step), and one per terminal with a
-    positive super capacity.
+    s* and d* add one vertex each and no holdover.  Besides holdovers,
+    b - a + 1 arcs per live window (one per departure step), and one per
+    terminal with a positive super capacity.
     """
     T = net.horizon
     inner, windows, super_caps = inner_parts(net)
     n = len(inner.nodes)
     vertices, holdovers = n * (T + 1), n * T
     if isinstance(net, SuperTerminals):
-        vertices += 4 if T else 2
-        holdovers += 2 if T else 0
+        vertices += 2
     steps = sum(b - a + 1 for edge_windows in windows.values() for _, a, b, _, _ in edge_windows)
     return vertices, holdovers + steps + sum(1 for cap in super_caps.values() if cap)
 
@@ -162,12 +164,13 @@ def build_ten(
     The max-flow value of this graph equals the maximum flow over time of
     the network, which is why it serves as the ground-truth oracle.  It is
     the condensed expansion with every breakpoint set {0, ..., T}, except
-    that s* and d* of a ``SuperTerminals`` value keep {0, T}: s* sends
-    only at time 0 and d* receives only at T, so their other steps would
-    carry no flow.  They are numbered last and their holdovers come last,
-    so every other vertex and arc is where a per-step s* and d* would put
-    it, and max flow augments the same paths.  A plain network, a
-    materialized super network included, is per step at every node.
+    that s* and d* of a ``SuperTerminals`` value keep {0}, as in every
+    condensed expansion: s* sends only at time 0 and d* receives only at
+    T, so one vertex over [0, T] each carries all their flow.  They are
+    numbered last, so every other vertex and arc is where a per-step s*
+    and d* would put it, and max flow augments the same paths.  A plain
+    network, a materialized super network included, is per step at every
+    node.
     """
     size, _ = ten_size(net)
     if size > budget:
@@ -177,7 +180,7 @@ def build_ten(
     T = net.horizon
     sets = dict.fromkeys(net.nodes, range(T + 1))
     if isinstance(net, SuperTerminals):
-        sets[S_STAR] = sets[D_STAR] = (0, T)
+        sets[S_STAR] = sets[D_STAR] = (0,)
     return build_cten(net, sets)
 
 

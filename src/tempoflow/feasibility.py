@@ -79,12 +79,12 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
     """Decide feasibility of the demands ``v`` on the temporal network ``net``.
 
     The Gamma* sets of the gadget-reduced canonical form of ``net``'s
-    one-shot split, read off ``net``'s live windows for its own nodes (s*
-    and d* are anchors, so they get {0, T}), give the condensed expansion
-    of ``net`` with super terminals; the verdict and, on an infeasible
-    instance, the certificate come from its max flow.  Each edge's live
-    windows are read once, in ``attach_super_terminals``, and both the
-    window reader and the expansion read them.
+    one-shot split, read off ``net``'s live windows for its own nodes and
+    clipped to [0, T] (s* and d* are anchors, so they get {0}), give the
+    condensed expansion of ``net`` with super terminals; the verdict and,
+    on an infeasible instance, the certificate come from its max flow.
+    Each edge's live windows are read once, in ``attach_super_terminals``,
+    and both the window reader and the expansion read them.
 
     Why that expansion is exact, though the structure theorem speaks of
     the canonical network only:
@@ -92,7 +92,12 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
        expansion an up-set [phi(i), T].  The condensed expansion merges
        each interval's steps, so its minimum cut is the least cut of the
        full expansion with every phi(i) an interval start or T + 1; it is
-       exact iff some minimum cut has every phi(i) in Gamma*(i).
+       exact iff some minimum cut has every phi(i) allowed so.  Node i's
+       starts are A_i = Gamma*(i) within [0, T], and Gamma*(i) lies in
+       [0, T + 1], so A_i with T + 1 covers Gamma*(i): a minimum cut
+       with every phi(i) in Gamma*(i) suffices.  A_i holds 0, the start
+       every partition needs, because Gamma*(i) does; T needs no
+       interval of its own unless Gamma*(i) holds it.
     2. The one-shot split and the gadgets preserve cuts on the original
        nodes: with their phi fixed, the least canonical cut over the
        inserted nodes' times is the original cut plus a constant.  A relay

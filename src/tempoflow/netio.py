@@ -260,11 +260,17 @@ def serialize_network(net: TemporalNetwork, v: DemandVector) -> str:
 
 
 def serialize_flow(f: FlowOverTime) -> str:
-    lines = [
-        f"flow {i} {j} {t} {amount}"
-        for ((i, j), t), amount in sorted(f.flows.items())
-        if amount > 0
-    ]
+    """``flow`` lines for the positive amounts, sorted; zero amounts are omitted.
+
+    A negative amount raises ``ModelError``: ``parse_flow`` rejects it, so
+    no text would read back as the flow given.
+    """
+    lines = []
+    for ((i, j), t), amount in sorted(f.flows.items()):
+        if amount < 0:
+            raise ModelError(f"flow {i} {j} {t} has negative amount {amount}")
+        if amount:
+            lines.append(f"flow {i} {j} {t} {amount}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -231,21 +231,16 @@ def cten_capacity(fn: EdgeFn, interval, target) -> int | float:
     """Capacity of the departures in ``interval`` that arrive in ``target``, from ``build_cten``.
 
     The edge is x -> y of a two-node network whose sets start intervals at
-    both ends of ``interval`` (x) and of ``target`` (y).  0 and T are forced
-    in, so an interval [a, T] with a < T spans two vertices: the arcs from
-    every x vertex inside ``interval`` to every y vertex inside ``target``
-    are summed.
+    both ends of ``interval`` (x) and of ``target`` (y), so each is one
+    vertex and the capacity is that of the arc between them, if any.
     """
     T = fn.capacity.horizon
     (a, b), (a2, b2) = interval, target
     net = TemporalNetwork(("x", "y"), {("x", "y"): fn}, frozenset({"x"}), frozenset({"y"}), T)
-    graph = build_cten(net, {"x": {0, a, b + 1, T} - {T + 1}, "y": {0, a2, b2 + 1, T} - {T + 1}})
-    labels = graph.vertices
+    graph = build_cten(net, {"x": {0, a, b + 1} - {T + 1}, "y": {0, a2, b2 + 1} - {T + 1}})
+    tail, head = vertex_at(graph, "x", a), vertex_at(graph, "y", a2)
     return sum(
-        cap
-        for tail, head, cap in zip(graph.tails, graph.heads, graph.caps)
-        if labels[tail][0] == "x" and labels[head][0] == "y"
-        and a <= labels[tail][1][0] <= b and a2 <= labels[head][1][0] <= b2
+        cap for t, h, cap in zip(graph.tails, graph.heads, graph.caps) if t == tail and h == head
     )
 
 

@@ -347,7 +347,7 @@ def test_criterion_07_original_network_size_bounds(capsys):
     """Size of the verdict's cTEN, which is built on the original network.
 
     On the one-edge family both nodes are pseudoterminals of the canonical
-    form, so their sets are {0, T} and the graph has the same size at every
+    form, so their sets are {0} and the graph has the same size at every
     mu.  Behind a middle node m, the alternating capacities reach m's set,
     so the graph grows with mu, but linearly.
     """

@@ -19,6 +19,7 @@ from tempoflow import (
     hoppe_tardos_star,
     to_one_shot,
 )
+from tempoflow.reductions import D_STAR, S_STAR
 from tempoflow.solvers import _at_horizon
 
 from conftest import build_chain, build_e1, make_network
@@ -65,11 +66,12 @@ def test_chain_gamma_terminals_trivial():
     assert gamma(canon, "r") == (0, 11)
 
 
-def test_breakpoints_replace_top_with_horizon():
+def test_breakpoints_drop_top():
+    """A_i is Gamma*(i) within [0, T]: T + 1 dropped and nothing forced in."""
     canon = chain_canonical()
     bps = canonical_breakpoints(canon, canon.net.nodes)
-    assert bps["q"] == (0, 2, 3, 8, 9, 10)  # 11 dropped, 10 forced in
-    assert bps["p"] == (0, 10)
+    assert bps["q"] == (0, 2, 3, 8, 9)  # 11 dropped, 10 not in Gamma(q)
+    assert bps["p"] == (0,)
 
 
 def test_gamma_star_defaults_to_gamma():
@@ -96,13 +98,13 @@ def test_all_sets_within_range():
     reduced, v2 = hoppe_tardos_star(one_shot, DemandVector({"s": -2, "d": 2}))
     canon = canonical_reduction(reduced, v2)
     T = canon.horizon
-    for g in gamma_star(canon, canon.net.nodes).values():
+    gammas = gamma_star(canon, canon.net.nodes)
+    for g in gammas.values():
         assert all(0 <= t <= T + 1 for t in g)
         assert 0 in g and T + 1 in g
     bps = canonical_breakpoints(canon, canon.net.nodes)
     for i, pts in bps.items():
-        assert pts[0] == 0 and pts[-1] == T
-        assert T + 1 not in pts
+        assert pts == tuple(t for t in gammas[i] if t <= T)
 
 
 def test_enumeration_cap_enforced(monkeypatch):
@@ -121,18 +123,15 @@ def test_long_chain_sets_agree():
     canon = canonical_reduction(*hoppe_tardos_star(to_one_shot(net)[0], v))
     got = cten_breakpoints(net, ("m0",))
     assert got == canonical_breakpoints(canon, ("m0",))
-    assert got["m0"] == (0, 2, 4, 5)
+    assert got["m0"] == (0, 2, 4)
 
 
 def gadget_sets(net, v, nodes):
-    """Gamma* of ``nodes`` on the gadget form, clipped as ``cten_breakpoints`` clips."""
+    """Gamma* of ``nodes`` on the gadget form within [0, T], as ``cten_breakpoints`` clips."""
     one_shot, _ = to_one_shot(net)
     canon = canonical_reduction(*hoppe_tardos_star(one_shot, v))
     T = canon.horizon
-    return {
-        i: tuple(sorted({t for t in g if 0 <= t <= T} | {0, T}))
-        for i, g in gamma_star(canon, nodes).items()
-    }
+    return {i: tuple(t for t in g if t <= T) for i, g in gamma_star(canon, nodes).items()}
 
 
 def one_shot_sets(net, v):
@@ -157,6 +156,29 @@ def test_cten_breakpoints_match_gamma_star(corpus):
             canon = canonical_reduction(*hoppe_tardos_star(to_one_shot(net)[0], v))
             every = canon.net.nodes
             assert canonical_breakpoints(canon, every) == gadget_sets(net, v, every)
+
+
+def test_verdict_cten_gives_anchors_one_vertex(corpus, long_corpus):
+    """Only Gamma*(i) within [0, T] starts an interval of a verdict's cTEN.
+
+    s*, d*, every terminal and every node lacking a live in- or out-window
+    have one vertex, and T starts an interval of node i exactly when the
+    gadget form's Gamma*(i) holds T.
+    """
+    for parsed in corpus + long_corpus:
+        net, v = parsed.network, parsed.demands
+        T = net.horizon
+        graph = dttn_feasible(net, T, v).graph
+        live = [e for e, windows in net.windows().items() if windows]
+        tails, heads = {a for a, _ in live}, {b for _, b in live}
+        lone = set(net.nodes) - (tails & heads)
+        for i in lone | net.terminals | {S_STAR, D_STAR}:
+            assert len(graph.ranges[i]) == 1, i
+        one_shot, _ = to_one_shot(net)
+        canon = canonical_reduction(*hoppe_tardos_star(one_shot, v))
+        gammas = gamma_star(canon, tuple(graph.ranges))
+        for i, bounds in graph.bounds.items():
+            assert (T in bounds[:-1]) == (T in gammas[i]), i
 
 
 @settings(max_examples=80, deadline=None)

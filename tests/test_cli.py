@@ -207,14 +207,9 @@ def test_expand_cten_runs_no_verdict(tmp_path, capsys, monkeypatch):
 
 E1_CTEN_DOT = """\
 digraph cten {
-  "s@[0,2]" -> "s@[3,3]" [label=inf];
-  "d@[0,2]" -> "d@[3,3]" [label=inf];
-  "s*@[0,2]" -> "s*@[3,3]" [label=inf];
-  "d*@[0,2]" -> "d*@[3,3]" [label=inf];
-  "s@[0,2]" -> "d@[0,2]" [label=1];
-  "s@[0,2]" -> "d@[3,3]" [label=1];
-  "s*@[0,2]" -> "s@[0,2]" [label=2];
-  "d@[3,3]" -> "d*@[3,3]" [label=2];
+  "s@[0,3]" -> "d@[0,3]" [label=2];
+  "s*@[0,3]" -> "s@[0,3]" [label=2];
+  "d@[0,3]" -> "d*@[0,3]" [label=2];
 }
 """
 

@@ -63,10 +63,13 @@ def test_interval_partition_convention():
 
 
 def test_interval_partition_requires_bounds():
+    """A set must hold 0 and lie within [0, T]; T itself need not be a start."""
     net = build_fig4()
-    for points in ((1, 4), (0, 1)):
-        with pytest.raises(ModelError, match="breakpoint set must contain 0 and 4"):
+    for points in ((1, 4), (0, 5)):
+        with pytest.raises(ModelError, match=r"must contain 0 and lie within \[0, 4\]"):
             build_cten(net, {i: points for i in net.nodes})
+    graph = build_cten(net, {i: (0, 1) for i in net.nodes})
+    assert intervals(graph, "b") == [(0, 0), (1, 4)]
 
 
 def test_e1_ten_arcs_and_value():
@@ -172,19 +175,19 @@ def test_sweep_edge_cases(case):
 
 
 def check_condensed_terminals(full: SuperTerminals, oracle) -> None:
-    """``build_ten(full)`` is exact with s* and d* over {0, T}.
+    """``build_ten(full)`` is exact with s* and d* over {0}, one vertex each.
 
-    It is the cTEN with every step at the network's own nodes and {0, T}
+    It is the cTEN with every step at the network's own nodes and {0}
     at s* and d*, ``ten_size`` counts it, and its max-flow value is that
     of ``oracle``, the networkx TEN of ``full.materialize()`` (INF when
     unbounded, 0 when s* or d* has no vertex there).
     """
     T, n = full.horizon, len(full.net.nodes)
     ten = build_ten(full)
-    sets = {**{i: range(T + 1) for i in full.net.nodes}, S_STAR: (0, T), D_STAR: (0, T)}
+    sets = {**{i: range(T + 1) for i in full.net.nodes}, S_STAR: (0,), D_STAR: (0,)}
     assert ten == build_cten(full, sets)
     assert ten_size(full) == (len(ten.vertices), len(ten.arcs))
-    assert len(ten.vertices) == (n * (T + 1) + 4 if T else n + 2)
+    assert len(ten.vertices) == n * (T + 1) + 2
     try:
         value, _ = max_flow(ten)
     except UnboundedFlowError:
@@ -220,7 +223,7 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
     full = SuperTerminals(net, {t: data.draw(cap, label=t) for t in sorted(net.terminals)})
     flat = full.materialize()
     T = full.horizon
-    bps = {i: (0, T, *data.draw(st.sets(st.integers(0, T)))) for i in full.nodes}
+    bps = {i: (0, *data.draw(st.sets(st.integers(0, T)))) for i in full.nodes}
     ten, cten, oracle = build_ten(flat), build_cten(full, bps), oracle_ten(flat)
     assert cten == build_cten(flat, bps)
     oracle_arcs = [(p, q, attrs.get("capacity", INF)) for p, q, attrs in oracle.edges(data=True)]
@@ -249,12 +252,12 @@ def test_cten_sums_ten_into_interval_blocks(net, data) -> None:
 
 @pytest.mark.parametrize("horizon", [0, 1])
 def test_condensed_terminals_at_small_horizons(horizon):
-    """At T = 1, {0, T} is every step; at T = 0, s* and d* have one vertex each."""
+    """s* and d* have one vertex each at every horizon, T = 0 included."""
     net = make_network(["s", "d"], {("s", "d"): ([(0, 1, 2)], 1)}, ["s"], ["d"], 1)
     full = SuperTerminals(_at_horizon(net, horizon), {"s": 3, "d": INF})
     check_condensed_terminals(full, oracle_ten(full.materialize()))
     ten = build_ten(full)
-    assert [len(ten.ranges[i]) for i in (S_STAR, D_STAR)] == [horizon + 1] * 2
+    assert [len(ten.ranges[i]) for i in (S_STAR, D_STAR)] == [1, 1]
     assert max_flow(ten)[0] == 2 * horizon
 
 
@@ -263,13 +266,14 @@ def test_materialized_super_terminals_stay_per_step():
     full = SuperTerminals(build_e1(), {"s": 2, "d": INF})
     per_step, condensed = build_ten(full.materialize()), build_ten(full)
     assert [len(per_step.ranges[i]) for i in (S_STAR, D_STAR)] == [4, 4]
-    assert [len(condensed.ranges[i]) for i in (S_STAR, D_STAR)] == [2, 2]
+    assert [len(condensed.ranges[i]) for i in (S_STAR, D_STAR)] == [1, 1]
     assert max_flow(per_step)[0] == max_flow(condensed)[0] == 2
 
 
-# sha256 of the labels read off ``pinned_graphs``, recorded once s* and d*
-# of the full expansion kept {0, T}, after ``TERMINAL_FREE_DIGEST`` held.
-LABELS_DIGEST = "c8226e0c0969db4dd342656132c9e70507ff6213ef5c42cf1bbd190d03f87fe6"
+# sha256 of the labels read off ``pinned_graphs``, recorded once breakpoint
+# sets became Gamma*(i) within [0, T] (s* and d* one vertex each), after
+# ``test_solvers.ANSWERS_DIGEST`` held.
+LABELS_DIGEST = "85a6d91f4e9d9b931190900049641226653aff84f9f5296b48a08addd56e0bdc"
 
 
 def test_graph_labels_pinned(corpus, long_corpus):
@@ -284,8 +288,9 @@ def test_graph_labels_pinned(corpus, long_corpus):
 
 # sha256 of the flows of ``pinned_graphs`` and of the ``extract_flow``
 # witnesses of ``corpus[:40]``, read apart from how many vertices s* and d*
-# have; recorded while the full expansion gave them one vertex per step.
-TERMINAL_FREE_DIGEST = "70cbd5f1b3f4585f55663055b4914e9c2798b4e94b8a97957b8fe8fd416e0c9a"
+# have; recorded once breakpoint sets became Gamma*(i) within [0, T], which
+# also merges each terminal's last step into its first interval.
+TERMINAL_FREE_DIGEST = "5c60637b7c0d9f78ac54ecad17d404159b955801fa4b710c634417a6424fad18"
 
 
 def test_flows_do_not_depend_on_super_terminal_vertices(corpus, long_corpus):
@@ -324,7 +329,7 @@ def test_flows_do_not_depend_on_super_terminal_vertices(corpus, long_corpus):
     assert digest.hexdigest() == TERMINAL_FREE_DIGEST
 
 
-# Bytes the 27,010-vertex full expansion below may retain: ints only, about
+# Bytes the 27,008-vertex full expansion below may retain: ints only, about
 # 3.56 MiB (4.37 MiB while s* and d* had one vertex per step, 8.21 MiB while
 # every vertex also stored its (node, (lo, hi)) label).
 TEN_RETAINED_BOUND = 3.8 * 2**20
@@ -338,7 +343,7 @@ def test_full_expansion_retains_ints_only():
 
     The network is a benchmark draw (coarse-medium feas draw 0 at seed 7,
     six nodes on the complete forward DAG) extended to T = 4500; s* and d*
-    have two vertices each.  Max flow on it stays under its peak bound.
+    have one vertex each.  Max flow on it stays under its peak bound.
     """
     spec = InstanceSpec(
         n_nodes=6, n_sources=2, n_sinks=2, n_edges=99, horizon=30, max_capacity=4,
@@ -356,7 +361,7 @@ def test_full_expansion_retains_ints_only():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (sum(map(len, graph.ranges.values())), len(graph.arcs)) == (27_010, 71_997)
+    assert (sum(map(len, graph.ranges.values())), len(graph.arcs)) == (27_008, 71_995)
     assert value == 95
     assert retained < TEN_RETAINED_BOUND
     assert peak < TEN_MAX_FLOW_PEAK_BOUND

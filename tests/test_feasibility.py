@@ -36,6 +36,9 @@ def test_e1_two_units_feasible():
     outcome = feas_e1(DemandVector({"s": -2, "d": 2}))
     assert outcome.feasible
     assert outcome.serialize() == "FEASIBLE"
+    # Every E1 set is {0}: s, d, s* and d* one vertex each, and three arcs.
+    graph = outcome.graph
+    assert (sum(map(len, graph.ranges.values())), len(graph.arcs)) == (4, 3)
 
 
 def test_e1_three_units_infeasible_with_certificate():

@@ -125,10 +125,11 @@ def test_min_cut_equals_flow(dag) -> None:
     assert cut_capacity(g, side) == value
 
 
-# sha256 of the max-flow results on ``pinned_graphs``, recorded once s* and
-# d* of the full expansion kept {0, T}; the flows themselves are pinned apart
-# from s* and d* by ``test_expansion.TERMINAL_FREE_DIGEST``.
-MAX_FLOW_DIGEST = "b66f3e969bbfe8d08837702f98c3e15b143beb5add8ce93a2fc3683304f495f6"
+# sha256 of the max-flow results on ``pinned_graphs``, recorded once
+# breakpoint sets became Gamma*(i) within [0, T] (s* and d* one vertex each);
+# the flows themselves are pinned apart from s* and d* by
+# ``test_expansion.TERMINAL_FREE_DIGEST``.
+MAX_FLOW_DIGEST = "84a3077e8a01df6ece0da1be4474f362c2268ed97f2ab12f4bf2c9fcde6fd06c"
 
 
 def test_max_flow_results_pinned(corpus, long_corpus):

@@ -6,6 +6,7 @@ from tempoflow import (
     DemandVector,
     FlowOverTime,
     InstanceSpec,
+    ModelError,
     ParseError,
     generate_instance,
     parse_flow,
@@ -235,6 +236,14 @@ def test_unbalanced_demand_warns():
 def test_flow_roundtrip():
     f = FlowOverTime({(("s", "d"), 1): 1, (("s", "d"), 2): 1})
     assert parse_flow(serialize_flow(f)) == f
+
+
+def test_serialize_flow_rejects_negative_amounts():
+    """A negative amount raises, naming its entry; a zero amount is omitted."""
+    f = FlowOverTime({(("s", "d"), 1): 1, (("s", "d"), 2): -1, (("s", "d"), 3): -2})
+    with pytest.raises(ModelError, match="flow s d 2 has negative amount -1"):
+        serialize_flow(f)
+    assert serialize_flow(FlowOverTime({(("s", "d"), 1): 1, (("s", "d"), 2): 0})) == "flow s d 1 1\n"
 
 
 def test_generator_deterministic():

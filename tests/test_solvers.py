@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 
@@ -209,3 +211,33 @@ def test_feasible_at_horizon_stays_feasible_one_step_later(instance):
     assume(dttn_feasible(net, net.horizon, v).feasible)
     T2 = net.horizon + 1
     assert dttn_feasible(_at_horizon(net, T2), T2, v).feasible
+
+
+# sha256 of what the solvers answer on the corpus and the long corpus, read
+# apart from how the expansions are built: the verdicts, the max flows over
+# time and the witnesses.  Recorded while every breakpoint set held T.
+ANSWERS_DIGEST = "40a333964ccad2673f0259c57181b68f25fcdc14fb8b468c6297cd57432b841c"
+
+
+def test_answers_do_not_depend_on_the_expansion(corpus, long_corpus):
+    """Verdicts, certificates, max flows over time and witnesses, as recorded.
+
+    Per instance: the verdict's (feasible, sorted A, o_T, -v(A), flow
+    value), and for single-pair networks the max flow over time's value.
+    Then the ``extract_flow`` witnesses of ``corpus[:40]``, compared whole.
+    """
+    digest = hashlib.sha256()
+    for p in corpus + long_corpus:
+        net, v = p.network, p.demands
+        out = dttn_feasible(net, net.horizon, v)
+        violated = None if out.violated is None else sorted(out.violated)
+        digest.update(repr((out.feasible, violated, out.o_T, out.neg_v, out.flow_value)).encode())
+        if len(net.sources) == len(net.sinks) == 1:
+            digest.update(repr(max_flow_over_time(net, net.horizon)[0]).encode())
+    for p in corpus[:40]:
+        try:
+            witness = sorted(extract_flow(p.network, p.network.horizon, p.demands).flows.items())
+        except ModelError as err:
+            witness = str(err)
+        digest.update(repr(witness).encode())
+    assert digest.hexdigest() == ANSWERS_DIGEST
