@@ -33,10 +33,13 @@ plus or minus tau.  Crossing uses the gadget's t+ and t-, so a path
 crosses each gadget at most once and cannot leave through the gadget it
 arrived by.  What a path adds at a node, and how many gadget paths that
 is, therefore depends only on the node and the edge the path arrived by:
-the search folds each such pair's exits into one offset set, once per
+the reader folds each such pair's exits into one offset set, once per
 call, and every start shares it.  The gadget form itself, one pin
 graph per canonical network (``canonical_breakpoints``), stays as the
 independent derivation that certificates and tests check the sets with.
+Each reader derives a visit its own way, as a ``fold(node, arrived_by)``,
+and both hand their visits to one depth-first search (``_pin_sums``),
+whose sums one formula (``_clip``) turns into a set.
 """
 
 from __future__ import annotations
@@ -66,6 +69,54 @@ def _over_cap(start) -> EnumerationCapError:
 BreakpointSet = tuple[int, ...]
 
 
+def _pin_sums(start, folded: dict, fold) -> set[int]:
+    """Signed sums over simple pin paths from start to any anchor.
+
+    ``fold(node, arrived_by)`` gives a visit's offsets to the anchors next
+    to node, its ``PATH_CAP`` charge and its steps ``(edge, far, weights)``
+    on to non-anchor nodes, and memoizes them in ``folded``.  The path is
+    an explicit stack, so its length is not bounded by the recursion limit.
+    """
+    offsets, paths, steps = folded.get((start, None)) or fold(start, None)
+    budget = PATH_CAP - paths
+    if budget < 0:
+        raise _over_cap(start)
+    sums = set(offsets)
+    on_path = {start}
+    # Per path node: its untried steps and the path's partial sums.
+    stack = [(start, iter(steps), {0})]
+    while stack:
+        node, untried, partial = stack[-1]
+        for edge, far, weights in untried:
+            if far not in on_path:
+                break
+        else:
+            stack.pop()
+            on_path.remove(node)
+            continue
+        offsets, paths, steps = folded.get((far, edge)) or fold(far, edge)
+        budget -= paths
+        if budget < 0:
+            raise _over_cap(start)
+        partial = {p + w for p in partial for w in weights}
+        sums.update({p + o for p in partial for o in offsets})
+        on_path.add(far)
+        stack.append((far, iter(steps), partial))
+    return sums
+
+
+def _clip(sums: set[int], horizon: int) -> BreakpointSet:
+    """A_i = Gamma(i) within [0, T], from Gamma(i)'s pin sums: 0 and both boundary offsets.
+
+    T + 1 is dropped: a cut time of T + 1 puts the node entirely on the
+    sink side, which the partition can already express.  T is kept only
+    when a sum puts it in Gamma(i).
+    """
+    T = horizon
+    kept = {t for t in sums if 0 <= t <= T} | {T + 1 + t for t in sums if -T - 1 <= t < 0}
+    return tuple(sorted({0} | kept))
+
+
 class _PinGraph:
     """What pin-path enumeration reads off a canonical network, built once."""
 
@@ -73,6 +124,7 @@ class _PinGraph:
         self.horizon = canon.horizon
         self.pps = canon.pps_minus
         self.gammas: dict[str, BreakpointSet] = {}
+        self.folded: dict = {}
         # Nodes that settle on a boundary value in some minimum cut.
         self.anchors = frozenset({S_STAR, D_STAR}) | canon.ps_plus | canon.ps_minus
         tau = {e: fn.travel_time.pieces[0][2] for e, fn in canon.net.edges.items()}
@@ -87,41 +139,22 @@ class _PinGraph:
             self.adjacent[b].append((a, w))
         self.tails = {a for (a, _) in tau}
 
-    def pin_sums(self, start: str) -> set[int]:
-        """Signed sums over undirected simple paths from start to any anchor.
+    def fold(self, node: str, arrived_by: None) -> tuple[set[int], int, list]:
+        """A visit to node: its anchor neighbors' weights, their count, and its other steps.
 
-        Edges are traversed in either orientation; each contributes plus or
-        minus its travel time, and when the reverse edge also exists its
-        travel time contributes with both signs too.  Anchors terminate a
-        path and never appear in its interior.  Each step of the search
-        extends the partial sums of the path so far by one edge's weights;
-        the path is an explicit stack, so its length is not bounded by the
-        interpreter's recursion limit.
+        ``arrived_by`` is always None: a step back along it is onto the path.
         """
-        sums: set[int] = set()
-        budget = PATH_CAP
-        on_path = {start}
-        # Per path node: its remaining steps and the path's partial sums.
-        stack = [(start, iter(self.adjacent[start]), {0})]
-        while stack:
-            node, steps, partial = stack[-1]
-            for nxt, weights in steps:
-                if nxt in on_path:
-                    continue
-                reached = {t + w for t in partial for w in weights}
-                if nxt in self.anchors:
-                    budget -= 1
-                    if budget < 0:
-                        raise _over_cap(start)
-                    sums.update(reached)
-                else:
-                    on_path.add(nxt)
-                    stack.append((nxt, iter(self.adjacent[nxt]), reached))
-                    break
+        offsets: set[int] = set()
+        paths = 0
+        steps = []
+        for nxt, weights in self.adjacent[node]:
+            if nxt in self.anchors:
+                paths += 1
+                offsets.update(weights)
             else:
-                stack.pop()
-                on_path.remove(node)
-        return sums
+                steps.append((None, nxt, weights))
+        self.folded[node, arrived_by] = entry = (offsets, paths, steps)
+        return entry
 
     def gamma(self, i: str) -> BreakpointSet:
         """Gamma(i), enumerated at most once per node."""
@@ -129,9 +162,8 @@ class _PinGraph:
             T = self.horizon
             # Anchors and nodes lacking an in- or an out-edge have {0, T + 1}.
             trivial = i in self.anchors or not self.into[i] or i not in self.tails
-            sums = set() if trivial else self.pin_sums(i)
-            raw = {0, T + 1} | sums | {T + 1 + s for s in sums}
-            self.gammas[i] = tuple(sorted(t for t in raw if 0 <= t <= T + 1))
+            sums = set() if trivial else _pin_sums(i, self.folded, self.fold)
+            self.gammas[i] = _clip(sums, T) + (T + 1,)
         return self.gammas[i]
 
     def gamma_star(self, i: str) -> BreakpointSet:
@@ -157,18 +189,6 @@ def gamma_star(
     return {i: pins.gamma_star(i) for i in nodes}
 
 
-def _clip(sums: set[int], horizon: int) -> BreakpointSet:
-    """A_i = Gamma(i) within [0, T], from Gamma(i)'s pin sums: 0 and both boundary offsets.
-
-    T + 1 is dropped: a cut time of T + 1 puts the node entirely on the
-    sink side, which the partition can already express.  T is kept only
-    when a sum puts it in Gamma(i).
-    """
-    T = horizon
-    kept = {t for t in sums if 0 <= t <= T} | {T + 1 + t for t in sums if -T - 1 <= t < 0}
-    return tuple(sorted({0} | kept))
-
-
 def canonical_breakpoints(
     canon: CanonicalTemporalNetwork, nodes: tuple[str, ...]
 ) -> dict[str, BreakpointSet]:
@@ -177,8 +197,8 @@ def canonical_breakpoints(
     Enumerated on the gadget form; every node in ``nodes`` must be a node
     of ``canon``.
     """
-    T = canon.horizon
-    return {i: tuple(t for t in g if t <= T) for i, g in gamma_star(canon, nodes).items()}
+    # Every Gamma*(i) ends with T + 1.
+    return {i: g[:-1] for i, g in gamma_star(canon, nodes).items()}
 
 
 def cten_breakpoints(
@@ -249,7 +269,7 @@ def cten_breakpoints(
 
     # Per (node, edge it arrived by; None at the start): the offsets a visit
     # adds to the path's partial sums, the paths it charges, and its steps
-    # (edge id, far endpoint, tau) on to non-anchor nodes.
+    # (edge id, far endpoint, weights +-tau) on to non-anchor nodes.
     folded: dict = {}
 
     def fold(node, arrived_by) -> tuple[set[int], int, list]:
@@ -265,42 +285,10 @@ def cten_breakpoints(
                 paths += 1
                 offsets.update((tau, -tau))
             else:
-                steps.append((edge, far, tau))
+                steps.append((edge, far, (tau, -tau)))
         folded[node, arrived_by] = entry = (offsets, paths, steps)
         return entry
 
-    def pin_sums(start: str) -> set[int]:
-        offsets, paths, steps = folded.get((start, None)) or fold(start, None)
-        budget = PATH_CAP - paths
-        if budget < 0:
-            raise _over_cap(start)
-        sums = set(offsets)
-        on_path = {start}
-        # Per path node: its untried steps and the path's partial sums; an
-        # explicit stack, as in _PinGraph.pin_sums.
-        stack = [(start, iter(steps), {0})]
-        while stack:
-            node, untried, partial = stack[-1]
-            for edge, far, tau in untried:
-                if far not in on_path:
-                    break
-            else:
-                stack.pop()
-                on_path.remove(node)
-                continue
-            offsets, paths, steps = folded.get((far, edge)) or fold(far, edge)
-            budget -= paths
-            if budget < 0:
-                raise _over_cap(start)
-            partial = {p + s for p in partial for s in (tau, -tau)}
-            sums.update({p + o for p in partial for o in offsets})
-            on_path.add(far)
-            stack.append((far, iter(steps), partial))
-        return sums
-
     # Anchors and nodes lacking an in- or an out-edge have Gamma = {0, T + 1}.
-    trivial = (0,)
-    return {
-        i: _clip(pin_sums(i), T) if i in heads and i in tails and i not in anchors else trivial
-        for i in nodes
-    }
+    searched = (heads & tails) - anchors
+    return {i: _clip(_pin_sums(i, folded, fold), T) if i in searched else (0,) for i in nodes}

@@ -93,8 +93,7 @@ def _cmd_expand(args) -> int:
     graph = build_ten(full) if args.mode == "ten" else _cten(full)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(graph.to_dot(args.mode) + "\n")
-    vertices = sum(map(len, graph.ranges.values()))
-    print(f"wrote {args.mode} with {vertices} vertices, {len(graph.arcs)} arcs")
+    print(f"wrote {args.mode} with {graph.vertex_count} vertices, {len(graph.arcs)} arcs")
     return EXIT_OK
 
 
@@ -162,7 +161,7 @@ def _cmd_stats(args) -> int:
     print(f"k {len(net.terminals)}")
     print(f"mu {compute_mu(net)}")
     print(f"U {'inf' if top == INF else top}")
-    print(f"cten-nodes {sum(map(len, cten.ranges.values()))}")
+    print(f"cten-nodes {cten.vertex_count}")
     print(f"cten-arcs {len(cten.arcs)}")
     print(f"ten-nodes {ten_nodes}")
     print(f"ten-arcs {ten_arcs}")

@@ -101,6 +101,11 @@ class ExpandedGraph(Value):
         return range(len(self.caps))
 
     @property
+    def vertex_count(self) -> int:
+        """The number of vertices, one per interval of each node."""
+        return sum(map(len, self.ranges.values()))
+
+    @property
     def vertices(self) -> tuple[tuple[str, Interval], ...]:
         """Every vertex's ``(node, interval)`` label, in id order."""
         return tuple((i, iv) for i in self.ranges for iv in _intervals(self.bounds[i]))
@@ -122,8 +127,9 @@ class ExpandedGraph(Value):
         return out
 
     def to_dot(self, name: str) -> str:
-        """Graphviz text of the arcs, as the digraph ``name``."""
-        names = [f'"{node}@[{lo},{hi}]"' for node, (lo, hi) in self.vertices]
+        """Graphviz text of the arcs, as the digraph ``name``; ``"`` in a node id becomes ``\\"``."""
+        quoted = {node: node.replace('"', '\\"') for node in self.ranges}
+        names = [f'"{quoted[node]}@[{lo},{hi}]"' for node, (lo, hi) in self.vertices]
         lines = [f"digraph {name} {{"]
         for tail, head, cap in zip(self.tails, self.heads, self.caps):
             label = "inf" if cap == INF else str(cap)

@@ -54,11 +54,6 @@ class SteadyFlow(Value):
         self.side = side
 
 
-def _order(graph: ExpandedGraph) -> int:
-    """The graph's vertex count."""
-    return sum(map(len, graph.ranges.values()))
-
-
 def _residual(graph: ExpandedGraph, arc_flows=None) -> tuple[list[list[int]], list[int], list]:
     """Residual graph of a flow: per-vertex residual arcs, their heads and capacities.
 
@@ -76,7 +71,7 @@ def _residual(graph: ExpandedGraph, arc_flows=None) -> tuple[list[list[int]], li
     else:
         cap[::2] = map(sub, graph.caps, arc_flows)
         cap[1::2] = arc_flows
-    adj: list[list[int]] = [[] for _ in range(_order(graph))]
+    adj: list[list[int]] = [[] for _ in range(graph.vertex_count)]
     for e, u, v in zip(range(0, n, 2), tails, heads):
         adj[u].append(e)
         adj[v].append(e + 1)

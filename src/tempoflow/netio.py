@@ -238,9 +238,18 @@ def parse_network(text: str) -> ParsedInstance:
     return ParsedInstance(net, DemandVector(demands), tuple(warnings))
 
 
+def _check_id(name: str) -> None:
+    """Raise ``ModelError`` unless ``_split`` reads ``name`` back as one token (tabs may stay)."""
+    if not name or " " in name or "#" in name or name.splitlines() != [name]:
+        raise ModelError(
+            f"node id {name!r} cannot be written: it is empty or holds a space, '#' or line break"
+        )
+
+
 def serialize_network(net: TemporalNetwork, v: DemandVector) -> str:
     lines = [FORMAT_TAG, f"horizon {net.horizon}"]
     for n in net.nodes:
+        _check_id(n)
         if n in net.sources:
             lines.append(f"node {n} source {-v.get(n)}")
         elif n in net.sinks:
@@ -262,14 +271,16 @@ def serialize_network(net: TemporalNetwork, v: DemandVector) -> str:
 def serialize_flow(f: FlowOverTime) -> str:
     """``flow`` lines for the positive amounts, sorted; zero amounts are omitted.
 
-    A negative amount raises ``ModelError``: ``parse_flow`` rejects it, so
-    no text would read back as the flow given.
+    A negative amount, or a written endpoint that the format cannot carry,
+    raises ``ModelError``: no text would read back as the flow given.
     """
     lines = []
     for ((i, j), t), amount in sorted(f.flows.items()):
         if amount < 0:
             raise ModelError(f"flow {i} {j} {t} has negative amount {amount}")
         if amount:
+            _check_id(i)
+            _check_id(j)
             lines.append(f"flow {i} {j} {t} {amount}")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -260,7 +260,7 @@ def check_max_flow(graph: ExpandedGraph, value: int, flow: SteadyFlow):
     the source and the sink, the source's net outflow, max-flow/min-cut,
     and that the side the flow carries, if any, is its residual source side.
     """
-    excess = [0] * sum(map(len, graph.ranges.values()))  # outflow minus inflow
+    excess = [0] * graph.vertex_count  # outflow minus inflow
     arcs = zip(graph.tails, graph.heads, graph.caps, flow.arc_flows, strict=True)
     for k, (tail, head, cap, f) in enumerate(arcs):
         if not 0 <= f <= cap:

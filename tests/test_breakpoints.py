@@ -117,7 +117,7 @@ def test_enumeration_cap_enforced(monkeypatch):
 
 
 def test_long_chain_sets_agree():
-    """Pin paths thousands of steps long: both searches keep their own stack."""
+    """Pin paths thousands of steps long: the shared search keeps its own stack."""
     net = build_chain(1500)
     v = DemandVector({"s": -1, "d": 1})
     canon = canonical_reduction(*hoppe_tardos_star(to_one_shot(net)[0], v))

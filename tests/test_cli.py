@@ -230,6 +230,39 @@ def test_expand_cten_is_the_verdicts_graph(tmp_path, e1_path, capsys):
         assert out.read_text() == graph.to_dot("cten") + "\n", text
 
 
+QUOTED_IDS_FILE = """\
+tn 1
+horizon 2
+node s"x source 1
+node d\\ sink 1
+edge s"x d\\
+piece 0 2 cap 1 tt 1
+"""
+
+QUOTED_IDS_DOT = """\
+digraph cten {
+  "s\\"x@[0,2]" -> "d\\@[0,2]" [label=2];
+  "s*@[0,2]" -> "s\\"x@[0,2]" [label=1];
+  "d\\@[0,2]" -> "d*@[0,2]" [label=1];
+}
+"""
+
+
+def test_expand_escapes_quotes_in_node_ids(tmp_path, capsys):
+    """A ``"`` in a node id is written ``\\"``, and a trailing backslash stays inside the quotes."""
+    import re
+
+    path, out = tmp_path / "inst.tn", tmp_path / "g.dot"
+    path.write_text(QUOTED_IDS_FILE)
+    assert main(["expand", "-i", str(path), "--mode", "cten", "-o", str(out)]) == 0
+    assert out.read_text() == QUOTED_IDS_DOT
+    quoted = r'"(?:[^"\\]|\\.)*"'
+    arc = re.compile(rf"  ({quoted}) -> ({quoted}) \[label=\d+\];")
+    ids = {m for line in QUOTED_IDS_DOT.splitlines()[1:-1] for m in arc.fullmatch(line).groups()}
+    unquoted = {i[1:-1].replace('\\"', '"') for i in ids}
+    assert unquoted == {'s"x@[0,2]', "d\\@[0,2]", "s*@[0,2]", "d*@[0,2]"}
+
+
 def test_verify_checks_certificate(infeasible_path, capsys):
     assert main(["verify", "-i", infeasible_path]) == 1
     out = capsys.readouterr().out

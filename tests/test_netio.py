@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from tempoflow import (
     serialize_network,
 )
 
-from conftest import build_chain, build_e1
+from conftest import build_chain, build_e1, make_network
 from strategies import demand_instances
 
 E1_FILE = """\
@@ -244,6 +246,32 @@ def test_serialize_flow_rejects_negative_amounts():
     with pytest.raises(ModelError, match="flow s d 2 has negative amount -1"):
         serialize_flow(f)
     assert serialize_flow(FlowOverTime({(("s", "d"), 1): 1, (("s", "d"), 2): 0})) == "flow s d 1 1\n"
+
+
+UNWRITABLE_IDS = ["", "a b", "a#b", "a\nb", "a\r\nb", "a\x0bb", "a\u2028b"]
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_IDS)
+def test_serialize_rejects_ids_the_format_cannot_carry(name):
+    """An id that would not read back as one token raises, naming the first such id."""
+    net = make_network(("s", name, "x y", "d"), {("s", name): ([(0, 2, 1)], 1)}, {"s"}, {"d"}, 2)
+    with pytest.raises(ModelError, match=re.escape(f"node id {name!r} cannot be written")):
+        serialize_network(net, DemandVector({"s": -1, "d": 1}))
+    flow = FlowOverTime({(("s", name), 0): 1, (("s", "x y"), 1): 1})
+    with pytest.raises(ModelError, match=re.escape(f"node id {name!r} cannot be written")):
+        serialize_flow(flow)
+    # An entry with amount 0 is not written, so its ids are not checked.
+    assert serialize_flow(FlowOverTime({(("s", name), 0): 0})) == ""
+
+
+def test_tab_in_id_round_trips():
+    """A tab stays part of its token, so an id holding one is written and read back."""
+    name = "a\tb"
+    net = make_network(("s", name, "d"), {("s", name): ([(0, 2, 1)], 1)}, {"s"}, {"d"}, 2)
+    v = DemandVector({"s": -1, "d": 1})
+    assert_same_network(parse_network(serialize_network(net, v)).network, net)
+    f = FlowOverTime({(("s", name), 0): 1})
+    assert parse_flow(serialize_flow(f)) == f
 
 
 def test_generator_deterministic():
