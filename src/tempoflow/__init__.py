@@ -13,8 +13,6 @@ from .model import (
     EdgeFn,
     FlowOverTime,
     ModelError,
-    OneShotEdge,
-    OneShotNetwork,
     OverflowRejection,
     PiecewiseConstFn,
     TemporalNetwork,
@@ -22,23 +20,10 @@ from .model import (
     Violation,
     compute_mu,
     merged_pieces,
-    to_one_shot,
     validate_flow,
 )
-from .reductions import (
-    CanonicalTemporalNetwork,
-    StructuralError,
-    attach_super_terminals,
-    canonical_reduction,
-    classify_roles,
-    hoppe_tardos_star,
-)
-from .breakpoints import (
-    EnumerationCapError,
-    canonical_breakpoints,
-    cten_breakpoints,
-    gamma_star,
-)
+from .reductions import attach_super_terminals
+from .breakpoints import EnumerationCapError, cten_breakpoints
 from .expansion import (
     DEFAULT_TEN_BUDGET,
     ExpandedGraph,
@@ -58,7 +43,18 @@ from .feasibility import (
     capacity_oT,
     capacity_oT_ten,
     feas,
+)
+from .gadget import (
+    CanonicalTemporalNetwork,
+    OneShotEdge,
+    OneShotNetwork,
+    StructuralError,
+    canonical_breakpoints,
+    canonical_reduction,
+    classify_roles,
     gadget_breakpoints,
+    hoppe_tardos_star,
+    to_one_shot,
 )
 from .solvers import (
     BoundedSearchError,

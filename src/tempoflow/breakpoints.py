@@ -34,25 +34,18 @@ crosses each gadget at most once and cannot leave through the gadget it
 arrived by.  What a path adds at a node, and how many gadget paths that
 is, therefore depends only on the node and the edge the path arrived by:
 the reader folds each such pair's exits into one offset set, once per
-call, and every start shares it.  The gadget form itself, one pin
-graph per canonical network (``canonical_breakpoints``), stays as the
-independent derivation that certificates and tests check the sets with.
-Each reader derives a visit its own way, as a ``fold(node, arrived_by)``,
-and both hand their visits to one depth-first search (``_pin_sums``),
-whose sums one formula (``_clip``) turns into a set.
+call, and every start shares it.  The gadget form itself, the
+independent derivation that ``tempoflow verify`` and the tests check the
+sets with, lives in ``gadget``.  Its pin graph and this reader each
+derive a visit as a ``fold(node, arrived_by)`` and hand their visits to
+one depth-first search (``_pin_sums``), whose sums one formula
+(``_clip``) turns into a set.
 """
 
 from __future__ import annotations
 
 from .model import ModelError, TemporalNetwork
-from .reductions import (
-    D_STAR,
-    S_STAR,
-    CanonicalTemporalNetwork,
-    StructuralError,
-    SuperTerminals,
-    inner_parts,
-)
+from .reductions import D_STAR, S_STAR, SuperTerminals, inner_parts
 
 # Simple paths enumerated per node before giving up.
 PATH_CAP = 200_000
@@ -117,90 +110,6 @@ def _clip(sums: set[int], horizon: int) -> BreakpointSet:
     return tuple(sorted({0} | kept))
 
 
-class _PinGraph:
-    """What pin-path enumeration reads off a canonical network, built once."""
-
-    def __init__(self, canon: CanonicalTemporalNetwork):
-        self.horizon = canon.horizon
-        self.pps = canon.pps_minus
-        self.gammas: dict[str, BreakpointSet] = {}
-        self.folded: dict = {}
-        # Nodes that settle on a boundary value in some minimum cut.
-        self.anchors = frozenset({S_STAR, D_STAR}) | canon.ps_plus | canon.ps_minus
-        tau = {e: fn.travel_time.pieces[0][2] for e, fn in canon.net.edges.items()}
-        self.into: dict[str, list[str]] = {n: [] for n in canon.net.nodes}
-        # Undirected: (neighbor, signed travel times of the edge and of its
-        # reverse edge, when that exists) once per directed edge.
-        self.adjacent: dict[str, list[tuple[str, set[int]]]] = {n: [] for n in canon.net.nodes}
-        for (a, b), t in tau.items():
-            self.into[b].append(a)
-            w = {t, -t, tau.get((b, a), t), -tau.get((b, a), t)}
-            self.adjacent[a].append((b, w))
-            self.adjacent[b].append((a, w))
-        self.tails = {a for (a, _) in tau}
-
-    def fold(self, node: str, arrived_by: None) -> tuple[set[int], int, list]:
-        """A visit to node: its anchor neighbors' weights, their count, and its other steps.
-
-        ``arrived_by`` is always None: a step back along it is onto the path.
-        """
-        offsets: set[int] = set()
-        paths = 0
-        steps = []
-        for nxt, weights in self.adjacent[node]:
-            if nxt in self.anchors:
-                paths += 1
-                offsets.update(weights)
-            else:
-                steps.append((None, nxt, weights))
-        self.folded[node, arrived_by] = entry = (offsets, paths, steps)
-        return entry
-
-    def gamma(self, i: str) -> BreakpointSet:
-        """Gamma(i), enumerated at most once per node."""
-        if i not in self.gammas:
-            T = self.horizon
-            # Anchors and nodes lacking an in- or an out-edge have {0, T + 1}.
-            trivial = i in self.anchors or not self.into[i] or i not in self.tails
-            sums = set() if trivial else _pin_sums(i, self.folded, self.fold)
-            self.gammas[i] = _clip(sums, T) + (T + 1,)
-        return self.gammas[i]
-
-    def gamma_star(self, i: str) -> BreakpointSet:
-        if i not in self.pps:
-            return self.gamma(i)
-        preds = self.into[i]
-        if len(preds) != 2:
-            raise StructuralError(f"pseudo-pseudosink {i} has {len(preds)} in-neighbors")
-        return tuple(sorted(set(self.gamma(preds[0])) | set(self.gamma(preds[1]))))
-
-
-def gamma_star(
-    canon: CanonicalTemporalNetwork, nodes: tuple[str, ...]
-) -> dict[str, BreakpointSet]:
-    """Gamma*(i) for each of ``nodes``, all read off one pin graph.
-
-    Gamma* is Gamma, except that a pseudo-pseudosink gets its in-neighbors'
-    sets combined: the settling stage moves it onto one of its two
-    in-neighbors' cut times or the boundary, so the union of their sets
-    covers every value it can end on.
-    """
-    pins = _PinGraph(canon)
-    return {i: pins.gamma_star(i) for i in nodes}
-
-
-def canonical_breakpoints(
-    canon: CanonicalTemporalNetwork, nodes: tuple[str, ...]
-) -> dict[str, BreakpointSet]:
-    """Sets A_i = Gamma*(i) within [0, T] for ``nodes``; each holds 0, as Gamma*(i) does.
-
-    Enumerated on the gadget form; every node in ``nodes`` must be a node
-    of ``canon``.
-    """
-    # Every Gamma*(i) ends with T + 1.
-    return {i: g[:-1] for i, g in gamma_star(canon, nodes).items()}
-
-
 def cten_breakpoints(
     net: TemporalNetwork | SuperTerminals, nodes: tuple[str, ...]
 ) -> dict[str, BreakpointSet]:
@@ -210,7 +119,7 @@ def cten_breakpoints(
 
     ``nodes`` are nodes of ``net`` or s*/d*, never gadget nodes (so never
     pseudo-pseudosinks: Gamma* is Gamma).  Each edge's stored live
-    windows (``inner_parts``) are the edges ``to_one_shot`` splits it
+    windows (``inner_parts``) are the edges ``gadget.to_one_shot`` splits it
     into: the first joins the edge's endpoints, and each further one runs
     to an implicit relay node, keyed by the tuple (i, j, k), whose
     always-open zero-length edge leads on to j.  A one-shot edge x -> y
@@ -235,7 +144,7 @@ def cten_breakpoints(
     ``EnumerationCapError`` is raised on exactly the same inputs and the
     sets are the same.  No capacity and no node name enters a set, so
     every network is read, those the gadget form cannot represent
-    (``check_gadget_reducible``) included.
+    (``gadget.check_gadget_reducible``) included.
     """
     net, windows, _ = inner_parts(net)
     T = net.horizon

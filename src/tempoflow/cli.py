@@ -17,7 +17,8 @@ from .reductions import SuperTerminals, attach_super_terminals
 from .breakpoints import cten_breakpoints
 from .expansion import ExpandedGraph, OracleBudgetError, build_cten, build_ten, ten_size
 from .maxflow import max_flow
-from .feasibility import capacity_oT_ten, gadget_breakpoints
+from .feasibility import capacity_oT_ten
+from .gadget import gadget_breakpoints
 from .netio import InstanceSpec, ParsedInstance, generate_instance, parse_network, serialize_flow, serialize_network
 from .solvers import BoundedSearchError, _at_horizon, dttn_feasible, extract_flow, max_flow_over_time, quickest_transshipment
 
@@ -131,7 +132,7 @@ def _cmd_verify(args) -> int:
         print("MISMATCH: fast path disagrees with the full-expansion oracle", file=sys.stderr)
         return EXIT_ERROR
     try:
-        gadget = gadget_breakpoints(net, v)
+        gadget = gadget_breakpoints(net)
     except ModelError as exc:
         print(f"breakpoints: not cross-checked, the gadget form cannot represent this network ({exc})")
     else:

@@ -13,35 +13,22 @@ short of the set's net demand.  That flow, o_T, is read off the same
 cut, so a verdict builds one graph and runs one max flow.  For checking,
 ``capacity_oT`` recomputes it by a second one on
 ``set_super_terminals(net, A)``, whose super edges are open at A's
-sources and the sinks outside A; over the sets ``gadget_breakpoints``
-derives on the gadget form itself, it checks a certificate independently
-of the verdict.
+sources and the sinks outside A; over the sets that
+``gadget.gadget_breakpoints`` derives on the gadget form itself, it
+checks a certificate independently of the verdict.
 """
 
 from __future__ import annotations
 
-from .model import (
-    DemandVector,
-    OneShotEdge,
-    OneShotNetwork,
-    TemporalNetwork,
-    Value,
-    to_one_shot,
-)
-from .reductions import (
-    D_STAR,
-    S_STAR,
-    attach_super_terminals,
-    canonical_reduction,
-    hoppe_tardos_star,
-    set_super_terminals,
-)
-from .breakpoints import BreakpointSet, canonical_breakpoints, cten_breakpoints
+from .model import DemandVector, TemporalNetwork, Value
+from .reductions import attach_super_terminals, set_super_terminals
+from .breakpoints import cten_breakpoints
 from .expansion import build_cten, build_ten, ExpandedGraph
 from .maxflow import max_flow
 
-# The verdict reads its cut off max flow; this name stays for the
-# benchmark's span probe, which looks it up here.
+# No verdict calls these: the benchmark's span probes
+# feasibility.canonical_reduction and .residual_reachable look them up here.
+from .gadget import canonical_reduction  # noqa: F401
 from .maxflow import residual_reachable  # noqa: F401
 
 
@@ -126,7 +113,7 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
        its exits.  Original nodes are never pseudo-pseudosinks, so their
        Gamma* is their Gamma.  No capacity enters a sum or one of their
        roles, so the sets are the same at every capacity, INF included;
-       ``gadget_breakpoints`` derives them with every capacity 1.
+       ``gadget.gadget_breakpoints`` derives them with every capacity 1.
     """
     v.check_balanced()
     full = attach_super_terminals(net, v)
@@ -180,28 +167,3 @@ def capacity_oT_ten(net: TemporalNetwork, a: frozenset[str]) -> int:
     """
     value, _ = max_flow(build_ten(set_super_terminals(net, a)))
     return value
-
-
-def gadget_breakpoints(net: TemporalNetwork, v: DemandVector) -> dict[str, BreakpointSet]:
-    """The original nodes' sets (s* and d* included), enumerated on the gadget form.
-
-    An independent derivation of ``cten_breakpoints``: the one-shot split is
-    gadget-reduced and the sets are read off its canonical form's pin
-    graph.  The sets read travel times, topology and roles, never a
-    capacity: the one role test that compares capacities, the
-    pseudo-pseudosink test, compares edges of one gadget, which all carry
-    its edge's u.  So every one-shot edge enters the gadget form with
-    capacity 1, and an INF or wide capacity needs no stand-in.  A network
-    whose node ids clash with the gadget names is rejected
-    (``check_gadget_reducible``), though its verdict is exact.
-    """
-    one_shot, _ = to_one_shot(net)
-    unit = OneShotNetwork(
-        one_shot.nodes,
-        {e: OneShotEdge(w.alpha, w.beta, 1, w.travel_time) for e, w in one_shot.edges.items()},
-        one_shot.sources,
-        one_shot.sinks,
-        one_shot.horizon,
-    )
-    canon = canonical_reduction(*hoppe_tardos_star(unit, v))
-    return canonical_breakpoints(canon, net.nodes + (S_STAR, D_STAR))

@@ -6,7 +6,7 @@ addition.  Inputs (piece values, demands, super-edge capacities) are
 width-checked against ``MAX_INT``; an input past it is a hard rejection.
 Sums derived from them, such as expansion capacities and flow values, are
 exact Python integers.  Only the gadget form rejects a derived quantity,
-its demand u * (T + 1) (``reductions.check_gadget_reducible``).
+its demand u * (T + 1) (``gadget.check_gadget_reducible``).
 """
 
 from __future__ import annotations
@@ -273,7 +273,8 @@ class DemandVector(Value):
         if self.total() != 0:
             raise ModelError(f"total demand must be 0, got {self.total()}")
 
-    def check_against(self, net: TemporalNetwork | OneShotNetwork):
+    def check_against(self, net: TemporalNetwork):
+        """Reject demands off the terminals or of the wrong sign (a one-shot network too)."""
         extra = set(self.values) - (net.sources | net.sinks)
         if extra:
             raise ModelError(f"demand given for non-terminals: {sorted(extra)}")
@@ -393,43 +394,6 @@ def validate_flow(net: TemporalNetwork, f: FlowOverTime, v: DemandVector) -> Val
     return ValidationReport(tuple(out))
 
 
-class OneShotEdge(Value):
-    __slots__ = ("alpha", "beta", "capacity", "travel_time")
-
-    def __init__(self, alpha: int, beta: int, capacity: int | float, travel_time: int):
-        self.alpha = alpha
-        self.beta = beta
-        self.capacity = capacity
-        self.travel_time = travel_time
-
-
-class OneShotNetwork(Value):
-    """Temporal network where each edge is live on one window [alpha, beta]."""
-
-    __slots__ = ("nodes", "edges", "sources", "sinks", "horizon")
-
-    def __init__(
-        self,
-        nodes: tuple[str, ...],
-        edges: dict[tuple[str, str], OneShotEdge],
-        sources: frozenset[str],
-        sinks: frozenset[str],
-        horizon: int,
-    ):
-        for (i, j), e in edges.items():
-            if not (0 <= e.alpha <= e.beta <= horizon):
-                raise ModelError(f"edge ({i}, {j}) window [{e.alpha}, {e.beta}] invalid")
-            if not _is_cap(e.capacity) or e.capacity == 0:
-                raise ModelError(f"edge ({i}, {j}) capacity must be positive or INF")
-            if not (isinstance(e.travel_time, int) and e.travel_time >= 0):
-                raise ModelError(f"edge ({i}, {j}) travel time must be a non-negative integer")
-        self.nodes = nodes
-        self.edges = edges
-        self.sources = sources
-        self.sinks = sinks
-        self.horizon = horizon
-
-
 def compute_mu(net: TemporalNetwork) -> int:
     """Total number of pieces on which capacity and travel time are both constant."""
     return sum(
@@ -455,33 +419,3 @@ def live_windows(pieces: list, horizon: int) -> list[tuple[int, int, int, int | 
         if a <= b:
             windows.append((k, a, b, u, tau))
     return windows
-
-
-def to_one_shot(net: TemporalNetwork) -> tuple[OneShotNetwork, dict[str, tuple[str, str]]]:
-    """Split every edge into one edge per live window (``live_windows``).
-
-    The first window keeps the original endpoints; each further window
-    goes through a fresh relay node (window edge into the relay, zero-length
-    always-on edge out) so no parallel edges arise.  The relay on piece k
-    of edge ij is ``i>j#k``, primed until no node carries its name.
-    Returns the split and its relays, each mapped to its original edge.
-    """
-    T = net.horizon
-    nodes = list(net.nodes)
-    existing = set(nodes)
-    edges: dict[tuple[str, str], OneShotEdge] = {}
-    relays: dict[str, tuple[str, str]] = {}
-    for (i, j), windows in net.windows().items():
-        for n, (k, a, b, u, tau) in enumerate(windows):
-            if n == 0:
-                edges[(i, j)] = OneShotEdge(a, b, u, tau)
-            else:
-                relay = f"{i}>{j}#{k}"
-                while relay in existing:
-                    relay += "'"
-                existing.add(relay)
-                nodes.append(relay)
-                relays[relay] = (i, j)
-                edges[(i, relay)] = OneShotEdge(a, b, u, tau)
-                edges[(relay, j)] = OneShotEdge(0, T, u, 0)
-    return OneShotNetwork(tuple(nodes), edges, net.sources, net.sinks, T), relays

@@ -10,11 +10,13 @@ The instance format is line-oriented:
 
 Tokens are separated by single spaces (empty tokens are dropped, and a
 tab stays part of its token); ``#`` starts a comment, and blank lines
-are skipped.  An integer is an optional ``-`` followed by ASCII digits.  ``piece`` lines belong to the most recent ``edge`` line
-and must tile [0, T] exactly.  A source's ``<supply>`` is the
-(non-negative) amount it emits; internally that is the demand value
--supply.  A zero travel time and demands that do not sum to 0 are
-accepted with a warning.  Errors are ``ParseError``s reading
+are skipped.  An integer is an optional ``-`` followed by ASCII digits.
+Node ids are unique, and ``s*`` and ``d*`` are reserved for the super
+terminals.  ``piece`` lines belong to the most recent ``edge`` line and
+must tile [0, T] exactly.  A source's ``<supply>`` is the (non-negative)
+amount it emits; internally that is the demand value -supply.  A zero
+travel time and demands that do not sum to 0 are accepted with a
+warning.  Errors are ``ParseError``s reading
 ``line L, column C: ...``.  Flow files hold ``flow <from> <to> <t>
 <amount>`` lines.  Verdicts serialize as ``FEASIBLE`` or
 ``INFEASIBLE violated=<ids> oT=<n> negv=<n>``.
@@ -150,6 +152,8 @@ def parse_network(text: str) -> ParsedInstance:
             name, kind = toks[1], toks[2]
             if name in nodes:
                 raise _error(line_no, raw, 1, f"duplicate node {name!r}")
+            if name in (S_STAR, D_STAR):
+                raise _error(line_no, raw, 1, f"node id {name!r} is reserved for the super terminals")
             nodes[name] = None
             if kind == "internal":
                 if len(toks) != 3:
@@ -247,9 +251,13 @@ def _check_id(name: str) -> None:
 
 
 def serialize_network(net: TemporalNetwork, v: DemandVector) -> str:
+    """Text that ``parse_network`` reads back as ``net`` and ``v``; ``ModelError`` where none would."""
+    v.check_against(net)
     lines = [FORMAT_TAG, f"horizon {net.horizon}"]
     for n in net.nodes:
         _check_id(n)
+        if n in (S_STAR, D_STAR):
+            raise ModelError(f"node id {n!r} is reserved for the super terminals")
         if n in net.sources:
             lines.append(f"node {n} source {-v.get(n)}")
         elif n in net.sinks:

@@ -1,186 +1,25 @@
-"""Gadget reduction to a static network, super terminals, and the canonical form.
+"""Super terminals s* and d*, one value: ``SuperTerminals``.
 
-Each one-shot edge x -> y with window [alpha, beta], capacity u and travel
-time tau is replaced by a static eight-node gadget.  The first stage turns
-the window into a path: a surrogate source that must start feeding at
-alpha, the edge's travel time, and a surrogate sink whose collection node
-sits T - beta away.  The second stage re-gadgets the collection edge so
-that every surrogate-source-to-surrogate-sink path has length alpha or
-T - beta.
-
-A crucial detail is that both second-stage junction nodes are kept.  The
-second-stage source emits u * (T + 1) units through a single capacity-u
-zero-length edge, which forces it to emit exactly u per time step; dually
-the second-stage sink absorbs exactly u per step.  These forced full-rate
-streams are what couple "x diverts a unit into the collector" to "the
-surrogate source has already banked a matching unit", which is exactly the
-schedule-exchange argument that makes the reduction feasibility-preserving.
-Collapsing either junction away breaks the per-step rate limit and with it
-the equivalence (a unit could be diverted before its replacement is
-available).
-
-Super terminals s* and d* are one value, ``SuperTerminals``: the network,
-one capacity per terminal, and each edge's live windows, the one per-edge
-record that the breakpoint reader and the expansion read.  The expansion
-turns the capacities into arcs in closed form; only the canonical form,
-which walks edges one by one, materializes them as one-shot edges of a
-second network.
+The expansion turns their capacities into arcs in closed form; only the
+gadget form (``gadget.canonical_reduction``) and the tests materialize
+them as one-shot edges of a second network.
 """
 
 from __future__ import annotations
 
-
 from .model import (
     INF,
-    MAX_INT,
     DemandVector,
     EdgeFn,
     ModelError,
-    OneShotNetwork,
     PiecewiseConstFn,
     TemporalNetwork,
-    Value,
     check_width,
     _is_cap,
 )
 
 S_STAR = "s*"
 D_STAR = "d*"
-
-
-class StructuralError(ModelError):
-    """A network violates the structural conditions of its declared shape."""
-
-
-def _gadget_names(x: str, y: str) -> dict[str, str]:
-    return {
-        "s+": f"s+:{x}:{y}",
-        "t+": f"t+:{x}:{y}",
-        "t-": f"t-:{x}:{y}",
-        "s-": f"s-:{x}:{y}",
-        "s2+": f"s2+:{x}:{y}",
-        "t2+": f"t2+:{x}:{y}",
-        "t2-": f"t2-:{x}:{y}",
-        "s2-": f"s2-:{x}:{y}",
-    }
-
-
-def check_gadget_reducible(net: OneShotNetwork):
-    """Reject what the gadgets could not represent, INF capacities aside.
-
-    A finite capacity u of edge (x, y) is rejected when its gadget demand
-    u * (T + 1) exceeds the machine integer range; the message is built
-    only then.  A node, or another edge's gadget, that carries a gadget
-    node's name is rejected too.  Gadget names contain ':' and determine
-    their edge when no node id does, so the names are compared only when
-    one does.
-    """
-    T = net.horizon
-    for (x, y), e in net.edges.items():
-        if e.capacity != INF and e.capacity > MAX_INT // (T + 1):
-            check_width(e.capacity * (T + 1), f"gadget demand for edge ({x}, {y})")
-    if not any(":" in n for n in net.nodes):
-        return
-    existing = set(net.nodes)
-    for (x, y) in net.edges:
-        names = set(_gadget_names(x, y).values())
-        clash = names & existing
-        if clash:
-            raise ModelError(f"node ids {sorted(clash)} are reserved for the reduction")
-        existing |= names
-
-
-def hoppe_tardos_star(
-    net: OneShotNetwork, v: DemandVector
-) -> tuple[TemporalNetwork, DemandVector]:
-    """Replace each one-shot edge with its static gadget.
-
-    Returns the static network and its demands.  The surrogate terminals of
-    the gadget for edge xy receive demands -u(beta - alpha + 1) /
-    +u(beta - alpha + 1) (first stage) and -u(T + 1) / +u(T + 1) (second
-    stage); original terminals keep their demands, so the total stays zero.
-    Gadget nodes are named ``<role>:x:y`` with role s+, t+, t-, s-, s2+,
-    t2+, t2- or s2-.
-    """
-    T = net.horizon
-    v.check_balanced()
-    v.check_against(net)
-
-    check_gadget_reducible(net)
-    nodes = list(net.nodes)
-    edges: dict[tuple[str, str], EdgeFn] = {}
-    demands = {t: v.get(t) for t in sorted(net.sources | net.sinks)}
-    sources = set(net.sources)
-    sinks = set(net.sinks)
-    # Gadgets repeat few (u, tau) pairs: each distinct edge is built, and
-    # so validated, once per reduction and shared (EdgeFn is immutable).
-    built: dict[tuple, EdgeFn] = {}
-
-    def static(u, tau) -> EdgeFn:
-        if (u, tau) not in built:
-            built[u, tau] = EdgeFn(
-                PiecewiseConstFn.constant(u, T), PiecewiseConstFn.constant(tau, T)
-            )
-        return built[u, tau]
-
-    for (x, y), e in net.edges.items():
-        if e.capacity == INF:
-            raise ModelError(
-                f"edge ({x}, {y}): infinite capacity cannot be gadget-reduced "
-                "(the surrogate demands would be infinite)"
-            )
-        u, tau, alpha, beta = e.capacity, e.travel_time, e.alpha, e.beta
-        names = _gadget_names(x, y)
-        nodes.extend(names.values())
-
-        edges[(names["s+"], names["t+"])] = static(u, alpha)
-        edges[(names["t+"], y)] = static(u, tau)
-        edges[(names["t+"], names["t-"])] = static(u, 0)
-        edges[(x, names["t-"])] = static(u, 0)
-        edges[(names["t-"], names["t2-"])] = static(u, 0)
-        edges[(names["s2+"], names["t2+"])] = static(u, 0)
-        edges[(names["t2+"], names["s-"])] = static(u, T - beta)
-        edges[(names["t2+"], names["t2-"])] = static(u, 0)
-        edges[(names["t2-"], names["s2-"])] = static(u, 0)
-
-        demands[names["s+"]] = -u * (beta - alpha + 1)
-        demands[names["s-"]] = u * (beta - alpha + 1)
-        demands[names["s2+"]] = -u * (T + 1)
-        demands[names["s2-"]] = u * (T + 1)
-        sources.update((names["s+"], names["s2+"]))
-        sinks.update((names["s-"], names["s2-"]))
-
-    reduced = TemporalNetwork(
-        tuple(nodes), edges, frozenset(sources), frozenset(sinks), T
-    )
-    return reduced, DemandVector(demands)
-
-
-class CanonicalTemporalNetwork(Value):
-    """Single super-source/super-sink network per the canonical shape.
-
-    The super terminals are ``S_STAR`` and ``D_STAR``.  Inner edges are
-    static; the s*-edges are live only at time 0 and the d*-edges only at
-    time T, all with travel time 0.
-    """
-
-    __slots__ = ("net", "ps_plus", "ps_minus", "pps_minus")
-
-    def __init__(
-        self,
-        net: TemporalNetwork,
-        ps_plus: frozenset[str],
-        ps_minus: frozenset[str],
-        pps_minus: frozenset[str],
-    ):
-        self.net = net
-        self.ps_plus = ps_plus
-        self.ps_minus = ps_minus
-        self.pps_minus = pps_minus
-
-    @property
-    def horizon(self) -> int:
-        return self.net.horizon
 
 
 class SuperTerminals:
@@ -290,71 +129,3 @@ def set_super_terminals(net: TemporalNetwork, a: frozenset[str]) -> SuperTermina
     return SuperTerminals(
         net, {t: INF if (t in a) == (t in net.sources) else 0 for t in net.terminals}
     )
-
-
-def classify_roles(net: TemporalNetwork) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-    """Compute pseudosources, pseudosinks, and pseudo-pseudosinks from topology.
-
-    Structural conditions are enforced: a pseudosource has no in-edge other
-    than its s*-edge, a pseudosink no out-edge other than its d*-edge, and
-    the two sets are disjoint.  A pseudo-pseudosink has exactly one
-    out-edge (to a pseudosink), exactly two in-edges, all incident edges
-    with travel time 0 and capacity equal to the out-edge's.
-    """
-    in_edges: dict[str, list[tuple[str, str]]] = {n: [] for n in net.nodes}
-    out_edges: dict[str, list[tuple[str, str]]] = {n: [] for n in net.nodes}
-    for (i, j) in net.edges:
-        out_edges[i].append((i, j))
-        in_edges[j].append((i, j))
-
-    ps_plus, ps_minus = set(), set()
-    for (i, j) in net.edges:
-        if i == S_STAR:
-            others = [e for e in in_edges[j] if e[0] != S_STAR]
-            if others:
-                raise StructuralError(f"pseudosource {j} has extra in-edge {others[0]}")
-            ps_plus.add(j)
-        if j == D_STAR:
-            others = [e for e in out_edges[i] if e[1] != D_STAR]
-            if others:
-                raise StructuralError(f"pseudosink {i} has extra out-edge {others[0]}")
-            ps_minus.add(i)
-    overlap = ps_plus & ps_minus
-    if overlap:
-        raise StructuralError(
-            f"node {sorted(overlap)[0]} is both pseudosource and pseudosink"
-        )
-
-    def const(fn: PiecewiseConstFn):
-        return fn.pieces[0][2] if fn.is_constant() else None
-
-    pps_minus = set()
-    for i in net.nodes:
-        if i in ps_plus or i in ps_minus or i in (S_STAR, D_STAR):
-            continue
-        if len(out_edges[i]) != 1 or len(in_edges[i]) != 2:
-            continue
-        out = out_edges[i][0]
-        if out[1] not in ps_minus:
-            continue
-        out_cap = const(net.edges[out].capacity)
-        incident = in_edges[i] + [out]
-        if out_cap is None:
-            continue
-        if all(
-            const(net.edges[e].capacity) == out_cap
-            and const(net.edges[e].travel_time) == 0
-            for e in incident
-        ):
-            pps_minus.add(i)
-    return frozenset(ps_plus), frozenset(ps_minus), frozenset(pps_minus)
-
-
-def canonical_reduction(net: TemporalNetwork, v: DemandVector) -> CanonicalTemporalNetwork:
-    """Attach super terminals to a static network and classify node roles."""
-    if not net.is_static():
-        raise ModelError("canonical reduction requires a static inner network")
-    v.check_balanced()
-    full = attach_super_terminals(net, v).materialize()
-    ps_plus, ps_minus, pps_minus = classify_roles(full)
-    return CanonicalTemporalNetwork(full, ps_plus, ps_minus, pps_minus)

@@ -25,12 +25,18 @@ from tempoflow import (
     InternalConsistencyError,
     ModelError,
     SteadyFlow,
-    gamma_star,
+    canonical_breakpoints,
     residual_reachable,
 )
 from tempoflow.reductions import D_STAR, S_STAR
 
 from conftest import vertex_at
+
+
+def gamma_star(canon: CanonicalTemporalNetwork, nodes: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
+    """Gamma*(i) of each of ``nodes``: its set within [0, T], and T + 1."""
+    top = (canon.horizon + 1,)
+    return {i: a + top for i, a in canonical_breakpoints(canon, nodes).items()}
 
 
 @dataclass(frozen=True)

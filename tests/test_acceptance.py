@@ -28,7 +28,6 @@ from tempoflow import (
     dttn_feasible,
     extract_flow,
     gadget_breakpoints,
-    gamma_star,
     hoppe_tardos_star,
     max_flow,
     max_flow_over_time,
@@ -48,7 +47,15 @@ from conftest import (
     oracle_feasible,
     oracle_max_flow_over_time,
 )
-from cutlab import CutFunction, canonicalize_min_cut, cut_cost, forbidden_set, min_cut_times, shift_cut
+from cutlab import (
+    CutFunction,
+    canonicalize_min_cut,
+    cut_cost,
+    forbidden_set,
+    gamma_star,
+    min_cut_times,
+    shift_cut,
+)
 
 
 @pytest.fixture(scope="session")
@@ -78,7 +85,7 @@ def reduce_instance(parsed):
 def certifies_infeasibility(parsed, a) -> bool:
     """A's capacity over the gadget form's sets is below -v(A)."""
     net, v = parsed.network, parsed.demands
-    return capacity_oT(net, gadget_breakpoints(net, v), a) < -v.total(a)
+    return capacity_oT(net, gadget_breakpoints(net), a) < -v.total(a)
 
 
 def test_criterion_01_depicted_network_reproduction():

@@ -15,7 +15,6 @@ from tempoflow import (
     cten_breakpoints,
     dttn_feasible,
     gadget_breakpoints,
-    gamma_star,
     hoppe_tardos_star,
     to_one_shot,
 )
@@ -23,6 +22,7 @@ from tempoflow.reductions import D_STAR, S_STAR
 from tempoflow.solvers import _at_horizon
 
 from conftest import build_chain, build_e1, make_network
+from cutlab import gamma_star
 from strategies import temporal_networks
 
 
@@ -40,7 +40,7 @@ def chain_canonical():
     )
     v = DemandVector({"p": -1, "r": 1})
     from tempoflow import attach_super_terminals, classify_roles
-    from tempoflow.reductions import CanonicalTemporalNetwork
+    from tempoflow.gadget import CanonicalTemporalNetwork
 
     full = attach_super_terminals(net, v).materialize()
     return CanonicalTemporalNetwork(full, *classify_roles(full))
@@ -150,8 +150,9 @@ def test_cten_breakpoints_match_gamma_star(corpus):
         bps, nodes = one_shot_sets(net, v)
         reference = gadget_sets(net, v, nodes)
         assert bps == reference
-        # The reference reads no capacity: at unit capacities it is the same.
-        assert gadget_breakpoints(net, v) == reference
+        # The reference reads no capacity and no demand: at unit capacities
+        # and zero demands it is the same.
+        assert gadget_breakpoints(net) == reference
         if k < 100:
             canon = canonical_reduction(*hoppe_tardos_star(to_one_shot(net)[0], v))
             every = canon.net.nodes
@@ -215,7 +216,7 @@ def test_one_shot_sets_equal_gadget_sets_with_inf(net):
     )
     for copy in (net, wide):
         bps, _ = one_shot_sets(copy, v)
-        assert bps == gadget_breakpoints(copy, v)
+        assert bps == gadget_breakpoints(copy)
 
 
 @pytest.mark.parametrize(
@@ -355,4 +356,4 @@ def test_relay_keys_ignore_relay_like_names():
     assert (got.feasible, got.violated, got.o_T) == (want.feasible, want.violated, want.o_T)
     assert {rename.get(i, i): a for i, a in got.breakpoints.items()} == want.breakpoints
     full = attach_super_terminals(net, v)
-    assert cten_breakpoints(full, full.nodes) == got.breakpoints == gadget_breakpoints(net, v)
+    assert cten_breakpoints(full, full.nodes) == got.breakpoints == gadget_breakpoints(net)

@@ -306,13 +306,13 @@ def test_verify_checks_breakpoints(tmp_path, capsys):
     parsed = parse_network(WIDE_FILE)
     net, v = parsed.network, parsed.demands
     a = dttn_feasible(net, net.horizon, v).violated
-    assert capacity_oT(net, gadget_breakpoints(net, v), a) < -v.total(a)
+    assert capacity_oT(net, gadget_breakpoints(net), a) < -v.total(a)
 
 
 def test_verify_reports_breakpoint_mismatch(e1_path, capsys, monkeypatch):
     import tempoflow.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "gadget_breakpoints", lambda net, v: {})
+    monkeypatch.setattr(cli_mod, "gadget_breakpoints", lambda net: {})
     assert main(["verify", "-i", e1_path]) == 2
     captured = capsys.readouterr()
     assert "MISMATCH" in captured.err and "agreement" not in captured.out

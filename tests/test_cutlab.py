@@ -5,7 +5,6 @@ from tempoflow import (
     ModelError,
     build_ten,
     canonical_reduction,
-    gamma_star,
     hoppe_tardos_star,
     max_flow,
     to_one_shot,
@@ -18,6 +17,7 @@ from cutlab import (
     canonicalize_min_cut,
     cut_cost,
     forbidden_set,
+    gamma_star,
     min_cut_times,
     pinned_graph,
     shift_cut,

@@ -24,8 +24,8 @@ def feas_e1(v):
     return feas(build_e1(), v)
 
 
-def fast_capacity(net, v, a):
-    return capacity_oT(net, gadget_breakpoints(net, v), a)
+def fast_capacity(net, a):
+    return capacity_oT(net, gadget_breakpoints(net), a)
 
 
 def test_zero_demand_feasible():
@@ -47,7 +47,7 @@ def test_e1_three_units_infeasible_with_certificate():
     assert not outcome.feasible
     assert outcome.violated and "s" in outcome.violated
     assert outcome.o_T < outcome.neg_v
-    assert fast_capacity(build_e1(), v, outcome.violated) < -v.total(outcome.violated)
+    assert fast_capacity(build_e1(), outcome.violated) < -v.total(outcome.violated)
     assert outcome.serialize().startswith("INFEASIBLE violated=")
     assert "<" not in outcome.serialize()
 
@@ -56,25 +56,26 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
     import tempoflow.breakpoints as breakpoints_mod
     import tempoflow.expansion as expansion_mod
     import tempoflow.feasibility as feasibility_mod
+    import tempoflow.gadget as gadget_mod
     import tempoflow.model as model_mod
     import tempoflow.reductions as reductions_mod
     import tempoflow.solvers as solvers_mod
 
     modules = (
-        model_mod, reductions_mod, breakpoints_mod, expansion_mod, feasibility_mod, solvers_mod
+        model_mod, reductions_mod, breakpoints_mod, gadget_mod, expansion_mod, feasibility_mod,
+        solvers_mod,
     )
     calls = Counter()
     for module, name in (
-        (reductions_mod, "hoppe_tardos_star"),
-        (reductions_mod, "canonical_reduction"),
+        (gadget_mod, "hoppe_tardos_star"),
+        (gadget_mod, "canonical_reduction"),
         (solvers_mod, "hoppe_tardos_star"),
         (solvers_mod, "canonical_reduction"),
-        (feasibility_mod, "hoppe_tardos_star"),
         (feasibility_mod, "canonical_reduction"),
         (feasibility_mod, "cten_breakpoints"),
         (feasibility_mod, "build_cten"),
         (feasibility_mod, "max_flow"),
-        (breakpoints_mod._PinGraph, "fold"),
+        (gadget_mod._PinGraph, "fold"),
         # Every module that looks these up, so no call goes uncounted.
         *((m, "merged_pieces") for m in modules if hasattr(m, "merged_pieces")),
         *((m, "live_windows") for m in modules if hasattr(m, "live_windows")),
@@ -121,14 +122,14 @@ def test_capacity_oT_matches_reported_certificate():
     v = DemandVector({"s": -3, "d": 3})
     outcome = feas_e1(v)
     assert not outcome.feasible
-    fast = fast_capacity(build_e1(), v, outcome.violated)
+    fast = fast_capacity(build_e1(), outcome.violated)
     assert fast == outcome.o_T == 2
 
 
 def test_capacity_oT_empty_and_full():
-    net, v = build_e1(), DemandVector({"s": -2, "d": 2})
-    assert fast_capacity(net, v, frozenset()) == 0
-    assert fast_capacity(net, v, net.terminals) == 0
+    net = build_e1()
+    assert fast_capacity(net, frozenset()) == 0
+    assert fast_capacity(net, net.terminals) == 0
 
 
 def test_capacity_rejects_non_terminals():
@@ -145,7 +146,7 @@ def test_capacity_rejects_non_terminals():
     for call in (
         lambda: capacity_oT(net, bps, a),
         lambda: capacity_oT_ten(net, a),
-        lambda: fast_capacity(net, v, a),
+        lambda: fast_capacity(net, a),
     ):
         with pytest.raises(ModelError, match=r"not terminals: \['m'\]"):
             call()
@@ -155,7 +156,7 @@ def test_capacity_modes_agree(corpus):
     for parsed in corpus[:30]:
         net, v = parsed.network, parsed.demands
         a = frozenset(s for s in net.sources if v.get(s) < 0)
-        assert fast_capacity(net, v, a) == capacity_oT_ten(net, a)
+        assert fast_capacity(net, a) == capacity_oT_ten(net, a)
 
 
 def test_claim_identity_on_infeasible(corpus):

@@ -98,6 +98,11 @@ PARSE_ERRORS = {
         _e1("node d sink 2", "node d"), 4, 1, "usage: node <id> source <n> | sink <n> | internal"
     ),
     "duplicate node": (_e1("node d sink 2", "node  s sink 2"), 4, 7, "duplicate node 's'"),
+    "reserved s*": (
+        _e1("node d sink 2", "node s* internal\nnode d sink 2"), 4, 6,
+        "node id 's*' is reserved for the super terminals",
+    ),
+    "reserved d*": (_e1("node d sink 2", "node  d* sink 2"), 4, 7, "node id 'd*' is reserved for the super terminals"),
     "internal demand": (
         _e1("node d sink 2", "node d sink 2\nnode m internal 3"), 5, 8, "internal nodes take no demand"
     ),
@@ -262,6 +267,28 @@ def test_serialize_rejects_ids_the_format_cannot_carry(name):
         serialize_flow(flow)
     # An entry with amount 0 is not written, so its ids are not checked.
     assert serialize_flow(FlowOverTime({(("s", name), 0): 0})) == ""
+
+
+@pytest.mark.parametrize("name", ["s*", "d*"])
+def test_serialize_rejects_super_terminal_ids(name):
+    """The parser rejects s* and d* as node ids, so the serializer does not write them."""
+    net = make_network(("s", name, "d"), {("s", name): ([(0, 2, 1)], 1)}, {"s"}, {"d"}, 2)
+    with pytest.raises(ModelError, match=re.escape(f"node id {name!r} is reserved")):
+        serialize_network(net, DemandVector({"s": -1, "d": 1}))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"s": 3, "d": -3}, "source s has positive demand"),
+        ({"s": -1, "d": 1, "x": 5}, "demand given for non-terminals: ['x']"),
+    ],
+)
+def test_serialize_rejects_demands_the_format_cannot_carry(values, message):
+    """A source's supply is written as -v(s) and a sink's demand as v(d), both >= 0,
+    and only terminals carry an amount: other demands raise, as in ``check_against``."""
+    with pytest.raises(ModelError, match=re.escape(message)):
+        serialize_network(build_e1(), DemandVector(values))
 
 
 def test_tab_in_id_round_trips():
