@@ -23,7 +23,11 @@ from .model import (
     validate_flow,
 )
 from .reductions import attach_super_terminals
-from .breakpoints import EnumerationCapError, cten_breakpoints
+from .breakpoints import (
+    EnumerationCapError,
+    cten_breakpoints,
+    gamma_breakpoints,
+)
 from .expansion import (
     DEFAULT_TEN_BUDGET,
     ExpandedGraph,

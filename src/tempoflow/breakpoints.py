@@ -17,13 +17,24 @@ the condensed expansion has size linear in the number of constant pieces
 and independent of the horizon.  For a pseudo-pseudosink the settling
 moves land its cut time on one of its two in-neighbors' values (or the
 boundary), so its set (Gamma*) borrows the union of the in-neighbors' sets.
-The expansion reads A_i = Gamma*(i) within [0, T] and nothing more: 0 is
-in every Gamma*(i), and a cut time of T + 1 needs no interval start.  So
-anchors and nodes lacking an in- or an out-edge, whose Gamma is
-{0, T + 1}, get the one point 0: one vertex over [0, T].
+Gamma*(i) within [0, T] suffices: 0 is in every Gamma*(i), and a cut time
+of T + 1 needs no interval start.  So anchors and nodes lacking an in- or
+an out-edge, whose Gamma is {0, T + 1}, get the one point 0: one vertex
+over [0, T].
+
+The verdict's sets (``cten_breakpoints``) are not all Gamma*.  Call a node
+searched when it is no anchor and has a live in- and out-window (the
+nodes whose Gamma takes a pin-path search), and settled when it is
+searched and none of its live neighbours is.  A settled node gets 0 and
+its own windows' local points: a and b + 1 of each out-window, a + tau
+and b + tau + 1 of each in-window, within [0, T].  It takes no pin-path
+search, so it never raises ``EnumerationCapError``.  Every other node
+gets Gamma*(i) within [0, T] (``gamma_breakpoints``).  Each set lies
+within Gamma*(i), and ``feasibility.feas`` (point 5) shows the expansion
+stays exact.
 
 The verdict needs the sets of the original nodes only, and those are read
-straight off the temporal network (``cten_breakpoints``): each edge's
+straight off the temporal network (``_WindowPins``): each edge's
 stored live windows are the one-shot split's edges, with no one-shot
 network built.  Every gadget edge has travel time alpha, tau, T - beta
 or 0, so a pin path crosses the gadget of one-shot edge x -> y in one of
@@ -36,7 +47,7 @@ is, therefore depends only on the node and the edge the path arrived by:
 the reader folds each such pair's exits into one offset set, once per
 call, and every start shares it.  The gadget form itself, the
 independent derivation that ``tempoflow verify`` and the tests check the
-sets with, lives in ``gadget``.  Its pin graph and this reader each
+Gamma* sets with, lives in ``gadget``.  Its pin graph and this reader each
 derive a visit as a ``fold(node, arrived_by)`` and hand their visits to
 one depth-first search (``_pin_sums``), whose sums one formula
 (``_clip``) turns into a set.
@@ -110,24 +121,25 @@ def _clip(sums: set[int], horizon: int) -> BreakpointSet:
     return tuple(sorted({0} | kept))
 
 
-def cten_breakpoints(
-    net: TemporalNetwork | SuperTerminals, nodes: tuple[str, ...]
-) -> dict[str, BreakpointSet]:
-    """The gadget form's sets A_i = Gamma*(i) within [0, T] for original nodes.
+class _WindowPins:
+    """What pin-path enumeration reads off a network's live windows, built once.
 
-    They are read off the network's windows, with no gadget form built.
+    The window reader's counterpart of ``gadget._PinGraph``: per non-anchor
+    node its sides, the nodes whose Gamma is searched, and ``fold``, which
+    both ``gamma_breakpoints`` and ``cten_breakpoints`` hand to
+    ``_pin_sums``.
 
-    ``nodes`` are nodes of ``net`` or s*/d*, never gadget nodes (so never
-    pseudo-pseudosinks: Gamma* is Gamma).  Each edge's stored live
-    windows (``inner_parts``) are the edges ``gadget.to_one_shot`` splits it
-    into: the first joins the edge's endpoints, and each further one runs
-    to an implicit relay node, keyed by the tuple (i, j, k), whose
-    always-open zero-length edge leads on to j.  A one-shot edge x -> y
-    with window [alpha, beta] and travel time tau is one undirected step
-    of weight plus or minus tau between x and y.  A path at x with
-    partial sums P also reaches the gadget's anchors with
-    P + {+-alpha, 0, 0, +-(T - beta)} (through s+, s2-, s2+ and s-: four
-    paths), and a path at y with P +- tau + the same offsets.  Only
+    ``net`` is a network or its super terminals, and its nodes are never
+    gadget nodes (so never pseudo-pseudosinks: Gamma* is Gamma).  Each
+    edge's stored live windows (``inner_parts``) are the edges
+    ``gadget.to_one_shot`` splits it into: the first joins the edge's
+    endpoints, and each further one runs to an implicit relay node, keyed
+    by the tuple (i, j, k), whose always-open zero-length edge leads on to
+    j.  A one-shot edge x -> y with window [alpha, beta] and travel time
+    tau is one undirected step of weight plus or minus tau between x and
+    y.  A path at x with partial sums P also reaches the gadget's anchors
+    with P + {+-alpha, 0, 0, +-(T - beta)} (through s+, s2-, s2+ and s-:
+    four paths), and a path at y with P +- tau + the same offsets.  Only
     non-anchor nodes are searched, so only they list their sides: per
     incident one-shot edge, the five near offsets and the shift (tau at
     y, 0 at x) that the far end adds with both signs.
@@ -140,64 +152,135 @@ def cten_breakpoints(
     offsets, one charge, and a walk over the non-anchor sides.  The
     charge of a visit is what the gadget form counts for those sides one
     at a time, so each start's total against ``PATH_CAP`` is the gadget
-    form's, path for path: wherever the gadget form can be built,
-    ``EnumerationCapError`` is raised on exactly the same inputs and the
-    sets are the same.  No capacity and no node name enters a set, so
-    every network is read, those the gadget form cannot represent
-    (``gadget.check_gadget_reducible``) included.
+    form's, path for path.
     """
-    net, windows, _ = inner_parts(net)
-    T = net.horizon
-    anchors = net.sources | net.sinks | {S_STAR, D_STAR}
-    # Per non-anchor node, per incident one-shot edge: (edge id, far endpoint,
-    # tau, near exits, shift).  The gadget's exits from this end are the near
-    # exits plus and minus the shift: tau at the edge's head, 0 at its tail.
-    sides: dict = {n: [] for n in net.nodes if n not in anchors}
-    heads, tails = set(), set()
-    # One-shot edge ids, counted in to_one_shot's order.  The far end y is a
-    # relay key (i, j, k) for every window of an edge after its first.
-    eid = 0
-    for (i, j), edge_windows in windows.items():
-        for n, (k, a, b, _, tau) in enumerate(edge_windows):
-            y = j if n == 0 else (i, j, k)
-            near = (a, -a, 0, T - b, b - T)
-            if i not in anchors:
-                sides[i].append((eid, y, tau, near, 0))
-            if n == 0:
-                if j not in anchors:
-                    sides[j].append((eid, i, tau, near, tau))
-                eid += 1
-            else:
-                sides[y] = [(eid, i, tau, near, tau), (eid + 1, j, 0, (0,), 0)]
-                if j not in anchors:
-                    sides[j].append((eid + 1, y, 0, (0,), 0))
-                eid += 2
-        if edge_windows:
-            tails.add(i)
-            heads.add(j)
 
-    # Per (node, edge it arrived by; None at the start): the offsets a visit
-    # adds to the path's partial sums, the paths it charges, and its steps
-    # (edge id, far endpoint, weights +-tau) on to non-anchor nodes.
-    folded: dict = {}
+    def __init__(self, net: TemporalNetwork | SuperTerminals):
+        net, self.windows, _ = inner_parts(net)
+        self.horizon = T = net.horizon
+        self.anchors = anchors = net.sources | net.sinks | {S_STAR, D_STAR}
+        # Per non-anchor node, per incident one-shot edge: (edge id, far endpoint,
+        # tau, near exits, shift).  The gadget's exits from this end are the near
+        # exits plus and minus the shift: tau at the edge's head, 0 at its tail.
+        self.sides = sides = {n: [] for n in net.nodes if n not in anchors}
+        heads, tails = set(), set()
+        # One-shot edge ids, counted in to_one_shot's order.  The far end y is a
+        # relay key (i, j, k) for every window of an edge after its first.
+        eid = 0
+        for (i, j), edge_windows in self.windows.items():
+            for n, (k, a, b, _, tau) in enumerate(edge_windows):
+                y = j if n == 0 else (i, j, k)
+                near = (a, -a, 0, T - b, b - T)
+                if i not in anchors:
+                    sides[i].append((eid, y, tau, near, 0))
+                if n == 0:
+                    if j not in anchors:
+                        sides[j].append((eid, i, tau, near, tau))
+                    eid += 1
+                else:
+                    sides[y] = [(eid, i, tau, near, tau), (eid + 1, j, 0, (0,), 0)]
+                    if j not in anchors:
+                        sides[j].append((eid + 1, y, 0, (0,), 0))
+                    eid += 2
+            if edge_windows:
+                tails.add(i)
+                heads.add(j)
+        # Anchors and nodes lacking an in- or an out-edge have Gamma = {0, T + 1}.
+        self.searched = (heads & tails) - anchors
+        # Per (node, edge it arrived by; None at the start): the offsets a visit
+        # adds to the path's partial sums, the paths it charges, and its steps
+        # (edge id, far endpoint, weights +-tau) on to non-anchor nodes.
+        self.folded: dict = {}
 
-    def fold(node, arrived_by) -> tuple[set[int], int, list]:
+    def fold(self, node, arrived_by) -> tuple[set[int], int, list]:
+        anchors = self.anchors
         offsets: set[int] = set()
         paths = 0
         steps = []
-        for edge, far, tau, near, shift in sides[node]:
+        for edge, far, tau, near, shift in self.sides[node]:
             if edge == arrived_by:  # its t+ and t- are on the path
                 continue
             paths += 4
-            offsets.update([w + d for w in near for d in (shift, -shift)])
+            if shift:
+                offsets.update([w + d for w in near for d in (shift, -shift)])
+            else:
+                offsets.update(near)
             if far in anchors:
                 paths += 1
                 offsets.update((tau, -tau))
             else:
                 steps.append((edge, far, (tau, -tau)))
-        folded[node, arrived_by] = entry = (offsets, paths, steps)
+        self.folded[node, arrived_by] = entry = (offsets, paths, steps)
         return entry
 
-    # Anchors and nodes lacking an in- or an out-edge have Gamma = {0, T + 1}.
-    searched = (heads & tails) - anchors
-    return {i: _clip(_pin_sums(i, folded, fold), T) if i in searched else (0,) for i in nodes}
+    def gamma(self, i) -> BreakpointSet:
+        """Gamma*(i) within [0, T]: (0,) for a node that is not searched."""
+        if i not in self.searched:
+            return (0,)
+        return _clip(_pin_sums(i, self.folded, self.fold), self.horizon)
+
+    def settled(self) -> dict[str, BreakpointSet]:
+        """Each settled node's set: 0 and its own windows' local points within [0, T].
+
+        A settled node is searched and has no searched live neighbour, so
+        no two are adjacent.  An out-window [a, b] gives a and b + 1, an
+        in-window with travel time tau gives a + tau and b + tau + 1;
+        b <= T - tau, so only T + 1 is ever past T.
+        """
+        searched = self.searched
+        unsettled = set()
+        for (i, j), edge_windows in self.windows.items():
+            if edge_windows and i in searched and j in searched:
+                unsettled.add(i)
+                unsettled.add(j)
+        settled = searched - unsettled
+        if not settled:
+            return {}
+        points = {n: {0} for n in settled}
+        for (i, j), edge_windows in self.windows.items():
+            if i in settled:
+                points[i].update(t for _, a, b, _, _ in edge_windows for t in (a, b + 1))
+            if j in settled:
+                points[j].update(
+                    t for _, a, b, _, tau in edge_windows for t in (a + tau, b + tau + 1)
+                )
+        T = self.horizon
+        return {n: tuple(sorted(t for t in pts if t <= T)) for n, pts in points.items()}
+
+
+def gamma_breakpoints(
+    net: TemporalNetwork | SuperTerminals, nodes: tuple[str, ...]
+) -> dict[str, BreakpointSet]:
+    """The gadget form's sets A_i = Gamma*(i) within [0, T] for original nodes.
+
+    They are read off the network's windows, with no gadget form built
+    (``_WindowPins``).  Wherever the gadget form can be built,
+    ``EnumerationCapError`` is raised on exactly the same inputs as there,
+    and the sets are the same.  No capacity and no node name enters a
+    set, so every network is read, those the gadget form cannot represent
+    (``gadget.check_gadget_reducible``) included.  ``tempoflow verify``
+    and the tests check the verdict's sets against these.
+    """
+    pins = _WindowPins(net)
+    return {i: pins.gamma(i) for i in nodes}
+
+
+def settled_breakpoints(net: TemporalNetwork | SuperTerminals) -> dict[str, BreakpointSet]:
+    """The settled nodes' sets: 0 and their own windows' local points within [0, T]."""
+    return _WindowPins(net).settled()
+
+
+def cten_breakpoints(
+    net: TemporalNetwork | SuperTerminals, nodes: tuple[str, ...]
+) -> dict[str, BreakpointSet]:
+    """The verdict's sets: local points on settled nodes, Gamma*(i) within [0, T] elsewhere.
+
+    A settled node (``_WindowPins.settled``) gets 0 and its own windows'
+    local points within [0, T], with no pin-path search, so it never
+    raises ``EnumerationCapError``; every other node gets its
+    ``gamma_breakpoints`` set.  Each set lies within Gamma*(i), and the
+    condensed expansion stays exact (``feasibility.feas``, point 5).
+    """
+    pins = _WindowPins(net)
+    local = pins.settled()
+    return {i: local[i] if i in local else pins.gamma(i) for i in nodes}

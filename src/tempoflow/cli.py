@@ -14,7 +14,7 @@ import traceback
 
 from .model import INF, ModelError, compute_mu
 from .reductions import SuperTerminals, attach_super_terminals
-from .breakpoints import cten_breakpoints
+from .breakpoints import EnumerationCapError, cten_breakpoints, gamma_breakpoints, settled_breakpoints
 from .expansion import ExpandedGraph, OracleBudgetError, build_cten, build_ten, ten_size
 from .maxflow import max_flow
 from .feasibility import capacity_oT_ten
@@ -120,26 +120,58 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _sets_agree(net, full: SuperTerminals, verdict: dict) -> bool:
+    """Check the window reader's Gamma* against the gadget form, and the verdict's sets.
+
+    Each verdict set must lie within Gamma*(i), and a settled node's set be
+    its local points.  Prints a line per check; False after a MISMATCH.
+    """
+    try:
+        gammas = gamma_breakpoints(full, full.nodes)
+    except EnumerationCapError as exc:
+        # Settled nodes are never searched, so the verdict can finish here.
+        print(f"breakpoints: not cross-checked, Gamma* is past the path cap ({exc})")
+        gammas = None
+    else:
+        try:
+            gadget = gadget_breakpoints(net)
+        except ModelError as exc:
+            print(f"breakpoints: not cross-checked, the gadget form cannot represent this network ({exc})")
+        else:
+            if gammas != gadget:
+                print("MISMATCH: Gamma* sets disagree with the gadget form's", file=sys.stderr)
+                return False
+            print("breakpoints: agree")
+    settled = settled_breakpoints(full)
+    outside = gammas is not None and any(
+        not set(a) <= set(gammas[i]) for i, a in verdict.items()
+    )
+    if outside or any(verdict[i] != a for i, a in settled.items()):
+        print(
+            "MISMATCH: the verdict's sets are not within Gamma*, or a settled node's set"
+            " is not its local points",
+            file=sys.stderr,
+        )
+        return False
+    within = "within Gamma*, " if gammas is not None else ""
+    print(f"verdict sets: {within}{len(settled)} settled on their local points")
+    return True
+
+
 def _cmd_verify(args) -> int:
     parsed = _load(args.input)
     net, v = parsed.network, parsed.demands
     outcome = dttn_feasible(net, net.horizon, v)
-    oracle_value, _ = max_flow(build_ten(attach_super_terminals(net, v)))
+    full = attach_super_terminals(net, v)
+    oracle_value, _ = max_flow(build_ten(full))
     oracle_feasible = oracle_value >= v.required()
     print(f"fast-path: {'FEASIBLE' if outcome.feasible else 'INFEASIBLE'}")
     print(f"oracle:    {'FEASIBLE' if oracle_feasible else 'INFEASIBLE'}")
     if outcome.feasible != oracle_feasible:
         print("MISMATCH: fast path disagrees with the full-expansion oracle", file=sys.stderr)
         return EXIT_ERROR
-    try:
-        gadget = gadget_breakpoints(net)
-    except ModelError as exc:
-        print(f"breakpoints: not cross-checked, the gadget form cannot represent this network ({exc})")
-    else:
-        if outcome.breakpoints != gadget:
-            print("MISMATCH: breakpoint sets disagree with the gadget form's", file=sys.stderr)
-            return EXIT_ERROR
-        print("breakpoints: agree")
+    if not _sets_agree(net, full, outcome.breakpoints):
+        return EXIT_ERROR
     if not outcome.feasible:
         o_t = capacity_oT_ten(net, outcome.violated)
         print(f"oT:        fast-path {outcome.o_T}, oracle {o_t}")
@@ -164,6 +196,7 @@ def _cmd_stats(args) -> int:
     print(f"U {'inf' if top == INF else top}")
     print(f"cten-nodes {cten.vertex_count}")
     print(f"cten-arcs {len(cten.arcs)}")
+    print(f"settled {len(settled_breakpoints(full))}")
     print(f"ten-nodes {ten_nodes}")
     print(f"ten-arcs {ten_arcs}")
     return EXIT_OK

@@ -3,8 +3,9 @@
 The verdict comes from one steady-state max flow on the condensed
 expansion of the original network with super terminals attached: the
 instance is feasible iff the flow saturates every super-source edge.  The
-breakpoint sets are the gadget-reduced canonical network's, read straight
-off the network's live windows.  When the flow does not saturate, the terminals
+breakpoint sets are read straight off the network's live windows: the
+gadget-reduced canonical network's Gamma* sets, or on settled nodes their
+own windows' local points.  When the flow does not saturate, the terminals
 whose first (sources) or last (sinks) interval lies on the source side
 of the minimum cut that max flow returns (the vertices its last BFS
 reached in the residual graph) form a violated set: the flow the sources
@@ -67,9 +68,11 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
 
     The Gamma* sets of the gadget-reduced canonical form of ``net``'s
     one-shot split, read off ``net``'s live windows for its own nodes and
-    clipped to [0, T] (s* and d* are anchors, so they get {0}), give the
-    condensed expansion of ``net`` with super terminals; the verdict and,
-    on an infeasible instance, the certificate come from its max flow.
+    clipped to [0, T] (s* and d* are anchors, so they get {0}), with each
+    settled node's set cut down to its local points (``cten_breakpoints``),
+    give the condensed expansion of ``net`` with super terminals; the
+    verdict and, on an infeasible instance, the certificate come from its
+    max flow.
     Each edge's live windows are read once, in ``attach_super_terminals``,
     and both the window reader and the expansion read them.
 
@@ -97,7 +100,7 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
     3. The structure theorem gives a canonical minimum cut with every
        phi(i) in Gamma*(i); by 2 its restriction to the original nodes,
        with s* at 0 and d* at T + 1, is the minimum cut 1 asks for.
-    4. ``cten_breakpoints`` enumerates exactly the canonical pin paths
+    4. ``gamma_breakpoints`` enumerates exactly the canonical pin paths
        from original nodes.  It reads each edge's stored live windows,
        the split's edges (``live_windows``: zero pieces dropped and each
        window clipped to b <= T - tau), and puts the second and later
@@ -114,6 +117,32 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
        Gamma* is their Gamma.  No capacity enters a sum or one of their
        roles, so the sets are the same at every capacity, INF included;
        ``gadget.gadget_breakpoints`` derives them with every capacity 1.
+    5. A settled node n (``breakpoints.cten_breakpoints``) may take its
+       own windows' local points in place of Gamma*(n), and the
+       certificate does not change.  Its live neighbours j are not
+       searched, so A_j = (0,) and phi(j) is 0 or T + 1.  With every other
+       phi fixed, an in-window [a, b] from j with capacity u and travel
+       time tau costs u |{t in [max(a, phi(j)), b] : t + tau < phi(n)}|,
+       and an out-window to j costs u |{t in [max(a, phi(n)), b] :
+       t + tau < phi(j)}|.  For phi(j) in {0, T + 1}, and since b <= T - tau,
+       both are piecewise linear in phi(n), with kinks only at a + tau and
+       b + tau + 1 (in) or at a and b + 1 (out): the local points.  So a
+       minimum cut with phi(n) inside a linear segment can move phi(n) up
+       to the segment's next point (or T + 1) at no cost: the cost is
+       linear there and least at an inner point, so constant, and an INF
+       window's count is 0 on the whole segment or the cut is infinite.
+       No two settled nodes are adjacent and none is a terminal, so all of
+       them move at once, starting from 3's cut.  The local points are
+       among n's own gadget exits, so they lie within Gamma*(n), and both
+       families of allowed cuts are closed under the pointwise max of phi.
+       The least minimum cut over Gamma* (the one with the smallest source
+       side) therefore has every settled phi(n) on a local point or T + 1:
+       else moving phi(n) up, which stays within Gamma*(n), would give a
+       minimum cut with a smaller source side.  So it is also the least
+       minimum cut over the smaller family.
+       ``max_flow``'s last BFS returns exactly that least cut, so A, o_T
+       and the flow value are the ones Gamma* gives.  Super-edge
+       capacities enter none of this, so ``capacity_oT`` stays exact too.
     """
     v.check_balanced()
     full = attach_super_terminals(net, v)

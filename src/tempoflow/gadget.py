@@ -3,7 +3,8 @@
 The condensed expansion is exact by the Hoppe–Tardos gadget reduction and
 a structure theorem on its canonical form.  This module builds that form
 and reads the sets off it (``gadget_breakpoints``), the reference that the
-verdict's reader, ``breakpoints.cten_breakpoints``, is checked against.
+window reader's Gamma* sets, ``breakpoints.gamma_breakpoints``, are
+checked against; the verdict's own sets lie within them.
 Its one program caller is ``tempoflow verify``; no verdict builds any of it.
 
 The one-shot split (``to_one_shot``) gives each live window its own edge,
@@ -393,7 +394,7 @@ def canonical_breakpoints(
 def gadget_breakpoints(net: TemporalNetwork) -> dict[str, BreakpointSet]:
     """The original nodes' sets (s* and d* included), enumerated on the gadget form.
 
-    An independent derivation of ``cten_breakpoints``: the one-shot split is
+    An independent derivation of ``gamma_breakpoints``: the one-shot split is
     gadget-reduced and the sets are read off its canonical form's pin
     graph.  The sets read travel times, topology and roles, never a
     capacity or a demand: the one role test that compares capacities, the

@@ -27,7 +27,7 @@ from tempoflow import (
     attach_super_terminals,
     build_cten,
     build_ten,
-    dttn_feasible,
+    gamma_breakpoints,
     generate_instance,
     residual_reachable,
 )
@@ -182,13 +182,14 @@ def corpus():
 def pinned_graphs(corpus, long_corpus) -> list:
     """``(graph, horizon)`` pairs whose max-flow results and labels tests pin.
 
-    The verdict cTENs of ``corpus[::25]`` and of the long corpus, the full
-    expansions of E1 and (with super terminals) of ``corpus[:5]``, and the
-    full expansion of E1 cut to T = 0.
+    The condensed expansions of ``corpus[::25]`` and of the long corpus over
+    the Gamma* sets (``gamma_breakpoints``), the full expansions of E1 and
+    (with super terminals) of ``corpus[:5]``, and the full expansion of E1
+    cut to T = 0.
     """
+    fulls = [attach_super_terminals(p.network, p.demands) for p in corpus[::25] + long_corpus]
     graphs = [
-        (dttn_feasible(p.network, p.network.horizon, p.demands).graph, p.network.horizon)
-        for p in corpus[::25] + long_corpus
+        (build_cten(full, gamma_breakpoints(full, full.nodes)), full.horizon) for full in fulls
     ]
     graphs.append((build_ten(build_e1()), 3))
     graphs += [

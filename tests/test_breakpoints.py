@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,15 +9,23 @@ from tempoflow import (
     DemandVector,
     EdgeFn,
     EnumerationCapError,
+    InstanceSpec,
     PiecewiseConstFn,
     TemporalNetwork,
     attach_super_terminals,
+    build_ten,
+    capacity_oT_ten,
     canonical_breakpoints,
     canonical_reduction,
     cten_breakpoints,
     dttn_feasible,
+    feas,
     gadget_breakpoints,
+    gamma_breakpoints,
+    generate_instance,
     hoppe_tardos_star,
+    max_flow,
+    max_flow_over_time,
     to_one_shot,
 )
 from tempoflow.reductions import D_STAR, S_STAR
@@ -127,7 +137,7 @@ def test_long_chain_sets_agree():
 
 
 def gadget_sets(net, v, nodes):
-    """Gamma* of ``nodes`` on the gadget form within [0, T], as ``cten_breakpoints`` clips."""
+    """Gamma* of ``nodes`` on the gadget form within [0, T], as ``gamma_breakpoints`` clips."""
     one_shot, _ = to_one_shot(net)
     canon = canonical_reduction(*hoppe_tardos_star(one_shot, v))
     T = canon.horizon
@@ -135,8 +145,32 @@ def gadget_sets(net, v, nodes):
 
 
 def one_shot_sets(net, v):
+    """The Gamma* reading of the windows, which the gadget form's sets must equal."""
     full = attach_super_terminals(net, v)
-    return cten_breakpoints(full, full.nodes), full.nodes
+    return gamma_breakpoints(full, full.nodes), full.nodes
+
+
+def local_sets(net):
+    """Settled nodes and their local points, derived here from the live windows.
+
+    A settled node has a live in- and out-window, is no terminal, and has
+    no live neighbour that also has both.  Its points are 0, a and b + 1
+    of each out-window, and a + tau and b + tau + 1 of each in-window,
+    within [0, T].
+    """
+    live = {e: w for e, w in net.windows().items() if w}
+    tails, heads = {i for i, _ in live}, {j for _, j in live}
+    searched = (tails & heads) - net.terminals
+    paired = {n for e in live if set(e) <= searched for n in e}
+    points = {n: {0} for n in searched - paired}
+    for (i, j), windows in live.items():
+        for _, a, b, _, tau in windows:
+            if i in points:
+                points[i] |= {a, b + 1}
+            if j in points:
+                points[j] |= {a + tau, b + tau + 1}
+    T = net.horizon
+    return {n: tuple(sorted(t for t in pts if t <= T)) for n, pts in points.items()}
 
 
 def test_cten_breakpoints_match_gamma_star(corpus):
@@ -160,11 +194,12 @@ def test_cten_breakpoints_match_gamma_star(corpus):
 
 
 def test_verdict_cten_gives_anchors_one_vertex(corpus, long_corpus):
-    """Only Gamma*(i) within [0, T] starts an interval of a verdict's cTEN.
+    """Only Gamma*(i) within [0, T], or a settled node's local points, start intervals.
 
     s*, d*, every terminal and every node lacking a live in- or out-window
-    have one vertex, and T starts an interval of node i exactly when the
-    gadget form's Gamma*(i) holds T.
+    have one vertex.  On every other node that is not settled, T starts an
+    interval exactly when the gadget form's Gamma*(i) holds T; a settled
+    node's interval starts are its local points.
     """
     for parsed in corpus + long_corpus:
         net, v = parsed.network, parsed.demands
@@ -178,8 +213,12 @@ def test_verdict_cten_gives_anchors_one_vertex(corpus, long_corpus):
         one_shot, _ = to_one_shot(net)
         canon = canonical_reduction(*hoppe_tardos_star(one_shot, v))
         gammas = gamma_star(canon, tuple(graph.ranges))
+        local = local_sets(net)
         for i, bounds in graph.bounds.items():
-            assert (T in bounds[:-1]) == (T in gammas[i]), i
+            if i in local:
+                assert tuple(bounds[:-1]) == local[i], i
+            else:
+                assert (T in bounds[:-1]) == (T in gammas[i]), i
 
 
 @settings(max_examples=80, deadline=None)
@@ -356,4 +395,99 @@ def test_relay_keys_ignore_relay_like_names():
     assert (got.feasible, got.violated, got.o_T) == (want.feasible, want.violated, want.o_T)
     assert {rename.get(i, i): a for i, a in got.breakpoints.items()} == want.breakpoints
     full = attach_super_terminals(net, v)
-    assert cten_breakpoints(full, full.nodes) == got.breakpoints == gadget_breakpoints(net)
+    gammas = gamma_breakpoints(full, full.nodes)
+    assert gammas == gadget_breakpoints(net)
+    assert cten_breakpoints(full, full.nodes) == got.breakpoints
+    assert all(set(a) <= set(gammas[i]) for i, a in got.breakpoints.items())
+
+
+def general_instance(rng):
+    """A seeded draw of a shape the layered generators never make.
+
+    Sources feed inner nodes and sinks, inner nodes join each other in
+    both directions, so the network can have cycles; capacities may be
+    INF, and travel times and the horizon may be 0.
+    """
+    T = rng.choice((0, 1, 2, 3, 5, 8, 12))
+    sources = [f"s{k}" for k in range(rng.randint(1, 2))]
+    sinks = [f"d{k}" for k in range(rng.randint(1, 2))]
+    inner = [f"m{k}" for k in range(rng.randint(1, 4))]
+    pairs = [(a, b) for a in sources + inner for b in inner + sinks if a != b]
+
+    def fn(values):
+        cuts = sorted(rng.sample(range(1, T + 1), min(T, rng.randint(0, 2))))
+        bounds = [0, *cuts, T + 1]
+        return PiecewiseConstFn(
+            tuple((a, b - 1, rng.choice(values)) for a, b in zip(bounds, bounds[1:]))
+        )
+
+    edges = {
+        e: EdgeFn(fn((0, 1, 2, 3, INF)), fn((0, 0, 1, 2, 3)))
+        for e in sorted(rng.sample(pairs, rng.randint(1, min(len(pairs), 8))))
+    }
+    net = TemporalNetwork(
+        tuple(sources + inner + sinks), edges, frozenset(sources), frozenset(sinks), T
+    )
+    values = {t: 0 for t in sources + sinks}
+    for _ in range(rng.randint(0, 2 * T + 2)):
+        values[rng.choice(sources)] -= 1
+        values[rng.choice(sinks)] += 1
+    return net, DemandVector(values)
+
+
+def test_settled_sets_exact_on_general_topologies(monkeypatch):
+    """The verdict's smaller sets answer as the Gamma* sets and the full expansion do.
+
+    On seeded draws with cycles, INF, tau = 0 and T = 0: the same
+    verdict, violated set, o_T and flow value as over Gamma* and as over
+    every step {0, ..., T} (the full expansion), o_T equal to the full
+    expansion's capacity of A, and, on single-pair draws, the same max
+    flow over time as over Gamma*.
+    """
+    import tempoflow.feasibility as feasibility_mod
+    import tempoflow.solvers as solvers_mod
+
+    def answers(outcome):
+        return outcome.feasible, outcome.violated, outcome.o_T, outcome.flow_value
+
+    def every_step(net, nodes):
+        return {i: tuple(range(net.horizon + 1)) for i in nodes}
+
+    rng = random.Random(27)
+    differ = pairs = 0
+    for _ in range(400):
+        net, v = general_instance(rng)
+        got = feas(net, v)
+        for reader in (gamma_breakpoints, every_step):
+            with monkeypatch.context() as patch:
+                patch.setattr(feasibility_mod, "cten_breakpoints", reader)
+                assert answers(got) == answers(feas(net, v))
+        full = attach_super_terminals(net, v)
+        assert got.flow_value == max_flow(build_ten(full))[0]
+        if not got.feasible:
+            assert got.o_T == capacity_oT_ten(net, got.violated)
+        gammas = gamma_breakpoints(full, full.nodes)
+        assert all(set(a) <= set(gammas[i]) for i, a in got.breakpoints.items())
+        differ += got.breakpoints != gammas
+        if len(net.sources) == len(net.sinks) == 1:
+            pairs += 1
+            value, _ = max_flow_over_time(net, net.horizon)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers_mod, "cten_breakpoints", gamma_breakpoints)
+                assert value == max_flow_over_time(net, net.horizon)[0]
+    # The draws reach the settled rule and the single-pair solver often.
+    assert differ >= 40 and pairs >= 80
+
+
+def test_local_sets_counterexample_keeps_gamma_star():
+    """Direction K's local sets overshoot here (165); the verdict does not.
+
+    n2 and n4 are searched neighbours, so neither is settled, and both
+    keep their Gamma* sets.
+    """
+    parsed = generate_instance(InstanceSpec(7, 2, 2, 9, 60, 4, 5, 3, "random"), 107)
+    net, v = parsed.network, parsed.demands
+    got = feas(net, v)
+    ten, _ = max_flow(build_ten(attach_super_terminals(net, v)))
+    assert got.flow_value == ten == 164
+    assert (len(got.breakpoints["n2"]), len(got.breakpoints["n4"])) == (39, 29)

@@ -318,6 +318,71 @@ def test_verify_reports_breakpoint_mismatch(e1_path, capsys, monkeypatch):
     assert "MISMATCH" in captured.err and "agreement" not in captured.out
 
 
+# s -> m -> d at T = 3: m is settled, its local points (0, 1, 3) against
+# Gamma*(m) = (0, 1, 2, 3), so its cTEN has 7 vertices where Gamma* gives 8.
+CHAIN_FILE = """\
+tn 1
+horizon 3
+node s source 3
+node m internal
+node d sink 3
+edge s m
+piece 0 3 cap 1 tt 1
+edge m d
+piece 0 3 cap 1 tt 1
+"""
+
+
+def test_stats_counts_settled_nodes(tmp_path, capsys):
+    path = tmp_path / "chain.tn"
+    path.write_text(CHAIN_FILE)
+    assert main(["stats", "-i", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "cten-nodes 7" in lines and "settled 1" in lines
+    assert lines.index("settled 1") == lines.index("cten-arcs 8") + 1
+
+
+@pytest.mark.parametrize("reader", ["gamma-star everywhere", "point outside gamma-star"])
+def test_verify_checks_the_verdict_sets(tmp_path, capsys, monkeypatch, reader):
+    """Each verdict set must lie within Gamma*, and a settled node's be its local points.
+
+    Both stand-in readers give supersets of exact sets, so the verdict and
+    o_T still agree with the full expansion: only the sets' check trips.
+    """
+    import tempoflow.feasibility as feasibility_mod
+    from tempoflow import cten_breakpoints, gamma_breakpoints
+
+    path = tmp_path / "chain.tn"
+    path.write_text(CHAIN_FILE)
+    assert main(["verify", "-i", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "breakpoints: agree" in out and "1 settled" in out and "agreement: yes" in out
+
+    def outside(net, nodes):
+        return {**cten_breakpoints(net, nodes), "s": (0, 2)}
+
+    stand_in = gamma_breakpoints if reader == "gamma-star everywhere" else outside
+    monkeypatch.setattr(feasibility_mod, "cten_breakpoints", stand_in)
+    assert main(["verify", "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "breakpoints: agree" in captured.out and "agreement" not in captured.out
+    assert "MISMATCH: the verdict's sets" in captured.err
+
+
+def test_verify_past_the_path_cap(tmp_path, capsys, monkeypatch):
+    """A settled node takes no path search, so the verdict finishes where Gamma* gives up."""
+    import tempoflow.breakpoints as breakpoints_mod
+
+    path = tmp_path / "chain.tn"
+    path.write_text(CHAIN_FILE)
+    monkeypatch.setattr(breakpoints_mod, "PATH_CAP", 0)
+    assert main(["verify", "-i", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[2].startswith("breakpoints: not cross-checked, Gamma* is past the path cap")
+    assert out[3] == "verdict sets: 1 settled on their local points"
+    assert out[-1] == "agreement: yes"
+
+
 # Node t-:s:d carries the name that the gadget of edge s -> d gives its t- node.
 GADGET_NAMED_FILE = """\
 tn 1

@@ -13,6 +13,7 @@ from tempoflow import (
     dttn_feasible,
     feas,
     gadget_breakpoints,
+    gamma_breakpoints,
     max_flow,
 )
 
@@ -99,7 +100,8 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
     v = DemandVector({"s": -3, "d": 3})
     outcome = dttn_feasible(net, 3, v)
     assert not outcome.feasible
-    assert outcome.breakpoints["m"] == (0, 1, 2, 3)
+    # m is settled: its windows' local points, not Gamma*(m) = (0, 1, 2, 3).
+    assert outcome.breakpoints["m"] == (0, 1, 3)
     # No gadget network, no gadget pin graph and no one-shot split on the
     # verdict path; each original edge's pieces are merged and split into
     # live windows once, and the super terminals have no edges to merge.
@@ -110,6 +112,8 @@ def test_infeasible_verdict_reduces_once(monkeypatch):
         "merged_pieces": len(net.edges),
         "live_windows": len(net.edges),
     }
+    full = attach_super_terminals(net, v)
+    assert gamma_breakpoints(full, ("m",)) == {"m": (0, 1, 2, 3)}
 
 
 def test_capacity_oT_e1_source_side():
