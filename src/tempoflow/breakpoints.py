@@ -31,7 +31,10 @@ and b + tau + 1 of each in-window, within [0, T].  It takes no pin-path
 search, so it never raises ``EnumerationCapError``.  Every other node
 gets Gamma*(i) within [0, T] (``gamma_breakpoints``).  Each set lies
 within Gamma*(i), and ``feasibility.feas`` (point 5) shows the expansion
-stays exact.
+stays exact.  One pass over the live windows finds the searched and the
+settled nodes (``_Roles``); the pin graph is built only if some searched
+node is not settled, and then once per call, so a network whose searched
+nodes all settle is answered with no pin graph at all.
 
 The verdict needs the sets of the original nodes only, and those are read
 straight off the temporal network (``_WindowPins``): each edge's
@@ -122,16 +125,17 @@ def _clip(sums: set[int], horizon: int) -> BreakpointSet:
 
 
 class _WindowPins:
-    """What pin-path enumeration reads off a network's live windows, built once.
+    """The pin graph read off a network's live windows: its sides and ``fold``.
 
-    The window reader's counterpart of ``gadget._PinGraph``: per non-anchor
-    node its sides, the nodes whose Gamma is searched, and ``fold``, which
-    both ``gamma_breakpoints`` and ``cten_breakpoints`` hand to
-    ``_pin_sums``.
+    The window reader's counterpart of ``gadget._PinGraph``.  Built only
+    when a call has a searched node that is not settled, and then once
+    per call (``_Roles.gamma``); its ``fold`` gives ``_pin_sums`` each
+    visit, for ``gamma_breakpoints`` and ``cten_breakpoints`` alike.
 
-    ``net`` is a network or its super terminals, and its nodes are never
-    gadget nodes (so never pseudo-pseudosinks: Gamma* is Gamma).  Each
-    edge's stored live windows (``inner_parts``) are the edges
+    ``inner`` is a network without super terminals, ``windows`` its live
+    windows and ``anchors`` its terminals with s* and d*; its nodes are
+    never gadget nodes (so never pseudo-pseudosinks: Gamma* is Gamma).
+    Each edge's stored live windows (``inner_parts``) are the edges
     ``gadget.to_one_shot`` splits it into: the first joins the edge's
     endpoints, and each further one runs to an implicit relay node, keyed
     by the tuple (i, j, k), whose always-open zero-length edge leads on to
@@ -155,19 +159,17 @@ class _WindowPins:
     form's, path for path.
     """
 
-    def __init__(self, net: TemporalNetwork | SuperTerminals):
-        net, self.windows, _ = inner_parts(net)
-        self.horizon = T = net.horizon
-        self.anchors = anchors = net.sources | net.sinks | {S_STAR, D_STAR}
+    def __init__(self, inner: TemporalNetwork, windows: dict, anchors: set):
+        self.horizon = T = inner.horizon
+        self.anchors = anchors
         # Per non-anchor node, per incident one-shot edge: (edge id, far endpoint,
         # tau, near exits, shift).  The gadget's exits from this end are the near
         # exits plus and minus the shift: tau at the edge's head, 0 at its tail.
-        self.sides = sides = {n: [] for n in net.nodes if n not in anchors}
-        heads, tails = set(), set()
+        self.sides = sides = {n: [] for n in inner.nodes if n not in anchors}
         # One-shot edge ids, counted in to_one_shot's order.  The far end y is a
         # relay key (i, j, k) for every window of an edge after its first.
         eid = 0
-        for (i, j), edge_windows in self.windows.items():
+        for (i, j), edge_windows in windows.items():
             for n, (k, a, b, _, tau) in enumerate(edge_windows):
                 y = j if n == 0 else (i, j, k)
                 near = (a, -a, 0, T - b, b - T)
@@ -182,11 +184,6 @@ class _WindowPins:
                     if j not in anchors:
                         sides[j].append((eid + 1, y, 0, (0,), 0))
                     eid += 2
-            if edge_windows:
-                tails.add(i)
-                heads.add(j)
-        # Anchors and nodes lacking an in- or an out-edge have Gamma = {0, T + 1}.
-        self.searched = (heads & tails) - anchors
         # Per (node, edge it arrived by; None at the start): the offsets a visit
         # adds to the path's partial sums, the paths it charges, and its steps
         # (edge id, far endpoint, weights +-tau) on to non-anchor nodes.
@@ -214,38 +211,68 @@ class _WindowPins:
         return entry
 
     def gamma(self, i) -> BreakpointSet:
+        """Gamma*(i) within [0, T] of a searched node."""
+        return _clip(_pin_sums(i, self.folded, self.fold), self.horizon)
+
+
+class _Roles:
+    """A network's live windows and which of its nodes are searched and settled.
+
+    One pass over the windows finds the live edges; a node is searched
+    when it is no anchor and heads one live edge and tails another, and
+    settled when it is searched and no live edge joins it to another
+    searched node.  No two settled nodes are adjacent.  The pin graph
+    (``_WindowPins``) is built on the first ``gamma`` of an unsettled
+    searched node, so a call whose searched nodes all settle builds none.
+    """
+
+    def __init__(self, net: TemporalNetwork | SuperTerminals):
+        inner, windows, _ = inner_parts(net)
+        self.inner, self.windows = inner, windows
+        self.anchors = anchors = inner.sources | inner.sinks | {S_STAR, D_STAR}
+        live = [edge for edge, edge_windows in windows.items() if edge_windows]
+        # Anchors and nodes lacking an in- or an out-edge have Gamma = {0, T + 1}.
+        self.searched = searched = ({j for _, j in live} & {i for i, _ in live}) - anchors
+        unsettled = {
+            n for edge in live if edge[0] in searched and edge[1] in searched for n in edge
+        }
+        self.settled = searched - unsettled
+        self.pins: _WindowPins | None = None
+
+    def gamma(self, i) -> BreakpointSet:
         """Gamma*(i) within [0, T]: (0,) for a node that is not searched."""
         if i not in self.searched:
             return (0,)
-        return _clip(_pin_sums(i, self.folded, self.fold), self.horizon)
+        if self.pins is None:
+            self.pins = _WindowPins(self.inner, self.windows, self.anchors)
+        return self.pins.gamma(i)
 
-    def settled(self) -> dict[str, BreakpointSet]:
+    def local(self) -> dict[str, BreakpointSet]:
         """Each settled node's set: 0 and its own windows' local points within [0, T].
 
-        A settled node is searched and has no searched live neighbour, so
-        no two are adjacent.  An out-window [a, b] gives a and b + 1, an
-        in-window with travel time tau gives a + tau and b + tau + 1;
-        b <= T - tau, so only T + 1 is ever past T.
+        An out-window [a, b] gives a and b + 1, an in-window with travel
+        time tau gives a + tau and b + tau + 1; b <= T - tau, so only
+        T + 1 is ever past T.
         """
-        searched = self.searched
-        unsettled = set()
-        for (i, j), edge_windows in self.windows.items():
-            if edge_windows and i in searched and j in searched:
-                unsettled.add(i)
-                unsettled.add(j)
-        settled = searched - unsettled
+        settled = self.settled
         if not settled:
             return {}
         points = {n: {0} for n in settled}
         for (i, j), edge_windows in self.windows.items():
             if i in settled:
-                points[i].update(t for _, a, b, _, _ in edge_windows for t in (a, b + 1))
+                add = points[i].add
+                for _, a, b, _, _ in edge_windows:
+                    add(a)
+                    add(b + 1)
             if j in settled:
-                points[j].update(
-                    t for _, a, b, _, tau in edge_windows for t in (a + tau, b + tau + 1)
-                )
-        T = self.horizon
-        return {n: tuple(sorted(t for t in pts if t <= T)) for n, pts in points.items()}
+                add = points[j].add
+                for _, a, b, _, tau in edge_windows:
+                    add(a + tau)
+                    add(b + tau + 1)
+        past = self.inner.horizon + 1
+        for pts in points.values():
+            pts.discard(past)
+        return {n: tuple(sorted(pts)) for n, pts in points.items()}
 
 
 def gamma_breakpoints(
@@ -261,13 +288,13 @@ def gamma_breakpoints(
     (``gadget.check_gadget_reducible``) included.  ``tempoflow verify``
     and the tests check the verdict's sets against these.
     """
-    pins = _WindowPins(net)
-    return {i: pins.gamma(i) for i in nodes}
+    roles = _Roles(net)
+    return {i: roles.gamma(i) for i in nodes}
 
 
 def settled_breakpoints(net: TemporalNetwork | SuperTerminals) -> dict[str, BreakpointSet]:
     """The settled nodes' sets: 0 and their own windows' local points within [0, T]."""
-    return _WindowPins(net).settled()
+    return _Roles(net).local()
 
 
 def cten_breakpoints(
@@ -275,12 +302,13 @@ def cten_breakpoints(
 ) -> dict[str, BreakpointSet]:
     """The verdict's sets: local points on settled nodes, Gamma*(i) within [0, T] elsewhere.
 
-    A settled node (``_WindowPins.settled``) gets 0 and its own windows'
-    local points within [0, T], with no pin-path search, so it never
-    raises ``EnumerationCapError``; every other node gets its
-    ``gamma_breakpoints`` set.  Each set lies within Gamma*(i), and the
+    A settled node (``_Roles``) gets 0 and its own windows' local points
+    within [0, T], with no pin-path search, so it never raises
+    ``EnumerationCapError``; every other node gets its
+    ``gamma_breakpoints`` set.  The pin graph is built only if some node
+    is searched and not settled.  Each set lies within Gamma*(i), and the
     condensed expansion stays exact (``feasibility.feas``, point 5).
     """
-    pins = _WindowPins(net)
-    local = pins.settled()
-    return {i: local[i] if i in local else pins.gamma(i) for i in nodes}
+    roles = _Roles(net)
+    local = roles.local()
+    return {i: local[i] if i in local else roles.gamma(i) for i in nodes}

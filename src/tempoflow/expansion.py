@@ -4,14 +4,17 @@ The condensed expansion groups each node's time steps into the intervals
 of a per-node breakpoint set (0 and any further starts within [0, T]; the
 last interval ends at T); arc capacities are the exact sums of the
 per-step capacities, computed in closed form per live window
-(``live_windows``) so no loop over the horizon ever runs.  Each window
-is swept once: its departures walk the tail's interval starts and the
-head's starts shifted back by the travel time together, and every
-elementary segment between two such starts adds its capacity to one
-(departure, target) interval pair.  Super terminals add no edges to
-sweep: s* and d* are vertices over their own sets, and each terminal
-with a positive capacity adds one arc, from s*'s first vertex to a
-source's first vertex or from a sink's last vertex to d*'s last.  Arcs
+(``live_windows``) so no loop over the horizon ever runs.  One loop over
+the nodes gives each its interval bounds, its vertex ids and its
+holdovers; a set that is already strictly increasing, as the breakpoint
+readers and ``build_ten`` give, is taken as it is.  Each window is swept
+once (edges with none are skipped): its departures walk the tail's
+interval starts and the head's starts shifted back by the travel time
+together, and every elementary segment between two such starts adds its
+capacity to one (departure, target) interval pair.  Super terminals add
+no edges to sweep: s* and d* are vertices over their own sets, and each
+terminal with a positive capacity adds one arc, from s*'s first vertex
+to a source's first vertex or from a sink's last vertex to d*'s last.  Arcs
 are stored flat, as parallel tail, head and capacity tuples that max
 flow reads directly.  A graph holds ints only: besides the arcs, each
 node's range of vertex ids and its interval bounds (the starts, then
@@ -29,7 +32,9 @@ vertex.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 from itertools import pairwise
+from operator import ge
 
 from .model import INF, ModelError, TemporalNetwork, Value
 from .reductions import D_STAR, S_STAR, SuperTerminals, inner_parts
@@ -49,9 +54,13 @@ def _bounds(points, horizon: int) -> list[int]:
 
     Interval k is [bounds[k], bounds[k + 1] - 1], so breakpoints
     0 = a_1 < ... < a_p <= T induce the intervals [a_j, a_{j+1} - 1],
-    the last being [a_p, T].
+    the last being [a_p, T].  A strictly increasing set, as both
+    breakpoint readers and ``build_ten`` give, is taken as it is; any
+    other is sorted and deduplicated first.
     """
-    pts = sorted(set(points))
+    pts = list(points)
+    if len(pts) > 1 and any(map(ge, pts, pts[1:])):
+        pts = sorted(set(pts))
     if not pts or pts[0] != 0 or pts[-1] > horizon:
         raise ModelError(
             f"breakpoint set must contain 0 and lie within [0, {horizon}]: {tuple(pts)}"
@@ -190,25 +199,33 @@ def build_ten(
     return build_cten(net, sets)
 
 
-def _edge_sums(windows: list, tail: list[int], head: list[int]) -> dict:
-    """Summed capacities of one edge per (departure, target) interval pair.
+def _edge_sums(
+    windows: list, tail: list[int], head: list[int]
+) -> Iterable[tuple[tuple[int, int], int | float]]:
+    """Summed capacities of one edge per (departure, target) interval pair, in pair order.
 
     ``windows`` are the edge's ``live_windows``, and ``tail`` and ``head``
-    the ``_bounds`` of its endpoints.  Maps ``(k, m)`` to the exact sum of
-    u(t) over the departures t in tail interval k that arrive in head
-    interval m, for every pair with a positive sum; keys are inserted with
-    k nondecreasing.  A window [p, q] departs only steps that arrive by
-    the horizon, with u > 0, so it is swept as it is: its departures walk
-    the tail's starts and the head's starts shifted by -tau together, and
+    the ``_bounds`` of its endpoints.  Gives ``((k, m), sum)`` items, k and
+    then m ascending: the exact sum of u(t) over the departures t in tail
+    interval k that arrive in head interval m, for every pair with a
+    positive sum.  A window [p, q] departs only steps that arrive by the
+    horizon, with u > 0, so it is swept as it is: its departures walk the
+    tail's starts and the head's starts shifted by -tau together, and
     each elementary segment [t, end) up to the next such start departs in
     one interval k and arrives in one interval m, and adds u * (end - t)
-    to (k, m).
+    to (k, m).  Within a window both k and m only grow, and k never falls
+    from one window to the next, so the pairs come out in order unless a
+    window starts below the last pair so far; only then are they sorted.
     """
     sums: dict[tuple[int, int], int | float] = {}
+    key = (0, 0)
+    ordered = True
     k = 0
     for _, p, q, u, tau in windows:
         k = bisect_right(tail, p, k) - 1
         m = bisect_right(head, p + tau) - 1
+        if (k, m) < key:
+            ordered = False
         t, stop = p, q + 1
         while t < stop:
             next_k, next_m = tail[k + 1], head[m + 1] - tau
@@ -222,7 +239,7 @@ def _edge_sums(windows: list, tail: list[int], head: list[int]) -> dict:
             if end == next_m:
                 m += 1
             t = end
-    return sums
+    return sums.items() if ordered else sorted(sums.items())
 
 
 def build_cten(
@@ -238,43 +255,55 @@ def build_cten(
     last vertex (sinks sorted), each with its terminal's capacity.  These
     are the arcs the super edges of ``SuperTerminals.materialize`` sweep
     into.  With every breakpoint set equal to {0, ..., T} this is the
-    full expansion.  Arcs whose capacity is zero are omitted.
+    full expansion.  Arcs whose capacity is zero are omitted.  A set may
+    come in any order and with repeats; one without 0 or with a point
+    past T raises ``ModelError``.
     """
     T = net.horizon
     s, d = _single_terminals(net)
     inner, windows, super_caps = inner_parts(net)
-    bounds = {i: _bounds(breakpoints[i], T) for i in net.nodes}
+    bounds: dict[str, list[int]] = {}
+    ranges: dict[str, range] = {}
     # Arc endpoints are read from one list of ids so that all arcs at a
     # vertex share one int object: ints past 256 are not cached, and
     # offset + k would allocate one per endpoint, about a fifth of a full
     # expansion's memory.
-    ids = list(range(sum(len(b) - 1 for b in bounds.values())))
-    first: dict[str, int] = {}
+    ids: list[int] = []
     tails: list[int] = []
     heads: list[int] = []
     hi = 0
     for i in net.nodes:
-        first[i] = lo = hi
-        hi = lo + len(bounds[i]) - 1
-        tails += ids[lo:hi - 1]
-        heads += ids[lo + 1:hi]
+        bounds[i] = node_bounds = _bounds(breakpoints[i], T)
+        lo = hi
+        hi = lo + len(node_bounds) - 1
+        ranges[i] = node_ids = range(lo, hi)
+        ids += node_ids
+        if hi - lo > 1:
+            tails += ids[lo:hi - 1]
+            heads += ids[lo + 1:hi]
     caps: list[int | float] = [INF] * len(tails)
     for (i, j), edge_windows in windows.items():
-        lo_i, lo_j = first[i], first[j]
-        for (k, m), cap in sorted(_edge_sums(edge_windows, bounds[i], bounds[j]).items()):
+        if not edge_windows:
+            continue
+        lo_i, lo_j = ranges[i].start, ranges[j].start
+        for (k, m), cap in _edge_sums(edge_windows, bounds[i], bounds[j]):
             tails.append(ids[lo_i + k])
             heads.append(ids[lo_j + m])
             caps.append(cap)
-    ranges = {i: range(lo, lo + len(bounds[i]) - 1) for i, lo in first.items()}
     if super_caps:
-        ends = [(ranges[s][0], ranges[t][0], t) for t in sorted(inner.sources)]
-        ends += [(ranges[t][-1], ranges[d][-1], t) for t in sorted(inner.sinks)]
-        for tail, head, t in ends:
+        top = ids[ranges[s].start]
+        for t in sorted(inner.sources):
             if super_caps[t]:
-                tails.append(ids[tail])
-                heads.append(ids[head])
+                tails.append(top)
+                heads.append(ids[ranges[t].start])
+                caps.append(super_caps[t])
+        bottom = ids[ranges[d][-1]]
+        for t in sorted(inner.sinks):
+            if super_caps[t]:
+                tails.append(ids[ranges[t][-1]])
+                heads.append(bottom)
                 caps.append(super_caps[t])
     return ExpandedGraph(
         bounds, tuple(tails), tuple(heads), tuple(caps),
-        ranges[s][0], ranges[d][-1], ranges,
+        ranges[s].start, ranges[d][-1], ranges,
     )

@@ -7,8 +7,8 @@ breakpoint sets are read straight off the network's live windows: the
 gadget-reduced canonical network's Gamma* sets, or on settled nodes their
 own windows' local points.  When the flow does not saturate, the terminals
 whose first (sources) or last (sinks) interval lies on the source side
-of the minimum cut that max flow returns (the vertices its last BFS
-reached in the residual graph) form a violated set: the flow the sources
+of the least minimum cut that max flow returns (the vertices reachable
+in its final residual graph) form a violated set: the flow the sources
 in the set can deliver to sinks outside it within the horizon falls
 short of the set's net demand.  That flow, o_T, is read off the same
 cut, so a verdict builds one graph and runs one max flow.  For checking,
@@ -140,8 +140,9 @@ def feas(net: TemporalNetwork, v: DemandVector) -> FeasOutcome:
        else moving phi(n) up, which stays within Gamma*(n), would give a
        minimum cut with a smaller source side.  So it is also the least
        minimum cut over the smaller family.
-       ``max_flow``'s last BFS returns exactly that least cut, so A, o_T
-       and the flow value are the ones Gamma* gives.  Super-edge
+       ``max_flow`` returns exactly that least cut's source side
+       (``{source}`` once the source saturates), so A, o_T and the flow
+       value are the ones Gamma* gives.  Super-edge
        capacities enter none of this, so ``capacity_oT`` stays exact too.
     """
     v.check_balanced()

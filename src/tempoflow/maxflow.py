@@ -11,10 +11,13 @@ they are (no subtraction, so no new float per infinite arc) and 0 on
 every backward arc; ``residual_reachable`` subtracts the flow it is
 given.  Each phase builds a BFS level graph, stopping once the sink is
 labeled, then advances and retreats along it with per-vertex arc
-cursors, reading each residual arc once per cursor step.  The BFS that
-fails to reach the sink ends the algorithm and has labeled exactly the
-vertices reachable in the final residual graph, so the flow carries that
-source side of a minimum cut; ``residual_reachable`` recomputes it
+cursors, reading each residual arc once per cursor step.  The flow
+carries the least minimum cut's source side: the vertices reachable in
+the final residual graph.  Once the flow value equals the finite
+capacity leaving the source, no residual arc leaves it (no augmenting
+path enters the source), so the side is ``{source}`` and no further BFS
+runs; otherwise the BFS that fails to reach the sink ends the algorithm
+and has labeled exactly that side.  ``residual_reachable`` recomputes it
 independently from the arc flows.  Infinite capacities stay
 ``float("inf")`` throughout — never a large integer sentinel — so integer
 arithmetic can't overflow; an all-infinite augmenting path is reported as
@@ -43,8 +46,10 @@ class InternalConsistencyError(AssertionError):
 class SteadyFlow(Value):
     """Per-arc flow amounts, indexed like ``graph.arcs``.
 
-    ``side`` is the source side of a minimum cut: the vertices that the
-    last BFS of ``max_flow`` reached; None for a flow given otherwise.
+    ``side`` is the least minimum cut's source side, the vertices
+    reachable in the residual graph: ``{source}`` once the source
+    saturates, else the vertices the last BFS of ``max_flow`` reached;
+    None for a flow given otherwise.
     """
 
     __slots__ = ("arc_flows", "side")
@@ -109,10 +114,14 @@ def max_flow(graph: ExpandedGraph) -> tuple[int, SteadyFlow]:
     if source == sink:
         raise ModelError("source and sink coincide")
     adj, head, cap = _residual(graph)
+    # The capacity leaving the source (INF if one of its arcs is): its forward arcs.
+    out = sum(cap[e] for e in adj[source] if not e & 1)
     total = 0
-    while True:
+    while total != out:
         level = _levels(adj, head, cap, source, sink)
         if level[sink] < 0:
+            # The BFS that missed the sink ran to completion: its labels are the side.
+            side = frozenset(compress(range(len(level)), map((-1).__lt__, level)))
             break
         cursor = [0] * len(adj)
         path: list[int] = []  # residual arcs from the source to u
@@ -126,6 +135,8 @@ def max_flow(graph: ExpandedGraph) -> tuple[int, SteadyFlow]:
                     cap[e] -= pushed
                     cap[e ^ 1] += pushed
                 total += pushed
+                if total == out:
+                    break
                 path.clear()
                 u = source
                 continue
@@ -146,8 +157,10 @@ def max_flow(graph: ExpandedGraph) -> tuple[int, SteadyFlow]:
                 break
             u = head[path.pop() ^ 1]
             cursor[u] += 1
-    # The BFS that missed the sink ran to completion: its labels are the side.
-    side = frozenset(compress(range(len(level)), map((-1).__lt__, level)))
+    else:
+        # Every arc out of the source is saturated, and no path enters it, so
+        # no residual arc leaves it: the least minimum cut's side is the source.
+        side = frozenset((source,))
     return total, SteadyFlow(tuple(cap[1::2]), side)
 
 

@@ -28,6 +28,8 @@ from tempoflow import (
     max_flow_over_time,
     to_one_shot,
 )
+import tempoflow.breakpoints as breakpoints_mod
+from tempoflow.breakpoints import settled_breakpoints
 from tempoflow.reductions import D_STAR, S_STAR
 from tempoflow.solvers import _at_horizon
 
@@ -435,6 +437,11 @@ def general_instance(rng):
     return net, DemandVector(values)
 
 
+def answers(outcome):
+    """What a verdict decides: feasibility, violated set, o_T and flow value."""
+    return outcome.feasible, outcome.violated, outcome.o_T, outcome.flow_value
+
+
 def test_settled_sets_exact_on_general_topologies(monkeypatch):
     """The verdict's smaller sets answer as the Gamma* sets and the full expansion do.
 
@@ -446,9 +453,6 @@ def test_settled_sets_exact_on_general_topologies(monkeypatch):
     """
     import tempoflow.feasibility as feasibility_mod
     import tempoflow.solvers as solvers_mod
-
-    def answers(outcome):
-        return outcome.feasible, outcome.violated, outcome.o_T, outcome.flow_value
 
     def every_step(net, nodes):
         return {i: tuple(range(net.horizon + 1)) for i in nodes}
@@ -477,6 +481,76 @@ def test_settled_sets_exact_on_general_topologies(monkeypatch):
                 assert value == max_flow_over_time(net, net.horizon)[0]
     # The draws reach the settled rule and the single-pair solver often.
     assert differ >= 40 and pairs >= 80
+
+
+def test_settled_sets_exact_on_long_single_piece_draws(monkeypatch):
+    """The verdict answers as Gamma* and the full expansion do where local sets are wrong.
+
+    Layered draws with travel times up to 10 and one piece per edge, the
+    shape where direction K's local points on every searched node give a
+    wrong answer most often (20 of these 1,000 draws): same verdict,
+    violated set, o_T and flow value as over Gamma*, and the full
+    expansion's flow value.
+    """
+    import tempoflow.feasibility as feasibility_mod
+
+    spec = InstanceSpec(7, 2, 2, 9, 60, 4, 10, 1, "random")
+    differ = 0
+    for seed in range(1000):
+        parsed = generate_instance(spec, seed)
+        net, v = parsed.network, parsed.demands
+        got = feas(net, v)
+        with monkeypatch.context() as patch:
+            patch.setattr(feasibility_mod, "cten_breakpoints", gamma_breakpoints)
+            gammas = feas(net, v)
+        assert answers(got) == answers(gammas), seed
+        assert got.flow_value == max_flow(build_ten(attach_super_terminals(net, v)))[0], seed
+        differ += got.breakpoints != gammas.breakpoints
+    # The settled rule changes the sets of most draws.
+    assert differ >= 500
+
+
+def test_pin_graph_built_only_for_unsettled_nodes(monkeypatch):
+    """A call whose searched nodes all settle builds no pin graph; otherwise one.
+
+    On s -> m -> d, m is the one searched node and it settles, so neither
+    ``cten_breakpoints`` nor ``settled_breakpoints`` builds a pin graph.
+    On the seed-107 draw n2 and n4 are searched neighbours, and one pin
+    graph serves both.  ``gamma_breakpoints`` searches every searched
+    node, so it builds one on both; its sets are the gadget form's.
+    """
+    built = []
+
+    class Counted(breakpoints_mod._WindowPins):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(breakpoints_mod, "_WindowPins", Counted)
+
+    def constructions(reader, *args):
+        built.clear()
+        reader(*args)
+        return len(built)
+
+    chain = make_network(
+        ("s", "m", "d"), {("s", "m"): ([(0, 3, 1)], 1), ("m", "d"): ([(0, 3, 1)], 1)},
+        {"s"}, {"d"}, 3,
+    )
+    parsed = generate_instance(InstanceSpec(7, 2, 2, 9, 60, 4, 5, 3, "random"), 107)
+    chain_full = attach_super_terminals(chain, DemandVector({"s": -3, "d": 3}))
+    draw_full = attach_super_terminals(parsed.network, parsed.demands)
+    for full, pins, settled in ((chain_full, 0, {"m": (0, 1, 3)}), (draw_full, 1, {})):
+        assert constructions(cten_breakpoints, full, full.nodes) == pins
+        assert constructions(settled_breakpoints, full) == 0
+        assert constructions(gamma_breakpoints, full, full.nodes) == 1
+        assert settled_breakpoints(full) == settled
+    assert gamma_breakpoints(chain_full, chain_full.nodes) == {
+        "s": (0,), "m": (0, 1, 2, 3), "d": (0,), S_STAR: (0,), D_STAR: (0,)
+    }
+    gammas = gamma_breakpoints(draw_full, draw_full.nodes)
+    assert gammas == gadget_breakpoints(parsed.network)
+    assert {i for i, a in gammas.items() if a != (0,)} == {"n2", "n4"}
 
 
 def test_local_sets_counterexample_keeps_gamma_star():

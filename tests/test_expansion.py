@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import re
 import tracemalloc
 
 import networkx as nx
@@ -63,13 +64,21 @@ def test_interval_partition_convention():
 
 
 def test_interval_partition_requires_bounds():
-    """A set must hold 0 and lie within [0, T]; T itself need not be a start."""
+    """A set must hold 0 and lie within [0, T]; T itself need not be a start.
+
+    Any order and repeats are accepted: the set is read as its sorted,
+    deduplicated form, and the error names that form.
+    """
     net = build_fig4()
-    for points in ((1, 4), (0, 5)):
-        with pytest.raises(ModelError, match=r"must contain 0 and lie within \[0, 4\]"):
+    for points, shown in (((1, 4), (1, 4)), ((0, 5), (0, 5)), ((4, 1, 1), (1, 4)), ((5, 0, 0), (0, 5))):
+        message = re.escape(f"must contain 0 and lie within [0, 4]: {shown}")
+        with pytest.raises(ModelError, match=message):
             build_cten(net, {i: points for i in net.nodes})
     graph = build_cten(net, {i: (0, 1) for i in net.nodes})
     assert intervals(graph, "b") == [(0, 0), (1, 4)]
+    sets = {i: (0, 2, 3) for i in net.nodes}
+    assert build_cten(net, {i: (3, 0, 2, 3, 0) for i in net.nodes}) == build_cten(net, sets)
+    assert build_cten(net, {i: [2, 0, 3, 2] for i in net.nodes}) == build_cten(net, sets)
 
 
 def test_e1_ten_arcs_and_value():
@@ -143,6 +152,8 @@ SWEEP_CASES = {
     "horizon zero, travel past it": (0, [(0, 0, 3)], [(0, 0, 1)], (0,), (0,), 0),
     # Departures 0..7 arrive over 2..9, across the head's first three intervals.
     "arrivals over three intervals": (10, [(0, 10, 1)], [(0, 10, 2)], (0, 8, 10), (0, 4, 7, 10), 4),
+    # Departures 0..1 arrive in the head's second interval, the later 2 in its first.
+    "later window arrives earlier": (6, [(0, 3, 1), (4, 6, 0)], [(0, 1, 3), (2, 6, 0)], (0,), (0, 3), 2),
 }
 
 

@@ -13,6 +13,7 @@ from tempoflow import (
     max_flow,
     residual_reachable,
 )
+import tempoflow.maxflow as maxflow_mod
 from tempoflow.expansion import ExpandedGraph
 from tempoflow.model import INF
 
@@ -24,6 +25,19 @@ def graph_from_arcs(n, arcs, source, sink):
     ranges = {f"v{k}": range(k, k + 1) for k in range(n)}
     tails, heads, caps = zip(*arcs) if arcs else ((), (), ())
     return ExpandedGraph(vertices, tails, heads, caps, source, sink, ranges)
+
+
+def count_bfs(monkeypatch) -> list[int]:
+    """A one-item list counting the level BFS runs of ``max_flow`` from now on."""
+    runs = [0]
+    levels = maxflow_mod._levels
+
+    def counted(*args):
+        runs[0] += 1
+        return levels(*args)
+
+    monkeypatch.setattr(maxflow_mod, "_levels", counted)
+    return runs
 
 
 def test_unit_path():
@@ -39,10 +53,38 @@ def test_infinite_path_rejected():
         max_flow(g)
 
 
-def test_infinite_arc_off_path_is_fine():
+def test_infinite_arc_off_path_is_fine(monkeypatch):
+    """An INF arc out of the source is never saturated: the last BFS misses the sink."""
+    bfs = count_bfs(monkeypatch)
     g = graph_from_arcs(3, [(0, 1, INF), (1, 2, 3)], 0, 2)
-    value, _ = max_flow(g)
+    value, flow = max_flow(g)
     assert value == 3
+    assert bfs == [2]  # the phase's BFS, then the one that misses the sink
+    assert flow.side == {0, 1} == residual_reachable(g, flow)
+
+
+def test_saturated_source_stops_without_a_last_bfs(monkeypatch):
+    """Once the source's arcs are full, max flow stops with the side {source}."""
+    bfs = count_bfs(monkeypatch)
+    g = graph_from_arcs(4, [(0, 1, 2), (1, 2, 5), (1, 3, 5), (3, 2, 5), (2, 0, 4)], 0, 2)
+    value, flow = max_flow(g)
+    assert value == 2
+    assert bfs == [1]
+    assert flow.side == {0} == residual_reachable(g, flow)
+    check_max_flow(g, value, flow)
+
+
+def test_side_is_source_exactly_when_its_arcs_are_full(corpus, long_corpus):
+    """On every pinned graph the side is the residual-reachable set, and {source} iff saturated."""
+    graphs = pinned_graphs(corpus, long_corpus)
+    saturated = 0
+    for graph, _ in graphs:
+        value, flow = max_flow(graph)
+        assert flow.side == residual_reachable(graph, flow)
+        out = sum(c for t, c in zip(graph.tails, graph.caps) if t == graph.source)
+        assert (flow.side == {graph.source}) == (value == out)
+        saturated += value == out
+    assert 0 < saturated < len(graphs)
 
 
 def test_zero_flow_is_not_maximum():
